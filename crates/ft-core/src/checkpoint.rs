@@ -84,6 +84,18 @@ pub enum CheckpointError {
     /// label, duplicate, out of canonical order, or inconsistent with
     /// the phase results actually present).
     Phases(String),
+    /// A CRC-valid campaign journal record is malformed: an unknown
+    /// kind, or a checkpoint or done record without its checkpoint (or
+    /// a done record without its digest).
+    Record(String),
+    /// A done record's checkpoint replays to a different canonical
+    /// digest than the one the record pins.
+    DigestMismatch {
+        /// The digest the done record carries, hex.
+        recorded: String,
+        /// The digest of the run its checkpoint replays to.
+        replayed: u64,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -102,6 +114,11 @@ impl fmt::Display for CheckpointError {
                  version {supported}; re-collect or use a matching build)"
             ),
             CheckpointError::Phases(m) => write!(f, "checkpoint phase list invalid: {m}"),
+            CheckpointError::Record(m) => write!(f, "malformed campaign record: {m}"),
+            CheckpointError::DigestMismatch { recorded, replayed } => write!(
+                f,
+                "done record pins digest {recorded} but its checkpoint replays to {replayed:016x}"
+            ),
         }
     }
 }

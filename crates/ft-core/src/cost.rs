@@ -56,6 +56,14 @@ pub struct TuningCost {
     /// Times the fault-rate circuit breaker tripped (0 when no breaker
     /// is installed). Diagnostic only: the breaker changes *how* runs
     /// are scheduled and charged, never their measured values.
+    ///
+    /// Schedule-dependent: the breaker counts tumbling windows over
+    /// runs in *completion* order, which parallel evaluation chunks
+    /// interleave, so the same faulted batch can report a different
+    /// count evaluated in parallel than one proposal at a time (5 vs 6
+    /// trips in one measured case). Times, runs and `canonical_bytes()`
+    /// do not move; only under a one-thread pool is the count
+    /// reproducible.
     #[serde(default)]
     pub breaker_trips: u64,
 }

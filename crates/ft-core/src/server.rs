@@ -13,18 +13,21 @@
 //!   [`WireError::Version`] on spec-revision skew).
 //! * **Execution** interleaves tenants as phase-DAG *segments* on a
 //!   bounded executor over [`std::thread::scope`]: each task advances
-//!   one tenant by one checkpoint segment
-//!   ([`crate::supervisor::default_segments`]), then requeues it, so
-//!   idle threads steal whichever tenant is runnable next. At most one
-//!   task per tenant is ever in flight, so a tenant's segment sequence
-//!   is exactly the supervisor's serial attempt loop.
+//!   one tenant by one step of the journaled segment executor the
+//!   [`crate::Supervisor`] drives too (one checkpoint segment of
+//!   [`crate::supervisor::default_segments`], or the final resume),
+//!   then requeues it, so idle threads steal whichever tenant is
+//!   runnable next. At most one task per tenant is ever in flight, so
+//!   a tenant's segment sequence is exactly the supervisor's serial
+//!   attempt loop.
 //! * **Dedup** routes every compile/link through one process-wide
 //!   [`ObjectStore`]; per-tenant hit/miss attribution rides on the
 //!   per-context counters, so tenant ledgers sum exactly to the
 //!   store-wide totals.
-//! * **Durability** journals every segment through the supervisor's
-//!   WAL record schema ([`crate::supervisor::CampaignRecord`]) — one
-//!   journal per tenant, compacted to the terminal record on success.
+//! * **Durability** is the executor's: every segment is journaled in
+//!   the supervisor's WAL record schema
+//!   ([`crate::supervisor::CampaignRecord`]) — one journal per tenant,
+//!   compacted to the terminal record on success.
 //!   A daemon killed between appends ([`ChaosPolicy`] kill-points)
 //!   restarts with `generation + 1` and resumes every tenant from its
 //!   last durable checkpoint, bit-identically.
@@ -50,23 +53,19 @@
 //! `tenancy_equivalence`, `server_chaos`, and `prop_server` suites
 //! prove the composition.
 
-use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
+use crate::checkpoint::CampaignCheckpoint;
 use crate::ctx::FaultStats;
-use crate::journal::{Journal, JournalError};
 use crate::objective::Objective;
 use crate::pipeline::{Tuner, TuningRun};
 use crate::remote::WireError;
 use crate::store::ObjectStore;
-use crate::supervisor::{
-    default_segments, segment_done, CampaignRecord, ChaosPolicy, RECORD_DONE, RECORD_POISONED,
-};
+use crate::supervisor::{CampaignLog, ChaosPolicy, Step};
 use crate::TuningCost;
 use ft_compiler::FaultModel;
 use ft_machine::Architecture;
 use ft_workloads::{workload_by_name, Workload};
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Revision tag leading every encoded [`CampaignSpec`]. Bumped when
@@ -336,12 +335,6 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-impl From<JournalError> for AdmissionError {
-    fn from(e: JournalError) -> Self {
-        AdmissionError::Wal(e.to_string())
-    }
-}
-
 /// Daemon configuration. `Clone` so a chaos-recovery loop can restart
 /// the server against the same directory and store with
 /// `generation + 1`.
@@ -570,17 +563,29 @@ struct TenantState {
     spec: CampaignSpec,
     workload: Workload,
     arch: Architecture,
-    journal: Journal,
-    records: usize,
-    checkpoint: Option<CampaignCheckpoint>,
-    /// Digest hex from a recovered done record (terminal rebuild only).
-    recovered_done: Option<String>,
-    next_segment: usize,
+    log: CampaignLog,
     segments_run: usize,
     cost: TuningCost,
     faults: FaultStats,
     events: Vec<ProgressEvent>,
     outcome: Option<TenantOutcome>,
+}
+
+impl TenantState {
+    /// Records `event` in the tenant's report and streams it to the
+    /// callback.
+    fn emit(&mut self, callback: &Option<EventCallback>, event: ProgressEvent) {
+        if let Some(cb) = callback {
+            cb(&self.name, &event);
+        }
+        self.events.push(event);
+    }
+
+    /// Adds one step's ledger to the tenant's bill.
+    fn bill(&mut self, cost: TuningCost, faults: FaultStats) {
+        self.cost = self.cost.merge(&cost);
+        self.faults = self.faults.merge(&faults);
+    }
 }
 
 /// What one executor task did with a tenant.
@@ -608,6 +613,8 @@ struct Sched {
 struct ChaosClock {
     ordinal: usize,
     kills: u32,
+    /// The daemon died: every later kill-point fires.
+    dead: bool,
 }
 
 /// The multi-tenant tuning daemon. Submit tenants, then [`TuningServer::run`]
@@ -615,7 +622,6 @@ struct ChaosClock {
 pub struct TuningServer {
     config: ServerConfig,
     store: Arc<ObjectStore>,
-    segments: Vec<Vec<crate::Phase>>,
     tenants: Vec<TenantState>,
     callback: Option<EventCallback>,
 }
@@ -631,7 +637,6 @@ impl TuningServer {
         Ok(TuningServer {
             config,
             store,
-            segments: default_segments(),
             tenants: Vec::new(),
             callback: None,
         })
@@ -693,48 +698,21 @@ impl TuningServer {
         }
 
         let path = self.config.dir.join(format!("tenant-{name}.wal"));
-        let (journal, recovery) = Journal::open_or_create(&path)?;
-        let records = recovery.records.len();
-        let mut checkpoint = None;
-        let mut recovered_done = None;
-        if let Some(last) = recovery.last() {
-            let record = CampaignRecord::from_bytes(last)
-                .map_err(|e| AdmissionError::Wal(format!("tenant {name}: {e}")))?;
-            match record.kind.as_str() {
-                RECORD_POISONED => {
-                    return Err(AdmissionError::Poisoned {
-                        tenant: name,
-                        diagnostic: record
-                            .diagnostic
-                            .unwrap_or_else(|| "poisoned with no diagnostic".to_string()),
-                    });
-                }
-                RECORD_DONE => {
-                    checkpoint = record.checkpoint;
-                    recovered_done = Some(record.digest.unwrap_or_default());
-                }
-                _ => checkpoint = record.checkpoint,
-            }
+        let log = CampaignLog::open(&path)
+            .map_err(|e| AdmissionError::Wal(format!("tenant {name}: {e}")))?;
+        if let Some(diagnostic) = log.poisoned() {
+            return Err(AdmissionError::Poisoned {
+                diagnostic: diagnostic.to_string(),
+                tenant: name,
+            });
         }
-        let next_segment = match &checkpoint {
-            None => 0,
-            Some(cp) => self
-                .segments
-                .iter()
-                .position(|s| !segment_done(cp, s))
-                .unwrap_or(self.segments.len()),
-        };
-
+        let records = log.records();
         let mut tenant = TenantState {
             name,
             spec,
             workload,
             arch,
-            journal,
-            records,
-            checkpoint,
-            recovered_done,
-            next_segment,
+            log,
             segments_run: 0,
             cost: TuningCost::zero(),
             faults: FaultStats::default(),
@@ -742,8 +720,8 @@ impl TuningServer {
             outcome: None,
         };
         let admitted_now = self.tenants.len() < self.config.max_in_flight;
-        self.emit(
-            &mut tenant,
+        tenant.emit(
+            &self.callback,
             if admitted_now {
                 ProgressEvent::Admitted
             } else {
@@ -751,17 +729,10 @@ impl TuningServer {
             },
         );
         if records > 0 {
-            self.emit(&mut tenant, ProgressEvent::Resumed { records });
+            tenant.emit(&self.callback, ProgressEvent::Resumed { records });
         }
         self.tenants.push(tenant);
         Ok(())
-    }
-
-    fn emit(&self, tenant: &mut TenantState, event: ProgressEvent) {
-        if let Some(cb) = &self.callback {
-            cb(&tenant.name, &event);
-        }
-        tenant.events.push(event);
     }
 
     /// Runs one daemon life: interleaves every admitted tenant's
@@ -774,7 +745,6 @@ impl TuningServer {
         let TuningServer {
             config,
             store,
-            segments,
             tenants,
             callback,
         } = self;
@@ -787,11 +757,17 @@ impl TuningServer {
             done: n == 0,
         });
         let cv = Condvar::new();
-        let killed = AtomicBool::new(false);
-        let clock = Mutex::new(ChaosClock {
-            ordinal: 0,
-            kills: 0,
-        });
+        let life = Life {
+            store,
+            chaos: config.chaos,
+            generation: config.generation,
+            clock: Mutex::new(ChaosClock {
+                ordinal: 0,
+                kills: 0,
+                dead: false,
+            }),
+            callback,
+        };
         let tenants: Vec<Mutex<TenantState>> = tenants.into_iter().map(Mutex::new).collect();
 
         std::thread::scope(|s| {
@@ -809,19 +785,7 @@ impl TuningServer {
                             g = cv.wait(g).unwrap();
                         }
                     };
-                    let advance = {
-                        let mut tenant = tenants[idx].lock().unwrap();
-                        advance_tenant(
-                            &mut tenant,
-                            &segments,
-                            &store,
-                            &config.chaos,
-                            config.generation,
-                            &clock,
-                            &killed,
-                            &callback,
-                        )
-                    };
+                    let advance = life.advance(&mut tenants[idx].lock().unwrap());
                     let mut g = sched.lock().unwrap();
                     match advance {
                         Advance::Continue => {
@@ -832,10 +796,7 @@ impl TuningServer {
                             g.remaining -= 1;
                             if let Some(next) = g.waiting.pop_front() {
                                 let mut promoted = tenants[next].lock().unwrap();
-                                if let Some(cb) = &callback {
-                                    cb(&promoted.name, &ProgressEvent::Promoted);
-                                }
-                                promoted.events.push(ProgressEvent::Promoted);
+                                promoted.emit(&life.callback, ProgressEvent::Promoted);
                                 drop(promoted);
                                 g.ready.push_back(next);
                                 cv.notify_one();
@@ -854,7 +815,11 @@ impl TuningServer {
             }
         });
 
-        let kills = clock.lock().unwrap().kills;
+        let kills = life
+            .clock
+            .into_inner()
+            .expect("no task panics holding the chaos clock")
+            .kills;
         let reports = tenants
             .into_iter()
             .map(|t| {
@@ -886,221 +851,114 @@ impl TuningServer {
     }
 }
 
-/// Appends `record` to the tenant's journal — unless the daemon is
-/// already dead, or the chaos policy kills it at this server-wide
-/// append boundary. Returns whether the record became durable.
-fn chaos_append(
-    tenant: &mut TenantState,
-    record: &CampaignRecord,
-    chaos: &ChaosPolicy,
+/// What every executor task of one daemon life shares.
+struct Life {
+    store: Arc<ObjectStore>,
+    chaos: ChaosPolicy,
     generation: u32,
-    clock: &Mutex<ChaosClock>,
-    killed: &AtomicBool,
-) -> Result<bool, CheckpointError> {
-    if killed.load(Ordering::SeqCst) {
-        return Ok(false);
-    }
-    {
-        let mut clock = clock.lock().unwrap();
+    clock: Mutex<ChaosClock>,
+    callback: Option<EventCallback>,
+}
+
+impl Life {
+    /// The daemon's kill-point, at every WAL-append boundary of every
+    /// tenant: the chaos policy over the server-wide append ordinal,
+    /// with the generation as the attempt. Once the daemon is dead,
+    /// nothing more becomes durable.
+    fn kill_point(&self) -> bool {
+        let mut clock = self
+            .clock
+            .lock()
+            .expect("no task panics holding the chaos clock");
+        if clock.dead {
+            return true;
+        }
         let boundary = clock.ordinal;
         clock.ordinal += 1;
-        if chaos.should_kill(clock.kills, generation, boundary) {
-            clock.kills += 1;
-            killed.store(true, Ordering::SeqCst);
-            return Ok(false);
-        }
+        clock.dead = self
+            .chaos
+            .should_kill(clock.kills, self.generation, boundary);
+        clock.kills += u32::from(clock.dead);
+        clock.dead
     }
-    let payload = record.to_bytes()?;
-    tenant
-        .journal
-        .append(&payload)
-        .map_err(|e| CheckpointError::Phases(format!("WAL append: {e}")))?;
-    tenant.records += 1;
-    Ok(true)
-}
 
-/// One executor task: advance `tenant` by one segment (or its
-/// terminal step), journal the result, and say what to do next.
-#[allow(clippy::too_many_arguments)]
-fn advance_tenant(
-    tenant: &mut TenantState,
-    segments: &[Vec<crate::Phase>],
-    store: &Arc<ObjectStore>,
-    chaos: &ChaosPolicy,
-    generation: u32,
-    clock: &Mutex<ChaosClock>,
-    killed: &AtomicBool,
-    callback: &Option<EventCallback>,
-) -> Advance {
-    let emit = |tenant: &mut TenantState, event: ProgressEvent| {
-        if let Some(cb) = callback {
-            cb(&tenant.name, &event);
-        }
-        tenant.events.push(event);
-    };
-
-    // A prior life already finished this campaign: rebuild the run
-    // from the terminal checkpoint (everything restored; only the
-    // cheap deterministic baseline re-measures) and verify the digest.
-    if let Some(recorded) = tenant.recovered_done.take() {
-        let cp = match tenant.checkpoint.clone() {
-            Some(cp) => cp,
-            None => {
-                return poison(
-                    tenant,
-                    "done record carries no checkpoint".to_string(),
-                    generation,
-                    emit,
-                )
-            }
-        };
-        let tuner = tenant
-            .spec
-            .build_tuner(&tenant.workload, &tenant.arch)
-            .shared_store(store.clone());
-        match tuner.resume(cp) {
-            Ok(run) => {
-                tenant.cost = tenant.cost.merge(&run.ctx.cost());
-                tenant.faults = tenant.faults.merge(&run.ctx.fault_stats());
-                let digest = run.canonical_digest();
-                if format!("{digest:016x}") != recorded {
-                    return poison(
-                        tenant,
-                        format!("recovered digest {digest:016x} != recorded {recorded}"),
-                        generation,
-                        emit,
-                    );
-                }
-                emit(tenant, ProgressEvent::RecoveredDone);
-                tenant.outcome = Some(TenantOutcome::Done {
-                    run: Box::new(run),
-                    digest,
-                });
-                Advance::Terminal
-            }
-            Err(e) => poison(
-                tenant,
-                format!("recovered done record: {e}"),
-                generation,
-                emit,
-            ),
-        }
-    } else if tenant
-        .spec
-        .run_cap
-        .is_some_and(|cap| tenant.cost.runs >= cap)
-    {
+    /// One executor task: gate the tenant on its run cap, else advance
+    /// it by one executor step, bill the step, and say what to do next.
+    fn advance(&self, tenant: &mut TenantState) -> Advance {
         // Budget gate: refuse to start another segment at or past the
         // cap, so overshoot is bounded by the segment that crossed it.
-        let charged = tenant.cost.runs.min(tenant.spec.run_cap.unwrap_or(0));
-        emit(tenant, ProgressEvent::BudgetExhausted { charged });
-        tenant.outcome = Some(TenantOutcome::BudgetExhausted {
-            checkpoint: tenant.checkpoint.clone().map(Box::new),
-        });
-        Advance::Terminal
-    } else if tenant.next_segment < segments.len() {
-        // One checkpoint segment: the supervisor's drive primitive,
-        // with the ledger captured for per-tenant billing.
-        let segment = &segments[tenant.next_segment];
-        let tuner = tenant
-            .spec
-            .build_tuner(&tenant.workload, &tenant.arch)
-            .shared_store(store.clone());
-        let paused = match tenant.checkpoint.take() {
-            None => Ok(tuner.run_until_phases_costed(segment)),
-            Some(cp) => tuner.resume_until_phases_costed(cp, segment),
-        };
-        let paused = match paused {
-            Ok(p) => p,
-            Err(e) => return poison(tenant, format!("segment resume: {e}"), generation, emit),
-        };
-        tenant.cost = tenant.cost.merge(&paused.cost);
-        tenant.faults = tenant.faults.merge(&paused.faults);
-        let record = CampaignRecord::checkpoint(paused.checkpoint.clone(), generation);
-        match chaos_append(tenant, &record, chaos, generation, clock, killed) {
-            Ok(true) => {}
-            // Killed: the in-memory segment result is lost with the
+        // A campaign an earlier life finished only replays.
+        if let Some(cap) = tenant.spec.run_cap {
+            if tenant.cost.runs >= cap && !tenant.log.is_done() {
+                tenant.emit(
+                    &self.callback,
+                    ProgressEvent::BudgetExhausted { charged: cap },
+                );
+                tenant.outcome = Some(TenantOutcome::BudgetExhausted {
+                    checkpoint: tenant.log.checkpoint().cloned().map(Box::new),
+                });
+                return Advance::Terminal;
+            }
+        }
+        let step = tenant.log.step(
+            || {
+                tenant
+                    .spec
+                    .build_tuner(&tenant.workload, &tenant.arch)
+                    .shared_store(self.store.clone())
+            },
+            self.generation,
+            |_| self.kill_point(),
+        );
+        match step {
+            // Killed: the in-memory step result is lost with the
             // process (only the WAL survives a real kill -9); the next
             // life recomputes it from the previous checkpoint.
-            Ok(false) => return Advance::Abandoned,
-            Err(e) => return poison(tenant, format!("checkpoint record: {e}"), generation, emit),
-        }
-        let segment_idx = tenant.next_segment;
-        tenant.checkpoint = Some(paused.checkpoint);
-        tenant.next_segment += 1;
-        tenant.segments_run += 1;
-        let records = tenant.records;
-        emit(
-            tenant,
-            ProgressEvent::SegmentCommitted {
-                segment: segment_idx,
-                records,
-            },
-        );
-        Advance::Continue
-    } else {
-        // Every segment is durable: assemble the finished run, append
-        // the done record, compact the journal down to it.
-        let cp = match tenant.checkpoint.clone() {
-            Some(cp) => cp,
-            None => {
-                return poison(
-                    tenant,
-                    "no checkpoint after final segment".to_string(),
-                    generation,
-                    emit,
-                )
+            Ok(Step::Killed { cost, faults }) => {
+                tenant.bill(cost, faults);
+                Advance::Abandoned
             }
-        };
-        let tuner = tenant
-            .spec
-            .build_tuner(&tenant.workload, &tenant.arch)
-            .shared_store(store.clone());
-        let run = match tuner.resume(cp.clone()) {
-            Ok(run) => run,
-            Err(e) => return poison(tenant, format!("final resume: {e}"), generation, emit),
-        };
-        tenant.cost = tenant.cost.merge(&run.ctx.cost());
-        tenant.faults = tenant.faults.merge(&run.ctx.fault_stats());
-        let digest = run.canonical_digest();
-        let done = CampaignRecord::done(cp, digest, generation);
-        match chaos_append(tenant, &done, chaos, generation, clock, killed) {
-            Ok(true) => {}
-            Ok(false) => return Advance::Abandoned,
-            Err(e) => return poison(tenant, format!("done record: {e}"), generation, emit),
-        }
-        if let Ok(payload) = done.to_bytes() {
-            // Compaction failure is not fatal: the done record is
-            // already durable at the journal tail.
-            let _ = tenant.journal.compact(&[&payload]);
-            tenant.records = tenant.journal.record_count();
-        }
-        emit(tenant, ProgressEvent::Done { digest });
-        tenant.outcome = Some(TenantOutcome::Done {
-            run: Box::new(run),
-            digest,
-        });
-        Advance::Terminal
-    }
-}
-
-/// Quarantines a tenant with a durable poison record (best effort —
-/// a failing WAL cannot be written to, but the in-memory outcome and
-/// diagnostic survive into the report either way).
-fn poison(
-    tenant: &mut TenantState,
-    diagnostic: String,
-    generation: u32,
-    emit: impl Fn(&mut TenantState, ProgressEvent),
-) -> Advance {
-    if let Ok(payload) = CampaignRecord::poisoned(diagnostic.clone(), generation).to_bytes() {
-        if tenant.journal.append(&payload).is_ok() {
-            tenant.records += 1;
+            Ok(Step::Committed {
+                segment,
+                cost,
+                faults,
+            }) => {
+                tenant.bill(cost, faults);
+                tenant.segments_run += 1;
+                let records = tenant.log.records();
+                tenant.emit(
+                    &self.callback,
+                    ProgressEvent::SegmentCommitted { segment, records },
+                );
+                Advance::Continue
+            }
+            Ok(Step::Done {
+                run,
+                digest,
+                replayed,
+            }) => {
+                tenant.bill(run.ctx.cost(), run.ctx.fault_stats());
+                let event = if replayed {
+                    ProgressEvent::RecoveredDone
+                } else {
+                    ProgressEvent::Done { digest }
+                };
+                tenant.emit(&self.callback, event);
+                tenant.outcome = Some(TenantOutcome::Done { run, digest });
+                Advance::Terminal
+            }
+            // Quarantine with a durable poison record, best effort: a
+            // failing WAL cannot take it, but the outcome and diagnostic
+            // survive into the report either way.
+            Err(e) => {
+                let diagnostic = e.to_string();
+                let _ = tenant.log.poison(diagnostic.clone(), self.generation);
+                tenant.emit(&self.callback, ProgressEvent::Poisoned);
+                tenant.outcome = Some(TenantOutcome::Poisoned { diagnostic });
+                Advance::Terminal
+            }
         }
     }
-    emit(tenant, ProgressEvent::Poisoned);
-    tenant.outcome = Some(TenantOutcome::Poisoned { diagnostic });
-    Advance::Terminal
 }
 
 #[cfg(test)]

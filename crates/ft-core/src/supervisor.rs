@@ -7,25 +7,32 @@
 //! *operational*: something has to write checkpoints durably as the
 //! campaign advances, notice that an attempt died, decide whether to
 //! retry, and refuse to spin forever on a campaign that dies every
-//! time. That is the [`Supervisor`]:
+//! time. Two layers split that work:
 //!
-//! * **Segmented advance.** The campaign is driven through a plan of
-//!   *segments* — cumulative phase targets walking the DAG (baseline,
-//!   collection, each search, the final joins). After each segment the
-//!   frozen [`CampaignCheckpoint`] is appended to a
-//!   [`crate::journal::Journal`] record, so a kill between segments
-//!   loses at most one segment of work.
-//! * **Chaos kill-points.** A [`ChaosPolicy`] injects deterministic,
-//!   seeded kills at every journal-record boundary — the in-process
-//!   analogue of `kill -9` (only the on-disk journal survives an
-//!   attempt; all in-memory campaign state is dropped). The chaos
-//!   harness uses this to prove recovery at *every* boundary.
-//! * **Bounded recovery.** Each attempt recovers from the journal's
-//!   last valid record and continues. Failed attempts back off
-//!   exponentially with seed-derived jitter (deterministic — the
-//!   delays are data, reproducible from the config). A campaign whose
-//!   attempts repeatedly die *without appending a single new record*
-//!   is poison: after [`SupervisorConfig::poison_threshold`]
+//! * **One journaled segment executor.** `CampaignLog` owns a
+//!   campaign's [`Journal`]: it recovers the last valid record, keeps
+//!   the segment cursor, runs one segment per step and appends its
+//!   checkpoint, appends the done record and compacts the journal down
+//!   to it, replays a done record from an earlier life (verifying the
+//!   digest it pins), and writes poison records. The campaign is
+//!   driven through *segments* — cumulative phase targets walking the
+//!   DAG (baseline, collection, each search, the final joins) — so a
+//!   kill between segments loses at most one segment of work. Both the
+//!   [`Supervisor`] and the multi-tenant daemon ([`crate::server`])
+//!   drive this one executor.
+//! * **Chaos kill-points.** Every step calls its driver's kill hook at
+//!   the record boundary, just before the record is appended. A kill
+//!   drops the step's work with every other in-memory structure and
+//!   leaves only the journal — the in-process analogue of `kill -9`.
+//!   The [`Supervisor`] feeds the hook a [`ChaosPolicy`] over its own
+//!   journal's record count; the chaos harness uses it to prove
+//!   recovery at *every* boundary.
+//! * **Bounded recovery.** Each [`Supervisor`] attempt recovers from
+//!   the journal's last valid record and continues. Failed attempts
+//!   back off exponentially with seed-derived jitter (deterministic —
+//!   the delays are data, reproducible from the config). A campaign
+//!   whose attempts repeatedly die *without appending a single new
+//!   record* is poison: after [`SupervisorConfig::poison_threshold`]
 //!   consecutive no-progress attempts the supervisor appends a
 //!   diagnostic record and quarantines the campaign instead of
 //!   looping forever.
@@ -37,8 +44,10 @@
 //! and plain `Tuner::run()` across fault models and schedule modes.
 
 use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
+use crate::ctx::FaultStats;
 use crate::journal::{Journal, JournalError};
 use crate::pipeline::{Phase, Tuner, TuningRun};
+use crate::TuningCost;
 use ft_flags::rng::{derive_seed, splitmix64};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -118,14 +127,27 @@ impl CampaignRecord {
             .map_err(|source| CheckpointError::Serialize { source })
     }
 
-    /// Parses a journal payload (a CRC-valid frame whose JSON does not
-    /// parse is still a typed error, never a panic).
+    /// Parses a journal payload. A CRC-valid frame whose JSON does not
+    /// parse, whose `kind` is unknown, or whose checkpoint or done
+    /// record lacks its checkpoint (or a done record its digest) is a
+    /// typed error, never a panic and never a silent fresh start.
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignRecord, CheckpointError> {
         let text = std::str::from_utf8(bytes).map_err(|e| CheckpointError::Deserialize {
             source: serde::Error::new(format!("record is not UTF-8: {e}")),
         })?;
         let record: CampaignRecord =
             serde_json::from_str(text).map_err(|source| CheckpointError::Deserialize { source })?;
+        let malformed = |why: String| Err(CheckpointError::Record(why));
+        match record.kind.as_str() {
+            RECORD_CHECKPOINT | RECORD_DONE if record.checkpoint.is_none() => {
+                return malformed(format!("{} record carries no checkpoint", record.kind))
+            }
+            RECORD_DONE if record.digest.is_none() => {
+                return malformed("done record carries no digest".to_string())
+            }
+            RECORD_CHECKPOINT | RECORD_DONE | RECORD_POISONED => {}
+            other => return malformed(format!("unknown record kind {other:?}")),
+        }
         if let Some(cp) = &record.checkpoint {
             cp.validate_phases()?;
         }
@@ -190,9 +212,10 @@ pub fn backoff_ms(config: &SupervisorConfig, consecutive_failures: u32, attempt:
 /// Seeded deterministic kill injection. A "kill" aborts the current
 /// attempt on the spot — every in-memory structure is dropped and only
 /// the journal survives, exactly the state a `kill -9` leaves behind.
-/// Kill-points sit at journal-record boundaries: before the segment
-/// that would write record `k` (equivalently, just after record `k`
-/// hit the disk), for `k` in `0..=segments`.
+/// Kill-points sit at journal-record boundaries: just before record
+/// `k + 1` is appended (equivalently, any time after record `k` hit
+/// the disk), where `k` in `0..=segments` counts the records already
+/// durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosPolicy {
     /// No injection (production).
@@ -294,7 +317,8 @@ impl fmt::Debug for Supervised {
 pub enum SupervisorError {
     /// The journal could not be read or written.
     Journal(JournalError),
-    /// A checkpoint failed to (de)serialize, validate, or resume.
+    /// A checkpoint or journal record failed to (de)serialize,
+    /// validate, or resume, or a done record's digest did not replay.
     Checkpoint(CheckpointError),
     /// The campaign died `poison_threshold` consecutive times without
     /// progress and was quarantined with a diagnostic record.
@@ -316,8 +340,8 @@ pub enum SupervisorError {
 impl fmt::Display for SupervisorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SupervisorError::Journal(e) => write!(f, "supervisor journal failure: {e}"),
-            SupervisorError::Checkpoint(e) => write!(f, "supervisor checkpoint failure: {e}"),
+            SupervisorError::Journal(e) => write!(f, "campaign journal failure: {e}"),
+            SupervisorError::Checkpoint(e) => write!(f, "campaign checkpoint failure: {e}"),
             SupervisorError::Poisoned { diagnostic, report } => write!(
                 f,
                 "campaign quarantined as poison after {} attempts: {diagnostic}",
@@ -354,7 +378,7 @@ impl From<CheckpointError> for SupervisorError {
     }
 }
 
-/// The default segment plan: checkpoint after the baseline, after the
+/// The segment plan: checkpoint after the baseline, after the
 /// collection, then after each search joins in — six records walking
 /// the DAG one phase at a time, including the mid-stage joins an
 /// overlapped schedule would checkpoint at.
@@ -369,25 +393,225 @@ pub fn default_segments() -> Vec<Vec<Phase>> {
     ]
 }
 
-/// Phases a segment target implies, including dependency closure.
-pub fn segment_phases(targets: &[Phase]) -> Vec<Phase> {
-    let mut need: Vec<Phase> = Vec::new();
-    for t in targets {
-        for p in t.requires().into_iter().chain([*t]) {
-            if !need.contains(&p) {
-                need.push(p);
-            }
-        }
-    }
-    need
+/// Whether a checkpoint already covers a segment: every phase the
+/// segment's targets imply, dependency closure included, completed.
+fn segment_done(cp: &CampaignCheckpoint, targets: &[Phase]) -> bool {
+    let done = cp.completed_phases();
+    targets
+        .iter()
+        .flat_map(|t| t.requires().into_iter().chain([*t]))
+        .all(|p| done.contains(&p))
 }
 
-/// Whether a checkpoint already covers a segment (every implied phase
-/// completed). Shared by the supervisor's attempt loop and the
-/// multi-tenant server's per-tenant segment cursor.
-pub fn segment_done(cp: &CampaignCheckpoint, targets: &[Phase]) -> bool {
-    let done = cp.completed_phases();
-    segment_phases(targets).iter().all(|p| done.contains(p))
+/// What the executor knows of its campaign between steps.
+enum LogState {
+    /// Mid-campaign: the last durable checkpoint (`None` before the
+    /// first segment commits).
+    Running(Option<CampaignCheckpoint>),
+    /// An earlier life finished: the done record's checkpoint and the
+    /// digest it pins.
+    Done(CampaignCheckpoint, String),
+    /// Quarantined: the poison record's diagnostic.
+    Poisoned(String),
+    /// A step finished, was killed or failed. Its in-memory state is
+    /// gone, as it would be with the process; the driver drops the log.
+    Spent,
+}
+
+/// What one [`CampaignLog::step`] did; `cost` and `faults` are the
+/// ledger the step charged.
+pub(crate) enum Step {
+    /// Segment `segment` of [`default_segments`] ran and its
+    /// checkpoint record is durable.
+    Committed {
+        segment: usize,
+        cost: TuningCost,
+        faults: FaultStats,
+    },
+    /// The campaign finished and its digest is durable: just now (done
+    /// record appended, journal compacted) or, when `replayed`, in an
+    /// earlier life whose done record was resumed and verified.
+    Done {
+        run: Box<TuningRun>,
+        digest: u64,
+        replayed: bool,
+    },
+    /// The driver's kill hook fired at the record boundary: nothing
+    /// was appended and the step's work is lost with the log.
+    Killed {
+        cost: TuningCost,
+        faults: FaultStats,
+    },
+}
+
+/// The journaled segment executor both drivers share: the
+/// [`Supervisor`]'s attempt loop and the daemon's per-tenant task
+/// ([`crate::server`]). It owns recovery, the segment cursor, record
+/// appends, done-plus-compaction, done-record replay and poison
+/// records; a driver keeps only its retry, scheduling and billing
+/// policy, and its kill-point, which it passes to every step.
+pub(crate) struct CampaignLog {
+    journal: Journal,
+    state: LogState,
+}
+
+impl CampaignLog {
+    /// Opens (or creates) the journal at `path` and recovers the
+    /// campaign from its last valid record. A malformed record is a
+    /// typed [`SupervisorError::Checkpoint`]; a poison record opens,
+    /// and [`CampaignLog::poisoned`] reports its diagnostic.
+    pub(crate) fn open(path: &Path) -> Result<CampaignLog, SupervisorError> {
+        let (journal, recovery) = Journal::open_or_create(path)?;
+        let state = match recovery
+            .last()
+            .map(CampaignRecord::from_bytes)
+            .transpose()?
+        {
+            None => LogState::Running(None),
+            Some(record) => match (record.kind.as_str(), record.checkpoint, record.digest) {
+                (RECORD_POISONED, ..) => LogState::Poisoned(
+                    record
+                        .diagnostic
+                        .unwrap_or_else(|| "poisoned with no diagnostic".to_string()),
+                ),
+                (RECORD_DONE, Some(cp), Some(digest)) => LogState::Done(cp, digest),
+                (_, cp, _) => LogState::Running(cp),
+            },
+        };
+        Ok(CampaignLog { journal, state })
+    }
+
+    /// Records currently in the journal.
+    pub(crate) fn records(&self) -> usize {
+        self.journal.record_count()
+    }
+
+    /// The diagnostic of a recovered poison record: the campaign must
+    /// be refused, not stepped.
+    pub(crate) fn poisoned(&self) -> Option<&str> {
+        match &self.state {
+            LogState::Poisoned(diagnostic) => Some(diagnostic),
+            _ => None,
+        }
+    }
+
+    /// Whether an earlier life finished the campaign (the next step
+    /// replays the done record).
+    pub(crate) fn is_done(&self) -> bool {
+        matches!(self.state, LogState::Done(..))
+    }
+
+    /// The last durable mid-campaign checkpoint, if a segment has
+    /// committed.
+    pub(crate) fn checkpoint(&self) -> Option<&CampaignCheckpoint> {
+        match &self.state {
+            LogState::Running(cp) => cp.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Advances the campaign by one step: the next uncommitted segment,
+    /// else the final resume plus done record, or — when an earlier
+    /// life finished — the replay of the done record. `tuner` is called
+    /// exactly once, to build the step's fresh [`Tuner`]. `kill` is the
+    /// driver's kill-point: it sees the journal's record count just
+    /// before the step's record would be appended, and returning true
+    /// abandons the step there ([`Step::Killed`]). `attempt` is written
+    /// into the record.
+    ///
+    /// After anything but [`Step::Committed`], the log is spent.
+    pub(crate) fn step<'a>(
+        &mut self,
+        tuner: impl FnOnce() -> Tuner<'a>,
+        attempt: u32,
+        kill: impl FnOnce(usize) -> bool,
+    ) -> Result<Step, SupervisorError> {
+        let checkpoint = match std::mem::replace(&mut self.state, LogState::Spent) {
+            LogState::Running(checkpoint) => checkpoint,
+            LogState::Done(checkpoint, recorded) => {
+                // Everything is restored from the terminal checkpoint;
+                // only the cheap deterministic baseline re-measures.
+                let run = tuner().resume(checkpoint)?;
+                let digest = run.canonical_digest();
+                if format!("{digest:016x}") != recorded {
+                    return Err(CheckpointError::DigestMismatch {
+                        recorded,
+                        replayed: digest,
+                    }
+                    .into());
+                }
+                return Ok(Step::Done {
+                    run: Box::new(run),
+                    digest,
+                    replayed: true,
+                });
+            }
+            LogState::Poisoned(_) | LogState::Spent => {
+                unreachable!("drivers refuse a poisoned log and drop a spent one")
+            }
+        };
+
+        let segments = default_segments();
+        let next = segments
+            .iter()
+            .position(|s| !checkpoint.as_ref().is_some_and(|cp| segment_done(cp, s)));
+        if let Some(segment) = next {
+            let paused = match checkpoint {
+                None => tuner().run_until_phases_costed(&segments[segment]),
+                Some(cp) => tuner().resume_until_phases_costed(cp, &segments[segment])?,
+            };
+            if kill(self.records()) {
+                return Ok(Step::Killed {
+                    cost: paused.cost,
+                    faults: paused.faults,
+                });
+            }
+            let mut record = CampaignRecord::checkpoint(paused.checkpoint, attempt);
+            self.journal.append(&record.to_bytes()?)?;
+            self.state = LogState::Running(record.checkpoint.take());
+            return Ok(Step::Committed {
+                segment,
+                cost: paused.cost,
+                faults: paused.faults,
+            });
+        }
+
+        // Every segment is durable: assemble the finished run, append
+        // the done record, compact the journal down to it.
+        let cp = checkpoint.expect("an empty checkpoint leaves segment 0 to run");
+        let run = tuner().resume(cp.clone())?;
+        let digest = run.canonical_digest();
+        if kill(self.records()) {
+            return Ok(Step::Killed {
+                cost: run.ctx.cost(),
+                faults: run.ctx.fault_stats(),
+            });
+        }
+        let payload = CampaignRecord::done(cp, digest, attempt).to_bytes()?;
+        self.journal.append(&payload)?;
+        // Compaction only saves space (the checkpoint prefix can be
+        // megabytes of collection data): the done record is already
+        // durable at the journal tail, which is all recovery reads, so
+        // a failed compaction leaves a correct, longer journal.
+        let _ = self.journal.compact(&[&payload]);
+        Ok(Step::Done {
+            run: Box::new(run),
+            digest,
+            replayed: false,
+        })
+    }
+
+    /// Appends a poison record, whatever state the log is in: the
+    /// campaign is quarantined and every later open refuses it.
+    pub(crate) fn poison(
+        &mut self,
+        diagnostic: String,
+        attempt: u32,
+    ) -> Result<(), SupervisorError> {
+        let payload = CampaignRecord::poisoned(diagnostic, attempt).to_bytes()?;
+        self.journal.append(&payload)?;
+        Ok(())
+    }
 }
 
 /// Drives one campaign to completion through a journal, surviving
@@ -398,12 +622,11 @@ pub struct Supervisor<'a> {
     journal_path: PathBuf,
     config: SupervisorConfig,
     chaos: ChaosPolicy,
-    segments: Vec<Vec<Phase>>,
 }
 
 impl<'a> Supervisor<'a> {
     /// A supervisor journaling to `journal_path`, building each
-    /// attempt's tuner with `factory`. The factory must return
+    /// segment's tuner with `factory`. The factory must return
     /// identically-configured tuners — the checkpoint identity check
     /// enforces it at resume time.
     pub fn new(journal_path: &Path, factory: impl Fn() -> Tuner<'a> + 'a) -> Supervisor<'a> {
@@ -412,7 +635,6 @@ impl<'a> Supervisor<'a> {
             journal_path: journal_path.to_path_buf(),
             config: SupervisorConfig::default(),
             chaos: ChaosPolicy::Off,
-            segments: default_segments(),
         }
     }
 
@@ -428,153 +650,59 @@ impl<'a> Supervisor<'a> {
         self
     }
 
-    /// Overrides the checkpoint segment plan. Each entry is a
-    /// cumulative phase target (dependency closure implied); the plan
-    /// must end in a segment covering all phases.
-    pub fn segments(mut self, segments: Vec<Vec<Phase>>) -> Self {
-        assert!(
-            segments
-                .last()
-                .is_some_and(|s| segment_phases(s).len() == Phase::ALL.len()),
-            "the final segment must cover every phase"
-        );
-        self.segments = segments;
-        self
-    }
-
     /// Runs the campaign to completion (or quarantine). Kill-aborted
     /// attempts recover from the journal; the finished run is
-    /// bit-identical to an unsupervised `Tuner::run()`.
+    /// bit-identical to an unsupervised `Tuner::run()`. A finished
+    /// journal replays to its run, refused with a typed error when the
+    /// replay does not reproduce the digest the done record pins.
     pub fn run(self) -> Result<Supervised, SupervisorError> {
         let mut report = SupervisorReport::default();
-        let mut kills = 0u32;
         let mut no_progress = 0u32;
         for attempt in 1..=self.config.max_attempts {
             report.attempts = attempt;
-            match self.attempt(attempt, &mut kills, &mut report)? {
-                Attempt::Finished(run) => {
-                    return Ok(Supervised { run: *run, report });
+            let mut log = CampaignLog::open(&self.journal_path)?;
+            let start = log.records();
+            report.resumed_from.push(start);
+            if let Some(diagnostic) = log.poisoned() {
+                let diagnostic = diagnostic.to_string();
+                return Err(SupervisorError::Poisoned { diagnostic, report });
+            }
+            loop {
+                let step = log.step(
+                    || (self.factory)(),
+                    attempt,
+                    |records| {
+                        let kill = self.chaos.should_kill(report.kills, attempt, records);
+                        report.kills += u32::from(kill);
+                        kill
+                    },
+                )?;
+                match step {
+                    Step::Committed { .. } => report.checkpoints_written += 1,
+                    Step::Done { run, .. } => return Ok(Supervised { run: *run, report }),
+                    Step::Killed { .. } => break,
                 }
-                Attempt::Killed { progressed } => {
-                    report.kills = kills;
-                    if progressed {
-                        no_progress = 0;
-                    } else {
-                        no_progress += 1;
-                    }
-                    if no_progress >= self.config.poison_threshold {
-                        let diagnostic = format!(
-                            "{no_progress} consecutive attempts died before \
-                             appending a record (last attempt {attempt}, \
-                             {} records in journal)",
-                            report.resumed_from.last().copied().unwrap_or(0)
-                        );
-                        let (mut journal, _) = Journal::open_or_create(&self.journal_path)?;
-                        journal.append(
-                            &CampaignRecord::poisoned(diagnostic.clone(), attempt).to_bytes()?,
-                        )?;
-                        return Err(SupervisorError::Poisoned { diagnostic, report });
-                    }
-                    let delay = backoff_ms(&self.config, no_progress.max(1), attempt);
-                    report.backoffs_ms.push(delay);
-                    if self.config.sleep && delay > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(delay));
-                    }
-                }
+            }
+            if log.records() > start {
+                no_progress = 0;
+            } else {
+                no_progress += 1;
+            }
+            if no_progress >= self.config.poison_threshold {
+                let diagnostic = format!(
+                    "{no_progress} consecutive attempts died before \
+                     appending a record (last attempt {attempt}, \
+                     {start} records in journal)"
+                );
+                log.poison(diagnostic.clone(), attempt)?;
+                return Err(SupervisorError::Poisoned { diagnostic, report });
+            }
+            let delay = backoff_ms(&self.config, no_progress.max(1), attempt);
+            report.backoffs_ms.push(delay);
+            if self.config.sleep && delay > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(delay));
             }
         }
         Err(SupervisorError::AttemptsExhausted { report })
     }
-
-    /// One attempt: recover, advance segment by segment, finish — or
-    /// die at a chaos kill-point.
-    fn attempt(
-        &self,
-        attempt: u32,
-        kills: &mut u32,
-        report: &mut SupervisorReport,
-    ) -> Result<Attempt, SupervisorError> {
-        let (mut journal, recovery) = Journal::open_or_create(&self.journal_path)?;
-        let mut records = recovery.records.len();
-        report.resumed_from.push(records);
-
-        let mut checkpoint: Option<CampaignCheckpoint> = None;
-        if let Some(last) = recovery.last() {
-            let record = CampaignRecord::from_bytes(last)?;
-            match record.kind.as_str() {
-                RECORD_POISONED => {
-                    let diagnostic = record
-                        .diagnostic
-                        .unwrap_or_else(|| "poisoned with no diagnostic".to_string());
-                    return Err(SupervisorError::Poisoned {
-                        diagnostic,
-                        report: report.clone(),
-                    });
-                }
-                RECORD_DONE => {
-                    // Already finished in an earlier life: rebuild the
-                    // run from the terminal checkpoint (everything is
-                    // restored; only the cheap baseline re-measures).
-                    let cp = record.checkpoint.ok_or(CheckpointError::Phases(
-                        "done record carries no checkpoint".to_string(),
-                    ))?;
-                    let run = (self.factory)().resume(cp)?;
-                    return Ok(Attempt::Finished(Box::new(run)));
-                }
-                _ => {
-                    checkpoint = record.checkpoint;
-                }
-            }
-        }
-
-        let start_records = records;
-        for segment in &self.segments {
-            if let Some(cp) = &checkpoint {
-                if segment_done(cp, segment) {
-                    continue;
-                }
-            }
-            if self.chaos.should_kill(*kills, attempt, records) {
-                *kills += 1;
-                return Ok(Attempt::Killed {
-                    progressed: records > start_records,
-                });
-            }
-            let next = match checkpoint.take() {
-                None => (self.factory)().run_until_phases(segment),
-                Some(cp) => (self.factory)().resume_until_phases(cp, segment)?,
-            };
-            journal.append(&CampaignRecord::checkpoint(next.clone(), attempt).to_bytes()?)?;
-            records += 1;
-            report.checkpoints_written += 1;
-            checkpoint = Some(next);
-        }
-
-        // The boundary after the last checkpoint record is a
-        // kill-point too: the done record is not yet durable.
-        if self.chaos.should_kill(*kills, attempt, records) {
-            *kills += 1;
-            return Ok(Attempt::Killed {
-                progressed: records > start_records,
-            });
-        }
-
-        let cp = checkpoint.expect("segment plan covers every phase");
-        let run = (self.factory)().resume(cp.clone())?;
-        let done = CampaignRecord::done(cp, run.canonical_digest(), attempt);
-        journal.append(&done.to_bytes()?)?;
-        // Compact the history down to the terminal record: recovery
-        // of a finished campaign needs only it, and the checkpoint
-        // prefix can be megabytes of collection data.
-        let payload = done.to_bytes()?;
-        journal.compact(&[&payload])?;
-        Ok(Attempt::Finished(Box::new(run)))
-    }
-}
-
-/// Outcome of one attempt. The finished run is boxed: a `TuningRun`
-/// is ~2 KiB of results and the kill variant is one byte.
-enum Attempt {
-    Finished(Box<TuningRun>),
-    Killed { progressed: bool },
 }

@@ -15,6 +15,9 @@
 //!    `poison_threshold` attempts — never loop to `max_attempts`.
 //! 3. A seeded multi-kill storm must still converge to the same
 //!    bytes, exercising repeated partial recoveries in one campaign.
+//! 4. A CRC-valid but malformed record, or a done record whose digest
+//!    its checkpoint does not replay to, is a typed refusal — never a
+//!    silent restart and never a returned run.
 //!
 //! Kills are simulated in-process by aborting the attempt: all
 //! in-memory campaign state is dropped and only the journal file
@@ -22,9 +25,12 @@
 
 use ft_compiler::FaultModel;
 use ft_core::journal::{temp_journal_path, Journal, Tail};
-use ft_core::supervisor::{default_segments, CampaignRecord, RECORD_DONE, RECORD_POISONED};
+use ft_core::supervisor::{
+    default_segments, CampaignRecord, RECORD_CHECKPOINT, RECORD_DONE, RECORD_POISONED,
+};
 use ft_core::{
-    ChaosPolicy, ScheduleMode, Supervisor, SupervisorConfig, SupervisorError, Tuner, TuningRun,
+    ChaosPolicy, CheckpointError, Phase, ScheduleMode, Supervisor, SupervisorConfig,
+    SupervisorError, Tuner, TuningRun,
 };
 use ft_machine::Architecture;
 use ft_workloads::{workload_by_name, Workload};
@@ -289,4 +295,75 @@ fn a_finished_journal_short_circuits_to_the_same_run() {
         "replay must not redo searches: {:?}",
         again.run.ctx.cost()
     );
+}
+
+/// A journal holding exactly `records`, as a supervisor would find it.
+fn write_journal(path: &std::path::Path, records: &[CampaignRecord]) {
+    let mut journal = Journal::create(path).expect("journal");
+    for record in records {
+        journal
+            .append(&record.to_bytes().expect("encodes"))
+            .expect("append");
+    }
+}
+
+#[test]
+fn malformed_records_are_typed_refusals_not_fresh_starts() {
+    let arch = Architecture::broadwell();
+    let w = swim();
+    let make = || tuner(&w, &arch, FaultModel::zero(), ScheduleMode::Serial);
+    let baseline = make().run_until(Phase::Baseline);
+    let record = |kind: &str, checkpoint| CampaignRecord {
+        kind: kind.to_string(),
+        checkpoint,
+        digest: Some("0".repeat(16)),
+        diagnostic: None,
+        attempt: 1,
+    };
+    let cases = [
+        ("unknown kind", record("rewind", Some(baseline.clone()))),
+        ("unknown kind, no checkpoint", record("rewind", None)),
+        (
+            "checkpoint without checkpoint",
+            record(RECORD_CHECKPOINT, None),
+        ),
+        ("done without checkpoint", record(RECORD_DONE, None)),
+    ];
+    for (label, malformed) in cases {
+        let j = journal(&format!("malformed-{}", label.replace([' ', ','], "-")));
+        // On top of a non-empty WAL: a restart from zero would
+        // silently discard the baseline checkpoint before it.
+        write_journal(
+            &j.0,
+            &[CampaignRecord::checkpoint(baseline.clone(), 1), malformed],
+        );
+        match Supervisor::new(&j.0, make).run() {
+            Err(SupervisorError::Checkpoint(CheckpointError::Record(why))) => {
+                assert!(!why.is_empty(), "{label}")
+            }
+            other => panic!("{label}: expected a typed Record refusal, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_done_record_with_a_tampered_digest_is_refused() {
+    let arch = Architecture::broadwell();
+    let w = swim();
+    let faults = FaultModel::testbed(0xFA17);
+    let make = || tuner(&w, &arch, faults, ScheduleMode::Serial);
+    let reference = make().run();
+    let finished = make().run_until_phases(&Phase::ALL);
+    let j = journal("tampered-digest");
+    write_journal(&j.0, &[CampaignRecord::done(finished, 0xBAD, 1)]);
+    match Supervisor::new(&j.0, make).run() {
+        Err(SupervisorError::Checkpoint(CheckpointError::DigestMismatch {
+            recorded,
+            replayed,
+        })) => {
+            assert_eq!(recorded, format!("{:016x}", 0xBAD));
+            assert_eq!(replayed, reference.canonical_digest());
+        }
+        other => panic!("expected a typed DigestMismatch refusal, got {other:?}"),
+    }
 }

@@ -11,14 +11,17 @@
 //! 3. Admission overflow past `max_in_flight + queue_capacity` is a
 //!    typed `QueueFull`; queued tenants are promoted as slots free and
 //!    still finish byte-identically.
+//! 4. A CRC-valid but malformed WAL record is a typed `Wal` refusal at
+//!    admission, and a done record whose digest does not replay
+//!    poisons its tenant.
 
 use ft_compiler::FaultModel;
-use ft_core::supervisor::CampaignRecord;
+use ft_core::supervisor::{CampaignRecord, RECORD_CHECKPOINT, RECORD_DONE, RECORD_POISONED};
 use ft_core::{
-    AdmissionError, CampaignSpec, ChaosPolicy, Journal, ObjectStore, ProgressEvent, ServerConfig,
-    TenantOutcome, TuningRun, TuningServer,
+    AdmissionError, CampaignSpec, ChaosPolicy, Journal, ObjectStore, Phase, ProgressEvent,
+    ServerConfig, TenantOutcome, TuningRun, TuningServer,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn spec(seed: u64, budget: usize) -> CampaignSpec {
@@ -38,6 +41,24 @@ fn solo(spec: &CampaignSpec) -> TuningRun {
 
 fn temp_dir(label: &str) -> PathBuf {
     ft_core::journal::temp_journal_path(label)
+}
+
+/// Writes `records` as tenant `name`'s WAL in the daemon directory.
+fn write_wal(dir: &Path, name: &str, records: &[CampaignRecord]) {
+    std::fs::create_dir_all(dir).expect("dir");
+    let mut journal = Journal::create(&dir.join(format!("tenant-{name}.wal"))).expect("journal");
+    for record in records {
+        journal
+            .append(&record.to_bytes().expect("encodes"))
+            .expect("append");
+    }
+}
+
+/// The checkpoint the tenant's campaign holds once `phases` completed.
+fn checkpoint_after(spec: &CampaignSpec, phases: &[Phase]) -> ft_core::CampaignCheckpoint {
+    let workload = ft_workloads::workload_by_name(&spec.workload).expect("workload in suite");
+    let arch = ft_core::server::arch_by_name(&spec.arch).expect("known arch");
+    spec.build_tuner(&workload, &arch).run_until_phases(phases)
 }
 
 #[test]
@@ -204,4 +225,73 @@ fn admission_overflow_is_a_typed_queue_full_and_queued_tenants_still_finish() {
         "queued tenant must record Enqueued then Promoted: {:?}",
         waited.events
     );
+}
+
+#[test]
+fn a_malformed_wal_record_is_a_typed_admission_refusal() {
+    let spec = spec(42, 60);
+    let baseline = checkpoint_after(&spec, &[Phase::Baseline]);
+    let record = |kind: &str, checkpoint| CampaignRecord {
+        kind: kind.to_string(),
+        checkpoint,
+        digest: Some("0".repeat(16)),
+        diagnostic: None,
+        attempt: 1,
+    };
+    let cases = [
+        ("unknown-kind", record("rewind", Some(baseline.clone()))),
+        ("unknown-kind-bare", record("rewind", None)),
+        ("empty-checkpoint", record(RECORD_CHECKPOINT, None)),
+        ("empty-done", record(RECORD_DONE, None)),
+    ];
+    let dir = temp_dir("server-malformed");
+    for (name, malformed) in cases {
+        // On top of a non-empty WAL: a silent restart from zero would
+        // discard the baseline checkpoint before it.
+        write_wal(
+            &dir,
+            name,
+            &[CampaignRecord::checkpoint(baseline.clone(), 1), malformed],
+        );
+        let mut server = TuningServer::new(ServerConfig::new(&dir)).expect("dir");
+        match server.submit(name, spec.clone()) {
+            Err(AdmissionError::Wal(why)) => assert!(why.contains(name), "{why}"),
+            other => panic!("{name}: expected a typed Wal refusal, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_done_record_with_a_tampered_digest_poisons_its_tenant() {
+    let spec = spec(42, 60);
+    let dir = temp_dir("server-tampered");
+    write_wal(
+        &dir,
+        "forged",
+        &[CampaignRecord::done(
+            checkpoint_after(&spec, &Phase::ALL),
+            0xBAD,
+            1,
+        )],
+    );
+    let mut server = TuningServer::new(ServerConfig::new(&dir)).expect("dir");
+    server
+        .submit("forged", spec)
+        .expect("a done record is admitted");
+    let report = server.run();
+    let tenant = report.tenant("forged").expect("reported");
+    match &tenant.outcome {
+        TenantOutcome::Poisoned { diagnostic } => {
+            assert!(diagnostic.contains("0000000000000bad"), "{diagnostic}")
+        }
+        other => panic!("expected Poisoned, got {other:?}"),
+    }
+    assert!(tenant.events.contains(&ProgressEvent::Poisoned));
+    let records = Journal::recover(&dir.join("tenant-forged.wal"))
+        .expect("wal")
+        .records;
+    let last = CampaignRecord::from_bytes(records.last().expect("records")).expect("parses");
+    assert_eq!(last.kind, RECORD_POISONED, "the quarantine is durable");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,13 +23,16 @@
 //! 5. A daemon killed mid-campaign (chaos at a WAL-append boundary)
 //!    must restart as `generation + 1`, resume every unfinished tenant
 //!    from its journal, and still converge to the solo bytes.
+//! 6. The daemon and the `Supervisor` drive one segment executor: the
+//!    same spec writes the same WAL through either, record for record.
 
 use ft_compiler::FaultModel;
+use ft_core::supervisor::{default_segments, CampaignRecord, RECORD_CHECKPOINT, RECORD_DONE};
 use ft_core::{
-    CampaignSpec, ChaosPolicy, ObjectStore, ProgressEvent, ServerConfig, TenantOutcome, TuningRun,
-    TuningServer,
+    CampaignSpec, ChaosPolicy, Journal, ObjectStore, ProgressEvent, ServerConfig, Supervisor,
+    SupervisorConfig, SupervisorError, TenantOutcome, TuningRun, TuningServer,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn spec(seed: u64, budget: usize, faults: FaultModel) -> CampaignSpec {
@@ -263,4 +266,97 @@ fn a_killed_daemon_restarts_and_resumes_every_tenant_byte_identically() {
         resumed_tenants > 0,
         "life 2 must actually resume journaled progress, not start fresh"
     );
+}
+
+/// Every record of a WAL as (kind, checkpoint JSON, digest): all a
+/// record holds except the `attempt` that wrote it, which is a
+/// supervisor attempt on one side and a daemon generation on the other.
+fn wal_records(path: &Path) -> Vec<(String, Option<String>, Option<String>)> {
+    Journal::recover(path)
+        .expect("wal")
+        .records
+        .iter()
+        .map(|bytes| {
+            let record = CampaignRecord::from_bytes(bytes).expect("record parses");
+            let checkpoint = record
+                .checkpoint
+                .map(|cp| cp.to_json().expect("serializes"));
+            (record.kind, checkpoint, record.digest)
+        })
+        .collect()
+}
+
+#[test]
+fn supervisor_and_daemon_tenant_write_the_same_wal() {
+    let segments = default_segments().len();
+    for (fname, faults) in fault_models() {
+        let spec = spec(42, 60, faults);
+        let workload = ft_workloads::workload_by_name(&spec.workload).expect("workload in suite");
+        let arch = ft_core::server::arch_by_name(&spec.arch).expect("known arch");
+        let supervisor_wal = ft_core::journal::temp_journal_path(&format!("cross-driver-{fname}"));
+        let dir = temp_dir(&format!("cross-driver-daemon-{fname}"));
+        let tenant_wal = dir.join("tenant-lone.wal");
+        let supervise = |chaos, max_attempts| {
+            Supervisor::new(&supervisor_wal, || spec.build_tuner(&workload, &arch))
+                .chaos(chaos)
+                .config(SupervisorConfig {
+                    max_attempts,
+                    ..SupervisorConfig::default()
+                })
+                .run()
+        };
+        // A lone tenant's WAL appends are the server-wide append
+        // ordinal, so both drivers die at the same record boundary.
+        let daemon_life = |generation, chaos| {
+            let mut server = TuningServer::new(
+                ServerConfig::new(&dir)
+                    .threads(1)
+                    .generation(generation)
+                    .chaos(chaos),
+            )
+            .expect("server dir");
+            server.submit("lone", spec.clone()).expect("admission");
+            server.run()
+        };
+
+        // Kill both just before the done record: every checkpoint the
+        // campaign wrote is still in the WAL.
+        let kill = ChaosPolicy::KillOnce { boundary: segments };
+        assert!(matches!(
+            supervise(kill, 1),
+            Err(SupervisorError::AttemptsExhausted { .. })
+        ));
+        assert_eq!(daemon_life(1, kill).kills, 1, "faults={fname}");
+        let checkpoints = wal_records(&supervisor_wal);
+        assert_eq!(checkpoints.len(), segments, "faults={fname}");
+        assert!(
+            checkpoints
+                .iter()
+                .all(|(kind, ..)| kind == RECORD_CHECKPOINT),
+            "faults={fname}"
+        );
+        assert!(
+            checkpoints == wal_records(&tenant_wal),
+            "faults={fname}: the checkpoint records diverged"
+        );
+
+        // Finish both: each WAL compacts to one equal done record.
+        let finished = supervise(ChaosPolicy::Off, 1).expect("supervisor finishes");
+        let report = daemon_life(2, ChaosPolicy::Off);
+        match &report.tenant("lone").expect("reported").outcome {
+            TenantOutcome::Done { digest, .. } => {
+                assert_eq!(*digest, finished.run.canonical_digest(), "faults={fname}")
+            }
+            other => panic!("faults={fname}: expected Done, got {other:?}"),
+        }
+        let done = wal_records(&supervisor_wal);
+        assert_eq!(done.len(), 1, "faults={fname}");
+        assert_eq!(done[0].0, RECORD_DONE, "faults={fname}");
+        assert!(
+            done == wal_records(&tenant_wal),
+            "faults={fname}: the done records diverged"
+        );
+        let _ = std::fs::remove_file(&supervisor_wal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
