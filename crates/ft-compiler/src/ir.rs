@@ -214,23 +214,40 @@ pub struct ProgramIr {
 }
 
 impl ProgramIr {
-    /// Creates a program; validates ids are dense and edges in range.
+    /// Creates a program. Panics unless it passes
+    /// [`ProgramIr::validate`]: in-tree programs are built valid.
     pub fn new(name: &str, modules: Vec<Module>, call_edges: Vec<CallEdge>) -> Self {
-        for (i, m) in modules.iter().enumerate() {
-            assert_eq!(m.id, i, "module ids must be dense and ordered");
-        }
-        for e in &call_edges {
-            assert!(
-                e.from < modules.len() && e.to < modules.len(),
-                "edge out of range"
-            );
-        }
-        ProgramIr {
+        let ir = ProgramIr {
             name: name.to_string(),
             modules,
             call_edges,
             pgo_hostile: false,
+        };
+        if let Err(e) = ir.validate() {
+            panic!("{e}");
         }
+        ir
+    }
+
+    /// Checks what [`ProgramIr::new`] guarantees and deserialization
+    /// does not: module ids are dense and ordered (module `i` has id
+    /// `i`; evaluation keys a module's objects by that position) and
+    /// every call edge names an existing module.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some((i, m)) = self.modules.iter().enumerate().find(|(i, m)| m.id != *i) {
+            return Err(format!(
+                "module ids must be dense and ordered: module {i} (`{}`) has id {}",
+                m.name, m.id
+            ));
+        }
+        let n = self.modules.len();
+        if let Some(e) = self.call_edges.iter().find(|e| e.from >= n || e.to >= n) {
+            return Err(format!(
+                "call edge out of range: {} -> {} in a program of {n} modules",
+                e.from, e.to
+            ));
+        }
+        Ok(())
     }
 
     /// Marks the program as PGO-instrumentation-hostile.

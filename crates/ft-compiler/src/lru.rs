@@ -1,9 +1,9 @@
 //! Generic sharded LRU with single-flight computation.
 //!
-//! Both caches in the pipeline ([`crate::ObjectCache`] for compiled
-//! objects, ft-machine's `LinkCache` for linked programs) and the
-//! cross-experiment object store are thin wrappers over this one
-//! structure. Three properties matter:
+//! Both layers of ft-core's `ObjectStore` (compiled objects and linked
+//! programs), through which every evaluation context compiles and
+//! links, and the standalone [`crate::ObjectCache`] are thin wrappers
+//! over this one structure. Three properties matter:
 //!
 //! * **Bounded residency.** Each shard keeps a recency index
 //!   (`BTreeMap<tick, key>`) next to its hash map — a doubly-indexed

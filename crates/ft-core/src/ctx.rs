@@ -7,12 +7,12 @@ use crate::search::{Candidate, Proposal};
 use crate::store::{self, ObjectStore};
 use ft_caliper::Caliper;
 use ft_compiler::lru::{CacheCapacity, CacheWeight};
-use ft_compiler::{CompiledModule, Compiler, FaultModel, Module, ObjectCache, ProgramIr};
+use ft_compiler::{CompiledModule, Compiler, FaultModel, ProgramIr};
 use ft_flags::rng::derive_seed_idx;
 use ft_flags::{Cv, CvId, CvPool, FlagSpace};
 use ft_machine::{
     execute, execute_batch_total, execute_profiled, link, try_execute, try_execute_profiled,
-    Architecture, BatchPlan, ExecOptions, ExecShape, FaultQuarantine, LinkCache, LinkedProgram,
+    Architecture, BatchPlan, ExecOptions, ExecShape, FaultQuarantine, LinkedProgram,
     RunMeasurement, RunOutcome,
 };
 use rayon::prelude::*;
@@ -95,14 +95,16 @@ impl FaultStats {
     }
 }
 
-/// Counters of the evaluation engine's two memoization layers:
-/// per-module objects and whole-program links.
+/// Counters of the two layers of the [`ObjectStore`] a context
+/// evaluates through: per-module objects and whole-program links.
 ///
-/// Ledger invariants (single-flight caching makes them exact):
+/// Hits and misses are always this context's own lookups. Ledger
+/// invariants (single-flight caching makes them exact):
 /// `object_hits + object_misses == object_lookups`,
 /// `object_computes == object_misses`, and likewise for links.
-/// Eviction counters are per-context when the context owns its caches
-/// and store-global when it borrows a shared [`ObjectStore`].
+/// Eviction counters are the store's, so they are per-context exactly
+/// when the store is the context's private one and store-global when
+/// it is shared ([`EvalContext::with_shared_store`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Object-cache hits (modules reused instead of recompiled).
@@ -128,21 +130,71 @@ pub struct CacheStats {
     pub link_evictions: u64,
 }
 
-/// A context's attachment to a shared [`ObjectStore`]: the content
-/// fingerprints that scope this context's keys, plus per-context
-/// hit/miss attribution so each experiment row still balances its own
+/// A context's attachment to its [`ObjectStore`]: the fingerprints
+/// that scope this context's keys, plus per-context hit/miss
+/// attribution so each experiment row still balances its own
 /// `links + link_reuses == runs` ledger even when the resident objects
 /// are shared process-wide.
+///
+/// A private store (the default) is keyed positionally — module `i`'s
+/// object scope is `i`, the link fingerprint 0 — because one context
+/// fixes the compiler, program and architecture. A shared store is
+/// keyed by content fingerprints so contexts never collide.
 struct StoreBinding {
     store: Arc<ObjectStore>,
-    compiler_fp: u64,
-    /// Content fingerprint per module slot (`ir.modules` order).
-    module_fps: Vec<u64>,
+    /// Object scope per module slot (`ir.modules` order; see
+    /// [`store::object_scope`]).
+    scopes: Vec<u64>,
     link_fp: u64,
     object_hits: AtomicU64,
     object_misses: AtomicU64,
     link_hits: AtomicU64,
     link_misses: AtomicU64,
+}
+
+impl StoreBinding {
+    fn new(store: Arc<ObjectStore>, scopes: Vec<u64>, link_fp: u64) -> Self {
+        StoreBinding {
+            store,
+            scopes,
+            link_fp,
+            object_hits: AtomicU64::new(0),
+            object_misses: AtomicU64::new(0),
+            link_hits: AtomicU64::new(0),
+            link_misses: AtomicU64::new(0),
+        }
+    }
+
+    /// A fresh private store for a `modules`-module program, keyed
+    /// positionally (no fingerprinting work).
+    fn private(modules: usize, capacity: CacheCapacity) -> Self {
+        let store = Arc::new(ObjectStore::with_capacity(capacity));
+        Self::new(store, (0..modules as u64).collect(), 0)
+    }
+
+    /// Module `module`'s object for `cv_digest`, computed on a miss.
+    fn object(
+        &self,
+        module: usize,
+        cv_digest: u64,
+        compute: impl FnOnce() -> CompiledModule,
+    ) -> Arc<CompiledModule> {
+        let (obj, hit) = self.store.object(self.scopes[module], cv_digest, compute);
+        tally(hit, &self.object_hits, &self.object_misses);
+        obj
+    }
+
+    /// The program linked from `digests`, computed on a miss.
+    fn link(&self, digests: &[u64], compute: impl FnOnce() -> LinkedProgram) -> Arc<LinkedProgram> {
+        let (linked, hit) = self.store.link(self.link_fp, digests, compute);
+        tally(hit, &self.link_hits, &self.link_misses);
+        linked
+    }
+}
+
+/// Counts one lookup as a hit or a miss.
+fn tally(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
+    (if hit { hits } else { misses }).fetch_add(1, Ordering::Relaxed);
 }
 
 /// Everything needed to evaluate a compilation choice on one program,
@@ -159,17 +211,14 @@ pub struct EvalContext {
     /// Root seed for measurement noise; evaluation `k` uses
     /// `derive_seed_idx(noise_root, k)`.
     pub noise_root: u64,
-    /// Object cache: each `(module, CV)` pair is compiled once, like
-    /// the build-system object reuse of the paper's prototype.
-    cache: ObjectCache,
-    /// Link cache: each distinct assignment (by per-module CV digest
-    /// fingerprint) is linked once; `link` is deterministic, so only
-    /// the noise-seeded execution differs between duplicates.
-    links: LinkCache,
-    /// When set, the context borrows a process-wide [`ObjectStore`]
-    /// instead of its own caches, de-duplicating compiles and links
-    /// across contexts (fault quarantine stays per-context).
-    store: Option<StoreBinding>,
+    /// The store every compile and link goes through: each `(module,
+    /// CV)` pair is compiled once, like the build-system object reuse
+    /// of the paper's prototype, and each distinct assignment (by
+    /// per-module CV digests) is linked once; `link` is deterministic,
+    /// so only the noise-seeded execution differs between duplicates.
+    /// Private to this context unless [`EvalContext::with_shared_store`]
+    /// binds a process-wide one (fault quarantine stays per-context).
+    store: StoreBinding,
     /// Memoized `-O3` baseline: `(repeats, mean time)` of the first
     /// measurement. Random, FR, and CFR all re-ask for the same
     /// 10-repeat baseline; measuring it once changes no value.
@@ -238,15 +287,14 @@ impl EvalContext {
             arch.target.max_vector_bits,
             "compiler target does not match architecture"
         );
+        let modules = ir.len();
         EvalContext {
             ir,
             compiler,
             arch,
             steps,
             noise_root,
-            cache: ObjectCache::new(),
-            links: LinkCache::new(),
-            store: None,
+            store: StoreBinding::private(modules, CacheCapacity::Unbounded),
             baseline_memo: OnceLock::new(),
             batch_plan: OnceLock::new(),
             runs: AtomicU64::new(0),
@@ -321,53 +369,41 @@ impl EvalContext {
             .is_none_or(CircuitBreaker::allows_batched)
     }
 
-    /// Bounds the context-owned caches: least-recently-used objects
-    /// and linked programs are evicted past `capacity`. Compilation
-    /// and linking are pure functions of their keys, so eviction only
-    /// forces bit-identical recomputation — results never change, only
-    /// the cost counters (proved by the `cache_equivalence` suite).
-    /// Replaces the caches; call before any evaluation.
+    /// Binds a fresh private store bounded by `capacity`: least-
+    /// recently-used objects and linked programs are evicted past it.
+    /// Compilation and linking are pure functions of their keys, so
+    /// eviction only forces bit-identical recomputation — results never
+    /// change, only the cost counters (proved by the `cache_equivalence`
+    /// suite). Replaces the binding (and with it a shared store and all
+    /// counters); call before any evaluation.
     pub fn with_cache_capacity(mut self, capacity: CacheCapacity) -> Self {
-        self.cache = ObjectCache::with_capacity(capacity);
-        self.links = LinkCache::with_capacity(capacity);
+        self.store = StoreBinding::private(self.ir.len(), capacity);
         self
     }
 
-    /// Borrows a process-wide [`ObjectStore`] instead of the
-    /// context-owned caches, de-duplicating compiles and links across
-    /// every context bound to the same store. Keys are content
-    /// fingerprints (compiler, module content, program + architecture),
-    /// so contexts for different programs, inputs, or toolchains can
-    /// never collide. The fault quarantine stays per-context.
+    /// Binds a process-wide [`ObjectStore`] instead of the private one,
+    /// de-duplicating compiles and links across every context bound to
+    /// the same store. Keys are content fingerprints (compiler, module
+    /// content, program + architecture), so contexts for different
+    /// programs, inputs, or toolchains can never collide. The fault
+    /// quarantine stays per-context. Replaces the binding (and with it
+    /// a capacity set by [`EvalContext::with_cache_capacity`] and all
+    /// counters); call before any evaluation.
     pub fn with_shared_store(mut self, store: Arc<ObjectStore>) -> Self {
         debug_assert!(
             self.ir.modules.iter().enumerate().all(|(i, m)| m.id == i),
             "module ids must be positional"
         );
         let compiler_fp = store::compiler_fingerprint(&self.compiler);
-        let module_fps = self
+        let scopes = self
             .ir
             .modules
             .iter()
-            .map(store::module_fingerprint)
+            .map(|m| store::object_scope(compiler_fp, store::module_fingerprint(m)))
             .collect();
         let link_fp = store::link_fingerprint(&self.ir, &self.arch, compiler_fp);
-        self.store = Some(StoreBinding {
-            store,
-            compiler_fp,
-            module_fps,
-            link_fp,
-            object_hits: AtomicU64::new(0),
-            object_misses: AtomicU64::new(0),
-            link_hits: AtomicU64::new(0),
-            link_misses: AtomicU64::new(0),
-        });
+        self.store = StoreBinding::new(store, scopes, link_fp);
         self
-    }
-
-    /// The shared store this context borrows, if any.
-    pub fn shared_store(&self) -> Option<&Arc<ObjectStore>> {
-        self.store.as_ref().map(|b| &b.store)
     }
 
     /// Attaches a distributed evaluation plane: search-driver batches
@@ -465,75 +501,39 @@ impl EvalContext {
         self.quarantine.restore(compiles, programs);
     }
 
-    /// Compiles one module through the caching layer this context is
-    /// configured with: the shared [`ObjectStore`] when bound, the
-    /// context-owned [`ObjectCache`] otherwise. All compile paths
-    /// funnel through here, so hit/miss attribution is uniform.
-    fn compile_module_shared(&self, module: &Module, cv: &Cv) -> Arc<CompiledModule> {
-        match &self.store {
-            Some(b) => {
-                let (obj, hit) =
-                    b.store
-                        .object(b.compiler_fp, b.module_fps[module.id], cv.digest(), || {
-                            self.compiler.compile_module(module, cv)
-                        });
-                if hit {
-                    b.object_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    b.object_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                obj
-            }
-            None => self.cache.compile_arc(&self.compiler, module, cv),
-        }
-    }
-
-    /// Owned-value variant of [`EvalContext::compile_module_shared`]
-    /// for the link step, which takes its objects by value.
-    fn compile_module_owned(&self, module: &Module, cv: &Cv) -> CompiledModule {
-        (*self.compile_module_shared(module, cv)).clone()
-    }
-
-    /// Links a digest-keyed assignment through the configured caching
-    /// layer, compiling via `objects` only on a miss.
+    /// Links a digest-keyed assignment through this context's
+    /// [`ObjectStore`], compiling via `objects` only on a miss.
+    /// `objects()` must produce one object per module, compiled with
+    /// CVs matching `digests` slot for slot.
     fn link_digests(
         &self,
         digests: &[u64],
         objects: impl FnOnce() -> Vec<CompiledModule>,
     ) -> Arc<LinkedProgram> {
-        match &self.store {
-            Some(b) => {
-                assert_eq!(
-                    digests.len(),
-                    self.ir.modules.len(),
-                    "one digest per module"
-                );
-                let (linked, hit) = b.store.link(b.link_fp, digests, || {
-                    let linked = link(objects(), &self.ir, &self.arch);
-                    debug_assert!(
-                        linked
-                            .modules
-                            .iter()
-                            .map(|m| m.cv_digest)
-                            .eq(digests.iter().copied()),
-                        "objects() disagrees with the digest key"
-                    );
-                    linked
-                });
-                if hit {
-                    b.link_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    b.link_misses.fetch_add(1, Ordering::Relaxed);
-                }
+        assert_eq!(
+            digests.len(),
+            self.ir.modules.len(),
+            "one digest per module"
+        );
+        self.store.link(digests, || {
+            let linked = link(objects(), &self.ir, &self.arch);
+            debug_assert!(
                 linked
-            }
-            None => self.links.link_with(digests, &self.ir, &self.arch, objects),
-        }
+                    .modules
+                    .iter()
+                    .map(|m| m.cv_digest)
+                    .eq(digests.iter().copied()),
+                "objects() disagrees with the digest key"
+            );
+            linked
+        })
     }
 
-    /// Compiles one object per module through the object cache — the
-    /// miss path of every link. `cvs` yields module `j`'s CV at
-    /// position `j`, owned or pooled alike.
+    /// Compiles one object per module through the store's object
+    /// layer — the miss path of every link, and the only compile path,
+    /// so hit/miss attribution is uniform. `cvs` yields module `j`'s CV
+    /// at position `j`, owned or pooled alike. The link step takes its
+    /// objects by value, so each is cloned out of the store.
     fn compile_each<C: Deref<Target = Cv>>(
         &self,
         cvs: impl Iterator<Item = C>,
@@ -542,18 +542,23 @@ impl EvalContext {
             .modules
             .iter()
             .zip(cvs)
-            .map(|(m, cv)| self.compile_module_owned(m, &cv))
+            .map(|(m, cv)| {
+                let obj = self
+                    .store
+                    .object(m.id, cv.digest(), || self.compiler.compile_module(m, &cv));
+                (*obj).clone()
+            })
             .collect()
     }
 
-    /// Links an owned per-module assignment through both caches.
+    /// Links an owned per-module assignment through both store layers.
     fn link_assignment(&self, assignment: &[Cv]) -> Arc<LinkedProgram> {
         assert_eq!(assignment.len(), self.ir.len(), "one CV per module");
         let digests: Vec<u64> = assignment.iter().map(Cv::digest).collect();
         self.link_digests(&digests, || self.compile_each(assignment.iter()))
     }
 
-    /// Links an interned per-module assignment through both caches.
+    /// Links an interned per-module assignment through both store layers.
     fn link_ids(&self, pool: &CvPool, ids: &[CvId], digests: &[u64]) -> Arc<LinkedProgram> {
         self.link_digests(digests, || self.compile_each(pool.resolve(ids).into_iter()))
     }
@@ -571,55 +576,33 @@ impl EvalContext {
         }
     }
 
-    /// Counters of the object and link caching layers. With a shared
-    /// store, hits/misses are this context's own lookups (so per-row
-    /// ledgers still balance) while evictions are store-global.
+    /// Counters of the object and link layers (see [`CacheStats`]):
+    /// hits/misses are this context's own lookups, so per-row ledgers
+    /// balance even on a shared store; evictions are the store's.
     pub fn cache_stats(&self) -> CacheStats {
-        match &self.store {
-            Some(b) => {
-                let object_hits = b.object_hits.load(Ordering::Relaxed);
-                let object_misses = b.object_misses.load(Ordering::Relaxed);
-                let link_hits = b.link_hits.load(Ordering::Relaxed);
-                let link_misses = b.link_misses.load(Ordering::Relaxed);
-                CacheStats {
-                    object_hits,
-                    object_misses,
-                    object_lookups: object_hits + object_misses,
-                    object_computes: object_misses,
-                    object_evictions: b.store.object_stats().evictions,
-                    link_hits,
-                    link_misses,
-                    link_lookups: link_hits + link_misses,
-                    link_computes: link_misses,
-                    link_evictions: b.store.link_stats().evictions,
-                }
-            }
-            None => {
-                let o = self.cache.lru_stats();
-                let l = self.links.lru_stats();
-                CacheStats {
-                    object_hits: o.hits,
-                    object_misses: o.misses,
-                    object_lookups: o.lookups,
-                    object_computes: o.computes,
-                    object_evictions: o.evictions,
-                    link_hits: l.hits,
-                    link_misses: l.misses,
-                    link_lookups: l.lookups,
-                    link_computes: l.computes,
-                    link_evictions: l.evictions,
-                }
-            }
+        let b = &self.store;
+        let object_hits = b.object_hits.load(Ordering::Relaxed);
+        let object_misses = b.object_misses.load(Ordering::Relaxed);
+        let link_hits = b.link_hits.load(Ordering::Relaxed);
+        let link_misses = b.link_misses.load(Ordering::Relaxed);
+        CacheStats {
+            object_hits,
+            object_misses,
+            object_lookups: object_hits + object_misses,
+            object_computes: object_misses,
+            object_evictions: b.store.object_stats().evictions,
+            link_hits,
+            link_misses,
+            link_lookups: link_hits + link_misses,
+            link_computes: link_misses,
+            link_evictions: b.store.link_stats().evictions,
         }
     }
 
     /// High-water marks `(objects, links)` of resident entries in the
-    /// caching layer this context evaluates through.
+    /// store this context evaluates through.
     pub fn cache_peaks(&self) -> (u64, u64) {
-        match &self.store {
-            Some(b) => b.store.peak_resident(),
-            None => (self.cache.peak_resident(), self.links.peak_resident()),
-        }
+        self.store.store.peak_resident()
     }
 
     /// The lane-oriented execution plan for this context's `(program,
@@ -1151,6 +1134,13 @@ mod tests {
         assert_eq!(sb.object_lookups, 0, "{sb:?}");
         // Store-wide, each (module, CV) pair compiled exactly once.
         assert_eq!(store.object_stats().computes, a.cache_stats().object_misses);
+    }
+
+    #[test]
+    #[should_panic(expected = "one digest per module")]
+    fn link_rejects_partial_digests() {
+        let ctx = ctx_for("swim", Some(5));
+        let _ = ctx.link_digests(&[1, 2], Vec::new);
     }
 
     #[test]

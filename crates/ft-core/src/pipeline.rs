@@ -378,8 +378,9 @@ impl<'a> Tuner<'a> {
         self
     }
 
-    /// Bounds the campaign's object and link caches (LRU eviction past
-    /// `capacity`). Capacity is *not* part of the checkpoint identity:
+    /// Bounds the campaign's private object store (LRU eviction past
+    /// `capacity`; ignored when [`Tuner::shared_store`] binds a shared
+    /// one). Capacity is *not* part of the checkpoint identity:
     /// eviction is result-invariant, so a campaign may be checkpointed
     /// under one capacity and resumed under another, bit-identically —
     /// the `cache_equivalence` suite proves it.
@@ -389,7 +390,7 @@ impl<'a> Tuner<'a> {
     }
 
     /// Evaluates through a process-wide [`ObjectStore`] shared with
-    /// other campaigns/contexts instead of campaign-owned caches.
+    /// other campaigns/contexts instead of a campaign-private one.
     /// Sharing is result-invariant (content-fingerprint keys; pure
     /// compile/link functions); the fault quarantine stays private.
     pub fn shared_store(mut self, store: Arc<ObjectStore>) -> Self {

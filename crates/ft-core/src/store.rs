@@ -1,18 +1,21 @@
-//! Process-wide object store: cross-context compile/link sharing.
+//! Object store: the compile/link memoization every context uses.
 //!
-//! `repro` builds a fresh [`crate::EvalContext`] — and therefore cold
-//! caches — per experiment row, so fig5a, fig5b, fig5c, and the
-//! ablations recompile identical `(module, CV)` pairs several times
-//! over. An [`ObjectStore`] is the process-wide analogue of the
-//! build-system object reuse the paper's prototype gets from `xiar`:
-//! contexts *borrow* shared object and link caches instead of owning
-//! them, keyed by content fingerprints so distinct programs, inputs,
-//! compilers, or architectures can never collide:
+//! Every [`crate::EvalContext`] compiles and links through an
+//! [`ObjectStore`], the analogue of the build-system object reuse the
+//! paper's prototype gets from `xiar`/`xild`. By default the store is
+//! private to the context and keyed positionally (one context fixes
+//! the compiler, program and architecture). But `repro` builds a fresh
+//! context per experiment row, so fig5a, fig5b, fig5c, and the
+//! ablations would recompile identical `(module, CV)` pairs several
+//! times over; there, contexts share one process-wide store, keyed by
+//! content fingerprints so distinct programs, inputs, compilers, or
+//! architectures can never collide:
 //!
-//! * objects by `(compiler fingerprint, module fingerprint, CV digest)`
-//!   — the module fingerprint hashes the module's serialized content
-//!   (features, idiosyncrasy seed, shared structs), not just its slot
-//!   index, because different workloads and inputs reuse slot ids;
+//! * objects by `(object scope, CV digest)` — the scope folds the
+//!   compiler fingerprint and a module fingerprint that hashes the
+//!   module's serialized content (features, idiosyncrasy seed, shared
+//!   structs), not just its slot index, because different workloads
+//!   and inputs reuse slot ids;
 //! * links by `(link fingerprint, per-module CV digests)` — the link
 //!   fingerprint hashes the whole `ProgramIr`, the architecture, and
 //!   the compiler fingerprint, since `link` reads all three.
@@ -49,6 +52,14 @@ pub fn module_fingerprint(module: &Module) -> u64 {
     hash_label(&serde_json::to_string(module).expect("Module serializes"))
 }
 
+/// Object-layer scope of one module under one compiler: the two
+/// fingerprints folded into one word, so an object key is two words.
+/// For a fixed compiler, distinct module fingerprints get distinct
+/// scopes (`mix` is a bijection).
+pub fn object_scope(compiler_fp: u64, module_fp: u64) -> u64 {
+    mix(compiler_fp ^ module_fp.rotate_left(32))
+}
+
 /// Fingerprint of a whole link configuration: the outlined program,
 /// the architecture, and the compiler. `link` is a pure function of
 /// these plus the per-module CV digests.
@@ -58,10 +69,10 @@ pub fn link_fingerprint(ir: &ProgramIr, arch: &Architecture, compiler_fp: u64) -
     mix(hash_label(&ir_json) ^ hash_label(&arch_json).rotate_left(17) ^ compiler_fp)
 }
 
-/// A process-wide, capacity-bounded compile/link store shared by many
-/// [`crate::EvalContext`]s (see module docs).
+/// A capacity-bounded compile/link store, private to one
+/// [`crate::EvalContext`] or shared by many (see module docs).
 pub struct ObjectStore {
-    objects: ShardedLru<(u64, u64, u64), CompiledModule>,
+    objects: ShardedLru<(u64, u64), CompiledModule>,
     links: ShardedLru<(u64, Vec<u64>), LinkedProgram>,
 }
 
@@ -91,17 +102,16 @@ impl ObjectStore {
         self.objects.capacity()
     }
 
-    /// Looks up (or computes, single-flight) one compiled object.
-    /// Returns the shared object and whether this was a hit.
+    /// Looks up (or computes, single-flight) one compiled object of
+    /// the module `scope` names (see [`object_scope`]). Returns the
+    /// shared object and whether this was a hit.
     pub fn object(
         &self,
-        compiler_fp: u64,
-        module_fp: u64,
+        scope: u64,
         cv_digest: u64,
         compute: impl FnOnce() -> CompiledModule,
     ) -> (Arc<CompiledModule>, bool) {
-        self.objects
-            .get_or_compute((compiler_fp, module_fp, cv_digest), compute)
+        self.objects.get_or_compute((scope, cv_digest), compute)
     }
 
     /// Looks up (or computes, single-flight) one linked program.
@@ -162,8 +172,33 @@ impl std::fmt::Debug for ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_compiler::{LoopFeatures, Target};
+    use ft_compiler::{CallEdge, LoopFeatures, Target};
     use ft_flags::rng::rng_for;
+    use ft_flags::Cv;
+    use ft_machine::link;
+
+    /// A `j`-loop program with shared structs and one call edge, so
+    /// links carry layout conflicts and ABI costs.
+    fn program(j: usize) -> ProgramIr {
+        let mut modules: Vec<Module> = (0..j)
+            .map(|i| {
+                let mut f = LoopFeatures::synthetic(i as u64 * 31 + 5);
+                f.base_code_bytes = 2500.0;
+                Module::hot_loop(i, &format!("k{i}"), f, &[1, (i % 3) as u32 + 2])
+            })
+            .collect();
+        modules.push(Module::non_loop(j, 0.3, 5.0e4));
+        let edge = CallEdge {
+            from: 0,
+            to: 1,
+            calls_per_step: 1e5,
+        };
+        ProgramIr::new("p", modules, vec![edge])
+    }
+
+    fn digests(assignment: &[Cv]) -> Vec<u64> {
+        assignment.iter().map(Cv::digest).collect()
+    }
 
     #[test]
     fn compiler_fingerprint_separates_configurations() {
@@ -188,15 +223,24 @@ mod tests {
     }
 
     #[test]
+    fn object_scope_separates_compilers_and_modules() {
+        let icc = compiler_fingerprint(&Compiler::icc(Target::avx2_256()));
+        let gcc = compiler_fingerprint(&Compiler::gcc(Target::avx2_256()));
+        let m0 = module_fingerprint(&Module::hot_loop(0, "k", LoopFeatures::synthetic(5), &[]));
+        let m1 = module_fingerprint(&Module::hot_loop(1, "k", LoopFeatures::synthetic(5), &[]));
+        assert_ne!(object_scope(icc, m0), object_scope(gcc, m0));
+        assert_ne!(object_scope(icc, m0), object_scope(icc, m1));
+    }
+
+    #[test]
     fn store_shares_objects_across_equal_keys() {
         let c = Compiler::icc(Target::avx2_256());
         let m = Module::hot_loop(0, "k", LoopFeatures::synthetic(5), &[]);
         let cv = c.space().sample(&mut rng_for(1, "store"));
         let store = ObjectStore::new();
-        let cfp = compiler_fingerprint(&c);
-        let mfp = module_fingerprint(&m);
-        let (a, hit_a) = store.object(cfp, mfp, cv.digest(), || c.compile_module(&m, &cv));
-        let (b, hit_b) = store.object(cfp, mfp, cv.digest(), || {
+        let scope = object_scope(compiler_fingerprint(&c), module_fingerprint(&m));
+        let (a, hit_a) = store.object(scope, cv.digest(), || c.compile_module(&m, &cv));
+        let (b, hit_b) = store.object(scope, cv.digest(), || {
             panic!("hit must not recompile");
         });
         assert!(!hit_a);
@@ -218,9 +262,11 @@ mod tests {
             .iter()
             .map(|m| {
                 (*store
-                    .object(cfp, module_fingerprint(m), cv.digest(), || {
-                        c.compile_module(m, &cv)
-                    })
+                    .object(
+                        object_scope(cfp, module_fingerprint(m)),
+                        cv.digest(),
+                        || c.compile_module(m, &cv),
+                    )
                     .0)
                     .clone()
             })
@@ -229,14 +275,94 @@ mod tests {
             .iter()
             .map(|m| {
                 (*store
-                    .object(cfp, module_fingerprint(m), cv.digest(), || {
-                        c.compile_module(m, &cv)
-                    })
+                    .object(
+                        object_scope(cfp, module_fingerprint(m)),
+                        cv.digest(),
+                        || c.compile_module(m, &cv),
+                    )
                     .0)
                     .clone()
             })
             .collect();
         assert_eq!(first, second);
         assert!(store.object_stats().evictions > 0);
+    }
+
+    // The link layer is keyed here as a private context keys it: link
+    // fingerprint 0, since one context fixes program, arch and compiler.
+
+    #[test]
+    fn link_hits_share_the_program() {
+        let ir = program(8);
+        let c = Compiler::icc(Target::avx2_256());
+        let arch = Architecture::broadwell();
+        let mut rng = rng_for(12, "lc");
+        let assignment: Vec<Cv> = (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect();
+        let key = digests(&assignment);
+        let store = ObjectStore::new();
+        let (a, hit_a) = store.link(0, &key, || {
+            link(c.compile_mixed(&ir, &assignment), &ir, &arch)
+        });
+        let (b, hit_b) = store.link(0, &key, || panic!("hit must not recompile"));
+        assert!(!hit_a && hit_b);
+        assert!(Arc::ptr_eq(&a, &b), "hit must be a pointer bump");
+        assert_eq!(*a, link(c.compile_mixed(&ir, &assignment), &ir, &arch));
+        let s = store.link_stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(store.len(), (0, 1));
+    }
+
+    #[test]
+    fn link_layer_distinguishes_assignments() {
+        let ir = program(6);
+        let c = Compiler::icc(Target::avx2_256());
+        let arch = Architecture::broadwell();
+        let store = ObjectStore::new();
+        let mut rng = rng_for(13, "lc2");
+        for _ in 0..10 {
+            let assignment: Vec<Cv> = (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect();
+            let (linked, _) = store.link(0, &digests(&assignment), || {
+                link(c.compile_mixed(&ir, &assignment), &ir, &arch)
+            });
+            assert_eq!(*linked, link(c.compile_mixed(&ir, &assignment), &ir, &arch));
+        }
+        assert_eq!(
+            store.len(),
+            (0, 10),
+            "distinct assignments, distinct entries"
+        );
+        assert_eq!(store.link_stats().hits, 0);
+        store.clear();
+        assert!(store.is_empty());
+        assert_eq!(store.link_stats(), LruStats::default());
+    }
+
+    #[test]
+    fn bounded_link_layer_relinks_identically() {
+        let ir = program(6);
+        let c = Compiler::icc(Target::avx2_256());
+        let arch = Architecture::broadwell();
+        let bounded = ObjectStore::with_capacity(CacheCapacity::Entries(1));
+        let unbounded = ObjectStore::new();
+        let mut rng = rng_for(21, "blc");
+        let assignments: Vec<Vec<Cv>> = (0..20)
+            .map(|_| (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect())
+            .collect();
+        // Two sweeps: the bounded store thrashes and re-links, the
+        // unbounded one hits; results must be bit-identical.
+        for _ in 0..2 {
+            for a in &assignments {
+                let key = digests(a);
+                let relink = || link(c.compile_mixed(&ir, a), &ir, &arch);
+                let (lb, _) = bounded.link(0, &key, relink);
+                let (lu, _) = unbounded.link(0, &key, relink);
+                assert_eq!(*lb, *lu);
+            }
+        }
+        let s = bounded.link_stats();
+        assert!(s.evictions > 0, "tiny store must evict");
+        assert_eq!(s.hits + s.misses, s.lookups);
+        assert_eq!(s.computes, s.misses);
+        assert_eq!(unbounded.link_stats().evictions, 0);
     }
 }

@@ -36,5 +36,5 @@ pub use exec::{
     try_execute_profiled, ExecOptions, FaultQuarantine, LoopCost, RunMeasurement, RunOutcome,
     DEFAULT_HANG_CHARGE_FACTOR,
 };
-pub use link::{link, LinkCache, LinkedProgram, LtoOverride};
+pub use link::{link, LinkedProgram, LtoOverride};
 pub use roofline::{analyze as roofline_analyze, Bound, LoopRoofline};

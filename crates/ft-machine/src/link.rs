@@ -23,12 +23,11 @@
 
 use crate::arch::Architecture;
 use ft_compiler::decisions::{CompiledModule, VecWidth};
-use ft_compiler::lru::{CacheCapacity, CacheWeight, LruStats, ShardedLru};
+use ft_compiler::lru::CacheWeight;
 use ft_compiler::response::{jitter, unit};
 use ft_compiler::{ModuleId, ProgramIr};
 use ft_flags::rng::{hash_label, mix};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A codegen decision the linker re-derived against the module's CV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -315,111 +314,6 @@ impl CacheWeight for LinkedProgram {
     }
 }
 
-/// Memoizes [`link`] results by the fingerprint of per-module CV
-/// digests.
-///
-/// Within one tuning context the compiler, program IR, and
-/// architecture are fixed, so a [`CompiledModule`] is fully determined
-/// by its module slot and CV digest — and `link` is a pure function of
-/// the module vector. Duplicate assignments (frequent at small CFR
-/// focus widths, and every baseline repeat) therefore reuse the
-/// `LinkedProgram` outright; only the per-candidate noise-seeded
-/// execution still runs, which keeps measurements bit-identical to
-/// re-linking. Built on [`ShardedLru`]: lock-striped so rayon workers
-/// don't serialize on one lock, single-flight so concurrent evals of
-/// one assignment link (and compile) exactly once, and optionally
-/// capacity-bounded for campaigns whose assignment stream is much
-/// larger than memory.
-pub struct LinkCache {
-    lru: ShardedLru<Vec<u64>, LinkedProgram>,
-}
-
-impl Default for LinkCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LinkCache {
-    /// An empty, unbounded cache (the historical behaviour).
-    pub fn new() -> Self {
-        Self::with_capacity(CacheCapacity::Unbounded)
-    }
-
-    /// An empty cache that evicts least-recently-used programs once
-    /// `capacity` is exceeded. `link` is a pure function of the digest
-    /// vector, so eviction only forces bit-identical re-links.
-    pub fn with_capacity(capacity: CacheCapacity) -> Self {
-        LinkCache {
-            lru: ShardedLru::new(capacity),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> CacheCapacity {
-        self.lru.capacity()
-    }
-
-    /// Returns the linked program for the assignment whose per-module
-    /// CV digests are `digests`, calling `objects` to compile and then
-    /// linking only on a miss. `objects()` must produce one object per
-    /// IR module, compiled with CVs matching `digests` slot for slot.
-    pub fn link_with(
-        &self,
-        digests: &[u64],
-        ir: &ProgramIr,
-        arch: &Architecture,
-        objects: impl FnOnce() -> Vec<CompiledModule>,
-    ) -> Arc<LinkedProgram> {
-        assert_eq!(digests.len(), ir.modules.len(), "one digest per module");
-        self.lru
-            .get_or_compute(digests.to_vec(), || {
-                let linked = link(objects(), ir, arch);
-                debug_assert!(
-                    linked
-                        .modules
-                        .iter()
-                        .map(|m| m.cv_digest)
-                        .eq(digests.iter().copied()),
-                    "objects() disagrees with the digest key"
-                );
-                linked
-            })
-            .0
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        let s = self.lru.stats();
-        (s.hits, s.misses)
-    }
-
-    /// Full counter snapshot including evictions and the ledger fields.
-    pub fn lru_stats(&self) -> LruStats {
-        self.lru.stats()
-    }
-
-    /// High-water mark of resident programs over the cache's lifetime.
-    pub fn peak_resident(&self) -> u64 {
-        self.lru.peak_resident()
-    }
-
-    /// Number of distinct linked programs cached.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing has been linked yet.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Drops all cached links and resets the counters.
-    pub fn clear(&self) {
-        self.lru.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,82 +512,6 @@ mod tests {
             }
         }
         panic!("no override found across 40 mixed links");
-    }
-
-    #[test]
-    fn link_cache_hits_share_the_program() {
-        let ir = program(8);
-        let c = compiler();
-        let arch = Architecture::broadwell();
-        let mut rng = rng_for(12, "lc");
-        let assignment: Vec<_> = (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect();
-        let digests: Vec<u64> = assignment.iter().map(|cv| cv.digest()).collect();
-        let cache = LinkCache::new();
-        let a = cache.link_with(&digests, &ir, &arch, || c.compile_mixed(&ir, &assignment));
-        let b = cache.link_with(&digests, &ir, &arch, || {
-            panic!("hit must not recompile");
-        });
-        assert!(Arc::ptr_eq(&a, &b), "hit must be a pointer bump");
-        assert_eq!(*a, link(c.compile_mixed(&ir, &assignment), &ir, &arch));
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn link_cache_distinguishes_assignments() {
-        let ir = program(6);
-        let c = compiler();
-        let arch = Architecture::broadwell();
-        let cache = LinkCache::new();
-        let mut rng = rng_for(13, "lc2");
-        for _ in 0..10 {
-            let assignment: Vec<_> = (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect();
-            let digests: Vec<u64> = assignment.iter().map(|cv| cv.digest()).collect();
-            let linked =
-                cache.link_with(&digests, &ir, &arch, || c.compile_mixed(&ir, &assignment));
-            assert_eq!(*linked, link(c.compile_mixed(&ir, &assignment), &ir, &arch));
-        }
-        assert_eq!(cache.len(), 10, "distinct assignments, distinct entries");
-        assert_eq!(cache.stats().0, 0);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0));
-    }
-
-    #[test]
-    fn bounded_link_cache_relinks_identically() {
-        let ir = program(6);
-        let c = compiler();
-        let arch = Architecture::broadwell();
-        let bounded = LinkCache::with_capacity(CacheCapacity::Entries(1));
-        let unbounded = LinkCache::new();
-        let mut rng = rng_for(21, "blc");
-        let assignments: Vec<Vec<_>> = (0..20)
-            .map(|_| (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect())
-            .collect();
-        // Two sweeps: the bounded cache thrashes and re-links, the
-        // unbounded one hits; results must be bit-identical.
-        for _ in 0..2 {
-            for a in &assignments {
-                let digests: Vec<u64> = a.iter().map(|cv| cv.digest()).collect();
-                let lb = bounded.link_with(&digests, &ir, &arch, || c.compile_mixed(&ir, a));
-                let lu = unbounded.link_with(&digests, &ir, &arch, || c.compile_mixed(&ir, a));
-                assert_eq!(*lb, *lu);
-            }
-        }
-        assert!(bounded.lru_stats().evictions > 0, "tiny cache must evict");
-        let s = bounded.lru_stats();
-        assert_eq!(s.hits + s.misses, s.lookups);
-        assert_eq!(s.computes, s.misses);
-        assert_eq!(unbounded.lru_stats().evictions, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one digest per module")]
-    fn link_cache_rejects_partial_digests() {
-        let ir = program(3);
-        let cache = LinkCache::new();
-        let _ = cache.link_with(&[1, 2], &ir, &Architecture::broadwell(), Vec::new);
     }
 
     #[test]

@@ -566,6 +566,7 @@ fn cmd_tune_file(args: &Args) -> Result<(), String> {
     let path = args.bench.as_ref().ok_or("tune-file needs a JSON path")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let ir: ProgramIr = serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"))?;
+    ir.validate().map_err(|e| format!("{path}: {e}"))?;
     let arch = args.architecture()?;
     let compiler = Compiler::icc(arch.target);
     let steps = 5;

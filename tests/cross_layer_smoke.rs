@@ -3,8 +3,9 @@
 //!
 //! The golden swim campaign (Broadwell, K=60, X=8, seed 42, 5 steps)
 //! must reach the canonical digest `golden_determinism` pins through
-//! the bare tuner, a supervisor killed once and resumed, a 2-worker
-//! evaluation plane and a 2-tenant daemon; and a Pareto run must report
+//! the bare tuner (whose cache ledger is pinned too), a capacity-1
+//! cache, a supervisor killed once and resumed, a 2-worker evaluation
+//! plane and a 2-tenant daemon; and a Pareto run must report
 //! the same front bare and on 2 workers. This is the tier-1 check that
 //! no layer moves a campaign's bytes.
 
@@ -40,6 +41,26 @@ fn golden_campaign_digest_holds_through_every_layer() {
 
     let bare = golden(&w, &arch).run();
     assert_eq!(bare.canonical_digest(), GOLDEN_DIGEST, "bare");
+    // The bare run evaluates through its private store; its cache
+    // ledger is deterministic because an unbounded store never evicts.
+    let cost = bare.ctx.cost();
+    assert_eq!(
+        [
+            cost.object_compiles,
+            cost.object_reuses,
+            cost.object_evictions,
+            cost.links,
+            cost.link_reuses,
+            cost.link_evictions,
+        ],
+        [954, 498, 0, 242, 9, 0],
+        "bare cache ledger"
+    );
+
+    let bounded = golden(&w, &arch)
+        .cache_capacity(CacheCapacity::Entries(1))
+        .run();
+    assert_eq!(bounded.canonical_digest(), GOLDEN_DIGEST, "capacity 1");
 
     let wal = Scratch(temp_journal_path("cross-layer"));
     let killed = Supervisor::new(&wal.0, || golden(&w, &arch))

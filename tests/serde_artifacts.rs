@@ -1,5 +1,6 @@
 //! Serialization round-trips for everything the harness persists.
 
+use funcytuner::compiler::CallEdge;
 use funcytuner::prelude::*;
 use funcytuner::report::{render, Artifact};
 
@@ -75,4 +76,37 @@ fn program_ir_and_architecture_serialize() {
     let json: &'static str = Box::leak(json.into_boxed_str());
     let back: Architecture = serde_json::from_str(json).unwrap();
     assert_eq!(back, arch);
+}
+
+#[test]
+fn tune_file_refuses_malformed_program_models() {
+    let arch = Architecture::broadwell();
+    let w = workload_by_name("swim").unwrap();
+    let exported = w.instantiate(w.tuning_input(arch.name));
+    let mut dangling_edge = exported.clone();
+    dangling_edge.call_edges.push(CallEdge {
+        from: 0,
+        to: 999,
+        calls_per_step: 1.0,
+    });
+    let mut sparse_ids = exported;
+    sparse_ids.modules[0].id = 999;
+    for (name, ir, problem) in [
+        ("dangling-edge", dangling_edge, "call edge out of range"),
+        ("sparse-ids", sparse_ids, "module ids must be dense"),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("ft-tune-file-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&ir).unwrap()).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ftune"))
+            .args(["tune-file", path.to_str().unwrap(), "--k", "10"])
+            .output()
+            .expect("spawn ftune");
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: accepted\n{stderr}");
+        assert_ne!(out.status.code(), Some(101), "{name}: panicked\n{stderr}");
+        assert!(stderr.contains(problem), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
 }
