@@ -149,7 +149,9 @@ impl Checkpoint {
     }
 
     /// Validates the checkpoint against a context and hands the
-    /// collection back for reuse.
+    /// collection back for reuse. An empty collection, or one whose
+    /// time matrix does not hold one entry per module and sample, is
+    /// refused: nothing can be searched on it.
     pub fn restore(self, ctx: &EvalContext) -> Result<CollectionData, CheckpointError> {
         if self.program != ctx.ir.name {
             return Err(CheckpointError::Mismatch(format!(
@@ -174,6 +176,21 @@ impl Checkpoint {
             return Err(CheckpointError::Mismatch(
                 "outlined module set differs (re-profile and re-collect)".to_string(),
             ));
+        }
+        let k = self.data.k();
+        if k == 0 {
+            return Err(CheckpointError::Mismatch(
+                "collection is empty (re-collect)".to_string(),
+            ));
+        }
+        let rows = &self.data.per_module;
+        if self.data.end_to_end.len() != k
+            || rows.len() != ctx.modules()
+            || rows.iter().any(|row| row.len() != k)
+        {
+            return Err(CheckpointError::Mismatch(format!(
+                "collection does not hold {k} samples per module (re-collect)"
+            )));
         }
         Ok(self.data)
     }
@@ -454,6 +471,23 @@ mod tests {
         let ctx_b = ctx_for("swim", Some(4));
         let cp = Checkpoint::capture(&ctx_a, collect(&ctx_a, 10, 7));
         assert!(cp.restore(&ctx_b).is_err());
+    }
+
+    #[test]
+    fn empty_or_ragged_collection_is_refused() {
+        let ctx = ctx_for("swim", Some(3));
+        let cp = Checkpoint::capture(&ctx, collect(&ctx, 4, 7));
+        let mut empty = cp.clone();
+        empty.data.cvs.clear();
+        empty.data.end_to_end.clear();
+        empty.data.per_module.iter_mut().for_each(Vec::clear);
+        let mut ragged = cp;
+        ragged.data.per_module[0].pop();
+        for bad in [empty, ragged] {
+            let err = bad.restore(&ctx).unwrap_err();
+            assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
+            assert!(err.to_string().contains("re-collect"), "{err}");
+        }
     }
 
     #[test]

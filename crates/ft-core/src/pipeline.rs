@@ -12,11 +12,34 @@
 //! ```
 //!
 //! Random, FR, and the Figure-4 collection are independent given the
-//! baseline; Greedy and CFR need only the collection. The scheduler
-//! can therefore run `{Collect ∥ Random ∥ Fr}` and then
-//! `{Greedy ∥ Cfr}` concurrently ([`ScheduleMode::Overlapped`]) on one
-//! shared [`EvalContext`] — and because every phase draws its RNG and
-//! noise streams from an independent `derive_seed(root, "<phase>")`
+//! baseline; Greedy and CFR need only the collection
+//! ([`Phase::predecessors`] is the one encoding of these edges).
+//!
+//! # One engine
+//!
+//! Every entry point ([`Tuner::run`], the `run_until*` and `resume*`
+//! families) drives one campaign engine. Its state *is* a
+//! [`CampaignCheckpoint`]: a fresh campaign starts from an empty one
+//! carrying the tuner's identity, a resumed one from the validated
+//! checkpoint. The engine re-measures the baseline, then runs every
+//! phase the requested targets need that the state lacks, filling the
+//! state's result fields as phases complete. Pausing stamps the fault
+//! quarantine and the completed-phase labels into that state;
+//! finishing moves its fields into a [`TuningRun`].
+//!
+//! One phase table (`Tuner::run_phase`) is the only caller of
+//! `collect`, `random_search`, `fr_search`, `greedy` and `cfr`, and
+//! derives each phase's sub-seed as `derive_seed(root, phase.label())`.
+//! Both schedules walk it:
+//!
+//! * [`ScheduleMode::Serial`] runs the pending phases one at a time in
+//!   [`Phase::ALL`] order and attributes each one's ledger delta.
+//! * [`ScheduleMode::Overlapped`] spawns one scoped thread per pending
+//!   phase on one shared [`EvalContext`]; each thread waits only on
+//!   the predecessors it still needs, so `{Collect ∥ Random ∥ Fr}` and
+//!   then `{Greedy ∥ Cfr}` run concurrently.
+//!
+//! Because every phase draws its RNG and noise streams from its own
 //! sub-seed, the overlapped run is **bit-identical** to the serial
 //! one. The shared caches only memoize values that are pure functions
 //! of their keys, and the ledger counters are atomic, so the only
@@ -24,9 +47,15 @@
 //! of injected faults between `quarantined` and first-discovery
 //! counters (never the fault's `+inf` value itself).
 //!
+//! The context recipe (`Tuner::prepare`: instantiate, step cap,
+//! outline, and the context with its fault model, retry policy and
+//! objective) is shared too: the coordinator adds its caches, breaker
+//! and worker plane on top, and every worker, in-process or a child
+//! process, rebuilds its context through [`HelloSpec::context`].
+//!
 //! Each search phase is a [`crate::search::SearchStrategy`] run by the
-//! shared [`crate::search::SearchDriver`]: the phase functions here
-//! only pick budgets and sub-seeds; proposing, evaluating, and winner
+//! shared [`crate::search::SearchDriver`]: the phase table only picks
+//! budgets and sub-seeds; proposing, evaluating, and winner
 //! materialization live in the driver (DESIGN.md §11).
 
 use crate::algorithms::{cfr, fr_search, greedy, random_search, GreedyOutcome};
@@ -83,8 +112,9 @@ impl Phase {
         Phase::Cfr,
     ];
 
-    /// Stable lowercase label (doubles as the seed-derivation tag of
-    /// the interleaving stress knob).
+    /// Stable lowercase label. It doubles as the phase's sub-seed tag
+    /// (`derive_seed(root, label)`) and as the interleaving stress
+    /// knob's delay tag.
     pub fn label(self) -> &'static str {
         match self {
             Phase::Baseline => "baseline",
@@ -414,7 +444,10 @@ impl<'a> Tuner<'a> {
     /// (see [`crate::remote`]). Topology is *not* checkpoint identity:
     /// every measured bit is worker-count invariant, proved by the
     /// `topology_equivalence` suite. Baseline and collection probes
-    /// stay on the coordinator.
+    /// stay on the coordinator. Each worker rebuilds its context from
+    /// a [`HelloSpec`] (see [`HelloSpec::context`]), so the workload
+    /// must be a suite workload and the architecture one
+    /// [`crate::server::arch_by_name`] resolves.
     pub fn workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "a distributed plane needs at least one worker");
         self.workers = n;
@@ -443,11 +476,8 @@ impl<'a> Tuner<'a> {
 
     /// Runs profiling, outlining, collection and all four algorithms.
     pub fn run(self) -> TuningRun {
-        match self.run_campaign(None, None) {
-            Ok(CampaignOutcome::Finished(run)) => *run,
-            Ok(CampaignOutcome::Paused(_)) => unreachable!("no stop phase requested"),
-            Err(e) => unreachable!("no checkpoint to mismatch: {e}"),
-        }
+        let fresh = self.fresh_checkpoint();
+        self.advance(fresh, &Phase::ALL).finish()
     }
 
     /// Runs the campaign up to and including `stop_after` *and its
@@ -479,11 +509,8 @@ impl<'a> Tuner<'a> {
     /// this to bill each tenant segment by segment — the plain variant
     /// discards the ledger with the evaluation context.
     pub fn run_until_phases_costed(self, stop_after: &[Phase]) -> PausedCampaign {
-        match self.run_campaign(None, Some(stop_after)) {
-            Ok(CampaignOutcome::Paused(paused)) => *paused,
-            Ok(CampaignOutcome::Finished(_)) => unreachable!("stop phase requested"),
-            Err(e) => unreachable!("no checkpoint to mismatch: {e}"),
-        }
+        let fresh = self.fresh_checkpoint();
+        self.advance(fresh, stop_after).pause()
     }
 
     /// Resumes a killed campaign from a checkpoint: completed phases
@@ -494,12 +521,11 @@ impl<'a> Tuner<'a> {
     ///
     /// Fails with [`CheckpointError::Mismatch`] when the checkpoint
     /// was taken under a different workload, architecture, budget,
-    /// focus, seed, step cap, or fault model.
+    /// focus, seed, step cap, or fault model, and with
+    /// [`CheckpointError::Phases`] when its phase list is invalid.
     pub fn resume(self, checkpoint: CampaignCheckpoint) -> Result<TuningRun, CheckpointError> {
-        match self.run_campaign(Some(checkpoint), None)? {
-            CampaignOutcome::Finished(run) => Ok(*run),
-            CampaignOutcome::Paused(_) => unreachable!("no stop phase requested"),
-        }
+        self.validate(&checkpoint)?;
+        Ok(self.advance(checkpoint, &Phase::ALL).finish())
     }
 
     /// Resume *and* pause in one call: restores `checkpoint`, completes
@@ -526,12 +552,12 @@ impl<'a> Tuner<'a> {
         checkpoint: CampaignCheckpoint,
         stop_after: &[Phase],
     ) -> Result<PausedCampaign, CheckpointError> {
-        match self.run_campaign(Some(checkpoint), Some(stop_after))? {
-            CampaignOutcome::Paused(paused) => Ok(*paused),
-            CampaignOutcome::Finished(_) => unreachable!("stop phase requested"),
-        }
+        self.validate(&checkpoint)?;
+        Ok(self.advance(checkpoint, stop_after).pause())
     }
 
+    /// Refuses a checkpoint taken under a different campaign identity,
+    /// or whose phase list is structurally invalid.
     fn validate(&self, cp: &CampaignCheckpoint) -> Result<(), CheckpointError> {
         let mismatch = |what: &str, got: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
             Err(CheckpointError::Mismatch(format!(
@@ -562,18 +588,41 @@ impl<'a> Tuner<'a> {
         if cp.objective != self.objective {
             return mismatch("objective", &cp.objective, &self.objective);
         }
-        Ok(())
+        cp.validate_phases()
     }
 
-    /// The phase engine behind `run`/`run_until`/`resume`: computes
-    /// the dependency closure of the requested targets, runs the
-    /// missing phases under the selected schedule, and either pauses
-    /// into a checkpoint or assembles the finished run.
-    fn run_campaign(
-        self,
-        from: Option<CampaignCheckpoint>,
-        stop_after: Option<&[Phase]>,
-    ) -> Result<CampaignOutcome, CheckpointError> {
+    /// The engine state of a fresh campaign: this tuner's identity and
+    /// no completed phase.
+    fn fresh_checkpoint(&self) -> CampaignCheckpoint {
+        CampaignCheckpoint {
+            version: CHECKPOINT_VERSION,
+            workload: self.workload.meta.name.to_string(),
+            arch: self.arch.name.to_string(),
+            budget: self.budget,
+            focus: self.focus,
+            seed: self.seed,
+            steps_cap: self.steps_cap,
+            faults: self.faults,
+            objective: self.objective,
+            baseline_time: None,
+            data: None,
+            random: None,
+            fr: None,
+            greedy: None,
+            cfr: None,
+            bad_compiles: Vec::new(),
+            bad_programs: Vec::new(),
+            completed: Vec::new(),
+        }
+    }
+
+    /// The evaluation recipe every context of this campaign is built
+    /// from, the coordinator's and each worker's (through
+    /// [`HelloSpec::context`]): instantiate the tuning input under the
+    /// step cap, outline it, and build the context with the fault
+    /// model, retry policy and objective. Caches, the breaker and the
+    /// worker plane belong to the coordinator alone.
+    pub(crate) fn prepare(&self) -> Prepared {
         let mut input = self.workload.tuning_input(self.arch.name).clone();
         if let Some(cap) = self.steps_cap {
             input.steps = input.steps.min(cap);
@@ -587,7 +636,7 @@ impl<'a> Tuner<'a> {
             input.steps,
             derive_seed(self.seed, "outline"),
         );
-        let mut ctx = EvalContext::new(
+        let ctx = EvalContext::new(
             outlined.ir.clone(),
             compiler,
             self.arch.clone(),
@@ -596,8 +645,23 @@ impl<'a> Tuner<'a> {
         )
         .with_faults(self.faults)
         .with_resilience(self.resilience)
-        .with_objective(self.objective)
-        .with_cache_capacity(self.cache_capacity);
+        .with_objective(self.objective);
+        Prepared {
+            input_name: input.name,
+            steps: input.steps,
+            outlined,
+            report,
+            ctx,
+        }
+    }
+
+    /// Adds the coordinator's layers to a prepared context: its cache
+    /// capacity or shared store, the breaker, and the worker plane.
+    /// Every worker rebuilds the prepared context from one hello spec.
+    /// Caches and quarantines are per-worker; they memoize pure
+    /// functions, so they cannot change a bit.
+    fn coordinate(&self, ctx: EvalContext, steps: u32, modules: usize) -> EvalContext {
+        let mut ctx = ctx.with_cache_capacity(self.cache_capacity);
         if let Some(store) = &self.store {
             ctx = ctx.with_shared_store(store.clone());
         }
@@ -605,342 +669,271 @@ impl<'a> Tuner<'a> {
             ctx = ctx.with_breaker(config);
         }
         if self.workers > 0 {
-            // Each worker rebuilds the coordinator's exact evaluation
-            // inputs: same outlined IR, same noise root, same raw
-            // fault model (`with_faults` re-derives the baseline
-            // exemption from the identical flag space), same retry
-            // policy. Caches and quarantines are per-worker — they
-            // memoize pure functions, so they cannot change a bit.
-            let factory: WorkerFactory = match &self.worker_exe {
-                None => {
-                    let ir = outlined.ir.clone();
-                    let arch = self.arch.clone();
-                    let target = self.arch.target;
-                    let steps = input.steps;
-                    let noise_root = derive_seed(self.seed, "noise");
-                    let faults = self.faults;
-                    let resilience = self.resilience;
-                    let objective = self.objective;
-                    Arc::new(move |_w| {
-                        let wctx = EvalContext::new(
-                            ir.clone(),
-                            Compiler::icc(target),
-                            arch.clone(),
-                            steps,
-                            noise_root,
-                        )
-                        .with_faults(faults)
-                        .with_resilience(resilience)
-                        .with_objective(objective);
-                        Ok(Box::new(InProcessTransport::new(wctx)) as Box<dyn Transport>)
-                    })
-                }
-                Some(exe) => {
-                    let exe = exe.clone();
-                    let spec = HelloSpec {
-                        workload: self.workload.meta.name.to_string(),
-                        arch: self.arch.name.to_string(),
-                        steps_cap: u64::from(input.steps),
-                        seed: self.seed,
-                        fault_seed: self.faults.seed,
-                        fault_compile: self.faults.compile_failure,
-                        fault_crash: self.faults.crash,
-                        fault_hang: self.faults.hang,
-                        fault_outlier: self.faults.outlier,
-                        max_retries: u64::from(self.resilience.max_retries),
-                        timeout_factor: self.resilience.timeout_factor,
-                        objective: self.objective,
-                    };
-                    let modules = outlined.ir.len() as u64;
-                    Arc::new(move |_w| {
-                        ProcessTransport::spawn(&exe, &spec, modules)
-                            .map(|t| Box::new(t) as Box<dyn Transport>)
-                    })
-                }
+            let spec = HelloSpec {
+                workload: self.workload.meta.name.to_string(),
+                arch: self.arch.name.to_string(),
+                steps_cap: u64::from(steps),
+                seed: self.seed,
+                fault_seed: self.faults.seed,
+                fault_compile: self.faults.compile_failure,
+                fault_crash: self.faults.crash,
+                fault_hang: self.faults.hang,
+                fault_outlier: self.faults.outlier,
+                max_retries: u64::from(self.resilience.max_retries),
+                timeout_factor: self.resilience.timeout_factor,
+                objective: self.objective,
+            };
+            let factory: WorkerFactory = match self.worker_exe.clone() {
+                None => Arc::new(move |_w| {
+                    Ok(Box::new(InProcessTransport::new(spec.context()?)) as Box<dyn Transport>)
+                }),
+                Some(exe) => Arc::new(move |_w| {
+                    ProcessTransport::spawn(&exe, &spec, modules as u64)
+                        .map(|t| Box::new(t) as Box<dyn Transport>)
+                }),
             };
             let plane = RemotePlane::new(self.workers, factory).with_chaos(self.worker_chaos);
             ctx = ctx.with_remote(Arc::new(plane));
         }
-        let ctx = ctx;
+        ctx
+    }
 
-        let (mut data, mut random, mut fr, mut g, mut cfr_result) = (None, None, None, None, None);
-        if let Some(cp) = from {
-            self.validate(&cp)?;
-            cp.validate_phases()?;
-            ctx.restore_quarantine(&cp.bad_compiles, &cp.bad_programs);
-            data = cp.data;
-            random = cp.random;
-            fr = cp.fr;
-            g = cp.greedy;
-            cfr_result = cp.cfr;
+    /// The phase table: the one place each phase runs, with its
+    /// sub-seed derived from its label. Greedy and CFR read the
+    /// collection, `data`; the baseline is memoized in the context, so
+    /// asking for it again costs nothing.
+    fn run_phase(
+        &self,
+        phase: Phase,
+        ctx: &EvalContext,
+        data: Option<&CollectionData>,
+    ) -> PhaseOutput {
+        let seed = derive_seed(self.seed, phase.label());
+        let data = || data.expect("Greedy and CFR run after the collection");
+        match phase {
+            Phase::Baseline => PhaseOutput::Baseline(ctx.baseline_time(BASELINE_REPEATS)),
+            Phase::Collect => PhaseOutput::Collect(collect(ctx, self.budget, seed)),
+            Phase::Random => PhaseOutput::Random(random_search(ctx, self.budget, seed)),
+            Phase::Fr => PhaseOutput::Fr(fr_search(ctx, self.budget, seed)),
+            Phase::Greedy => {
+                PhaseOutput::Greedy(greedy(ctx, data(), ctx.baseline_time(BASELINE_REPEATS)))
+            }
+            Phase::Cfr => PhaseOutput::Cfr(cfr(ctx, data(), self.focus, self.budget, seed)),
         }
+    }
 
-        // Which phases the caller's targets (transitively) require.
-        let need = closure(stop_after.unwrap_or(&Phase::ALL));
+    /// The campaign engine behind every entry point. It re-measures
+    /// the baseline, runs every phase `targets` need that `state`
+    /// lacks under the selected schedule, and records each result in
+    /// `state`.
+    fn advance(self, mut state: CampaignCheckpoint, targets: &[Phase]) -> Campaign {
+        let mut prepared = self.prepare();
+        prepared.ctx = self.coordinate(prepared.ctx, prepared.steps, prepared.outlined.ir.len());
+        let ctx = &prepared.ctx;
+        ctx.restore_quarantine(&state.bad_compiles, &state.bad_programs);
+
+        let need = closure(targets);
+        let done = state.completed_phases();
+        let pending: Vec<Phase> = Phase::ALL
+            .into_iter()
+            .filter(|p| *p != Phase::Baseline && need[p.index()] && !done.contains(p))
+            .collect();
         let t0 = Instant::now();
-        let mut spans: Vec<PhaseSpan> = Vec::new();
+        let spans: Mutex<Vec<PhaseSpan>> = Mutex::new(Vec::new());
+        // Runs one phase and logs its span before handing the result
+        // back, so a dependent never starts before the recorded end of
+        // what it consumes. Only a phase that runs alone can own the
+        // ledger delta around it.
+        let step = |phase: Phase, data: Option<&CollectionData>, attribute: bool| {
+            let pre = attribute.then(|| ctx.cost());
+            let start_s = t0.elapsed().as_secs_f64();
+            let out = self.run_phase(phase, ctx, data);
+            let delta = pre.map(|pre| ctx.cost().since(&pre));
+            spans.lock().expect("span log poisoned").push(PhaseSpan {
+                phase,
+                start_s,
+                end_s: t0.elapsed().as_secs_f64(),
+                machine_seconds: delta.map(|d| d.machine_seconds),
+                runs: delta.map(|d| d.runs),
+            });
+            out
+        };
 
         // The baseline is cheap (10 exempt runs) and deterministic, so
         // it is re-measured even on resume; it also fixes the timeout
         // reference every fault-aware phase budgets hangs against.
-        let pre = ctx.cost();
-        let baseline_time = ctx.baseline_time(10);
-        spans.push(serial_span(Phase::Baseline, 0.0, &t0, &pre, &ctx));
-
-        let (budget, focus, seed) = (self.budget, self.focus, self.seed);
+        step(Phase::Baseline, None, true).record(&mut state);
         match self.schedule {
             ScheduleMode::Serial => {
-                if need[Phase::Collect.index()] && data.is_none() {
-                    let (pre, start) = (ctx.cost(), t0.elapsed().as_secs_f64());
-                    data = Some(collect(&ctx, budget, derive_seed(seed, "collect")));
-                    spans.push(serial_span(Phase::Collect, start, &t0, &pre, &ctx));
-                }
-                if need[Phase::Random.index()] && random.is_none() {
-                    let (pre, start) = (ctx.cost(), t0.elapsed().as_secs_f64());
-                    random = Some(random_search(&ctx, budget, derive_seed(seed, "random")));
-                    spans.push(serial_span(Phase::Random, start, &t0, &pre, &ctx));
-                }
-                if need[Phase::Fr.index()] && fr.is_none() {
-                    let (pre, start) = (ctx.cost(), t0.elapsed().as_secs_f64());
-                    fr = Some(fr_search(&ctx, budget, derive_seed(seed, "fr")));
-                    spans.push(serial_span(Phase::Fr, start, &t0, &pre, &ctx));
-                }
-                if need[Phase::Greedy.index()] && g.is_none() {
-                    let (pre, start) = (ctx.cost(), t0.elapsed().as_secs_f64());
-                    g = Some(greedy(&ctx, data.as_ref().unwrap(), baseline_time));
-                    spans.push(serial_span(Phase::Greedy, start, &t0, &pre, &ctx));
-                }
-                if need[Phase::Cfr.index()] && cfr_result.is_none() {
-                    let (pre, start) = (ctx.cost(), t0.elapsed().as_secs_f64());
-                    cfr_result = Some(cfr(
-                        &ctx,
-                        data.as_ref().unwrap(),
-                        focus,
-                        budget,
-                        derive_seed(seed, "cfr"),
-                    ));
-                    spans.push(serial_span(Phase::Cfr, start, &t0, &pre, &ctx));
+                for phase in pending {
+                    let out = step(phase, state.data.as_ref(), true);
+                    out.record(&mut state);
                 }
             }
             ScheduleMode::Overlapped => {
-                let need_collect = need[Phase::Collect.index()] && data.is_none();
-                let need_random = need[Phase::Random.index()] && random.is_none();
-                let need_fr = need[Phase::Fr.index()] && fr.is_none();
-                let need_greedy = need[Phase::Greedy.index()] && g.is_none();
-                let need_cfr = need[Phase::Cfr.index()] && cfr_result.is_none();
-
-                // Stage-2 phases wait on this cell; a restored
-                // collection fills it up front.
-                let mut data_cell: OnceLock<CollectionData> = OnceLock::new();
-                if let Some(d) = data.take() {
-                    let _ = data_cell.set(d);
+                // One result slot per phase, indexed like `Phase::ALL`.
+                // A restored collection stays in `state`.
+                let slots: [OnceLock<PhaseOutput>; 6] = Default::default();
+                let mut order = pending.clone();
+                // The stress knob: permute spawn order and stagger
+                // starts. Any interleaving must yield the same results
+                // — phases share no RNG state.
+                if let Some(iseed) = self.interleave {
+                    let mut rng = derive_seed(iseed, "phase-interleave");
+                    for i in (1..order.len()).rev() {
+                        let j = (splitmix64(&mut rng) % (i as u64 + 1)) as usize;
+                        order.swap(i, j);
+                    }
                 }
-                let mut random_cell: OnceLock<TuningResult> = OnceLock::new();
-                let mut fr_cell: OnceLock<TuningResult> = OnceLock::new();
-                let mut greedy_cell: OnceLock<GreedyOutcome> = OnceLock::new();
-                let mut cfr_cell: OnceLock<TuningResult> = OnceLock::new();
-                let span_log: Mutex<Vec<PhaseSpan>> = Mutex::new(Vec::new());
-                {
-                    let (ctx, t0, span_log) = (&ctx, &t0, &span_log);
-                    let (data_cell, random_cell, fr_cell, greedy_cell, cfr_cell) =
-                        (&data_cell, &random_cell, &fr_cell, &greedy_cell, &cfr_cell);
-                    std::thread::scope(|s| {
-                        type Job<'j> = (Phase, Box<dyn FnOnce() + Send + 'j>);
-                        let mut jobs: Vec<Job<'_>> = Vec::new();
-                        if need_collect {
-                            jobs.push((
-                                Phase::Collect,
-                                Box::new(move || {
-                                    let start = t0.elapsed().as_secs_f64();
-                                    let d = collect(ctx, budget, derive_seed(seed, "collect"));
-                                    // Span first, then release the
-                                    // cell: stage-2 starts must not
-                                    // precede the recorded collect end.
-                                    log_span(span_log, Phase::Collect, start, t0);
-                                    let _ = data_cell.set(d);
-                                }),
-                            ));
-                        }
-                        if need_random {
-                            jobs.push((
-                                Phase::Random,
-                                Box::new(move || {
-                                    let start = t0.elapsed().as_secs_f64();
-                                    let r = random_search(ctx, budget, derive_seed(seed, "random"));
-                                    let _ = random_cell.set(r);
-                                    log_span(span_log, Phase::Random, start, t0);
-                                }),
-                            ));
-                        }
-                        if need_fr {
-                            jobs.push((
-                                Phase::Fr,
-                                Box::new(move || {
-                                    let start = t0.elapsed().as_secs_f64();
-                                    let r = fr_search(ctx, budget, derive_seed(seed, "fr"));
-                                    let _ = fr_cell.set(r);
-                                    log_span(span_log, Phase::Fr, start, t0);
-                                }),
-                            ));
-                        }
-                        if need_greedy {
-                            jobs.push((
-                                Phase::Greedy,
-                                Box::new(move || {
-                                    let d = data_cell.wait();
-                                    let start = t0.elapsed().as_secs_f64();
-                                    let out = greedy(ctx, d, baseline_time);
-                                    let _ = greedy_cell.set(out);
-                                    log_span(span_log, Phase::Greedy, start, t0);
-                                }),
-                            ));
-                        }
-                        if need_cfr {
-                            jobs.push((
-                                Phase::Cfr,
-                                Box::new(move || {
-                                    let d = data_cell.wait();
-                                    let start = t0.elapsed().as_secs_f64();
-                                    let r = cfr(ctx, d, focus, budget, derive_seed(seed, "cfr"));
-                                    let _ = cfr_cell.set(r);
-                                    log_span(span_log, Phase::Cfr, start, t0);
-                                }),
-                            ));
-                        }
-                        // The stress knob: permute spawn order and
-                        // stagger starts. Any interleaving must yield
-                        // the same results — phases share no RNG state.
-                        if let Some(iseed) = self.interleave {
-                            let mut state = derive_seed(iseed, "phase-interleave");
-                            for i in (1..jobs.len()).rev() {
-                                let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-                                jobs.swap(i, j);
+                std::thread::scope(|s| {
+                    for phase in order {
+                        let (slots, state, pending, step) = (&slots, &state, &pending, &step);
+                        let delay_ms = self
+                            .interleave
+                            .map(|iseed| derive_seed(iseed, phase.label()) % 4);
+                        s.spawn(move || {
+                            if let Some(ms) = delay_ms {
+                                std::thread::sleep(std::time::Duration::from_millis(ms));
                             }
-                        }
-                        for (phase, job) in jobs {
-                            let delay_ms = self
-                                .interleave
-                                .map(|iseed| derive_seed(iseed, phase.label()) % 4);
-                            s.spawn(move || {
-                                if let Some(ms) = delay_ms {
-                                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                            for pred in phase.predecessors() {
+                                if pending.contains(pred) {
+                                    slots[pred.index()].wait();
                                 }
-                                job();
+                            }
+                            let data = state.data.as_ref().or_else(|| {
+                                slots[Phase::Collect.index()]
+                                    .get()
+                                    .and_then(PhaseOutput::collection)
                             });
-                        }
-                    });
+                            let _ = slots[phase.index()].set(step(phase, data, false));
+                        });
+                    }
+                });
+                for out in slots.into_iter().filter_map(OnceLock::into_inner) {
+                    out.record(&mut state);
                 }
-                if let Some(d) = data_cell.take() {
-                    data = Some(d);
-                }
-                if let Some(r) = random_cell.take() {
-                    random = Some(r);
-                }
-                if let Some(r) = fr_cell.take() {
-                    fr = Some(r);
-                }
-                if let Some(out) = greedy_cell.take() {
-                    g = Some(out);
-                }
-                if let Some(r) = cfr_cell.take() {
-                    cfr_result = Some(r);
-                }
-                spans.append(&mut span_log.into_inner().unwrap());
             }
         }
+        let mut spans = spans.into_inner().expect("span log poisoned");
         spans.sort_by_key(|s| s.phase.index());
-        let schedule = ScheduleReport {
-            mode: self.schedule,
-            spans,
-            total_wall_s: t0.elapsed().as_secs_f64(),
-        };
-
-        if stop_after.is_some() {
-            let (bad_compiles, bad_programs) = ctx.quarantine_snapshot();
-            let mut cp = CampaignCheckpoint {
-                version: CHECKPOINT_VERSION,
-                workload: self.workload.meta.name.to_string(),
-                arch: self.arch.name.to_string(),
-                budget: self.budget,
-                focus: self.focus,
-                seed: self.seed,
-                steps_cap: self.steps_cap,
-                faults: self.faults,
-                objective: self.objective,
-                baseline_time: Some(baseline_time),
-                data,
-                random,
-                fr,
-                greedy: g,
-                cfr: cfr_result,
-                bad_compiles,
-                bad_programs,
-                completed: Vec::new(),
-            };
-            cp.completed = cp.completed_labels();
-            return Ok(CampaignOutcome::Paused(Box::new(PausedCampaign {
-                checkpoint: cp,
-                cost: ctx.cost(),
-                faults: ctx.fault_stats(),
-            })));
-        }
-
-        Ok(CampaignOutcome::Finished(Box::new(TuningRun {
+        Campaign {
             workload: self.workload.meta.name,
             arch: self.arch.name,
-            input_name: input.name.clone(),
-            outlined,
-            report,
-            ctx,
-            baseline_time,
-            data: data.unwrap(),
-            random: random.unwrap(),
-            fr: fr.unwrap(),
-            greedy: g.unwrap(),
-            cfr: cfr_result.unwrap(),
-            seed: self.seed,
+            schedule: ScheduleReport {
+                mode: self.schedule,
+                spans,
+                total_wall_s: t0.elapsed().as_secs_f64(),
+            },
+            prepared,
+            state,
+        }
+    }
+}
+
+/// `-O3` baseline repeats (the paper averages 10 experiments).
+const BASELINE_REPEATS: u32 = 10;
+
+/// A campaign's evaluation recipe, built by `Tuner::prepare`.
+pub(crate) struct Prepared {
+    /// Tuning input name.
+    pub(crate) input_name: String,
+    /// Time steps per run, after the step cap.
+    pub(crate) steps: u32,
+    /// The outlined program.
+    pub(crate) outlined: OutlinedProgram,
+    /// Baseline profiling report.
+    pub(crate) report: HotLoopReport,
+    /// The evaluation context.
+    pub(crate) ctx: EvalContext,
+}
+
+/// What one phase of the table produced.
+enum PhaseOutput {
+    Baseline(f64),
+    Collect(CollectionData),
+    Random(TuningResult),
+    Fr(TuningResult),
+    Greedy(GreedyOutcome),
+    Cfr(TuningResult),
+}
+
+impl PhaseOutput {
+    /// The collection, if this is the Collect phase's output.
+    fn collection(&self) -> Option<&CollectionData> {
+        match self {
+            PhaseOutput::Collect(data) => Some(data),
+            _ => None,
+        }
+    }
+
+    /// Fills the matching result field of the engine state.
+    fn record(self, state: &mut CampaignCheckpoint) {
+        match self {
+            PhaseOutput::Baseline(t) => state.baseline_time = Some(t),
+            PhaseOutput::Collect(data) => state.data = Some(data),
+            PhaseOutput::Random(r) => state.random = Some(r),
+            PhaseOutput::Fr(r) => state.fr = Some(r),
+            PhaseOutput::Greedy(g) => state.greedy = Some(g),
+            PhaseOutput::Cfr(r) => state.cfr = Some(r),
+        }
+    }
+}
+
+/// A campaign the engine has advanced to its targets.
+struct Campaign {
+    workload: &'static str,
+    arch: &'static str,
+    schedule: ScheduleReport,
+    prepared: Prepared,
+    state: CampaignCheckpoint,
+}
+
+impl Campaign {
+    /// Freezes the campaign at its phase boundary, with the ledger
+    /// this call charged.
+    fn pause(self) -> PausedCampaign {
+        let Campaign {
+            prepared,
+            mut state,
+            ..
+        } = self;
+        (state.bad_compiles, state.bad_programs) = prepared.ctx.quarantine_snapshot();
+        state.version = CHECKPOINT_VERSION;
+        state.completed = state.completed_labels();
+        PausedCampaign {
+            checkpoint: state,
+            cost: prepared.ctx.cost(),
+            faults: prepared.ctx.fault_stats(),
+        }
+    }
+
+    /// Moves the completed state into the finished run.
+    fn finish(self) -> TuningRun {
+        let Campaign {
+            workload,
+            arch,
             schedule,
-        })))
+            prepared,
+            state,
+        } = self;
+        let ran = "a finished campaign ran every phase";
+        TuningRun {
+            workload,
+            arch,
+            input_name: prepared.input_name,
+            outlined: prepared.outlined,
+            report: prepared.report,
+            ctx: prepared.ctx,
+            baseline_time: state.baseline_time.expect(ran),
+            data: state.data.expect(ran),
+            random: state.random.expect(ran),
+            fr: state.fr.expect(ran),
+            greedy: state.greedy.expect(ran),
+            cfr: state.cfr.expect(ran),
+            seed: state.seed,
+            schedule,
+        }
     }
-}
-
-/// A span for a phase that just finished under the serial schedule,
-/// with the ledger delta attributed to it.
-fn serial_span(
-    phase: Phase,
-    start_s: f64,
-    t0: &Instant,
-    pre: &TuningCost,
-    ctx: &EvalContext,
-) -> PhaseSpan {
-    let delta = ctx.cost().since(pre);
-    PhaseSpan {
-        phase,
-        start_s,
-        end_s: t0.elapsed().as_secs_f64(),
-        machine_seconds: Some(delta.machine_seconds),
-        runs: Some(delta.runs),
-    }
-}
-
-/// Records an overlapped phase's wall-clock slot (no machine
-/// attribution: concurrent phases share one ledger).
-fn log_span(log: &Mutex<Vec<PhaseSpan>>, phase: Phase, start_s: f64, t0: &Instant) {
-    log.lock().unwrap().push(PhaseSpan {
-        phase,
-        start_s,
-        end_s: t0.elapsed().as_secs_f64(),
-        machine_seconds: None,
-        runs: None,
-    });
-}
-
-/// What the phase engine hands back.
-enum CampaignOutcome {
-    /// All phases ran (or were restored); the complete run.
-    Finished(Box<TuningRun>),
-    /// Stopped at the requested phase boundary.
-    Paused(Box<PausedCampaign>),
 }
 
 /// A campaign frozen at a phase boundary, with the ledger the pausing

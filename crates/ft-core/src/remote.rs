@@ -44,12 +44,16 @@
 //! pure, the retried shard returns the same bits.
 
 use crate::canonical::{read_bytes, read_u64, write_bytes, write_u64};
-use crate::ctx::EvalContext;
+use crate::ctx::{EvalContext, ResilienceConfig};
 use crate::framing::crc32;
 use crate::objective::{Objective, Score};
+use crate::pipeline::Tuner;
 use crate::search::{Candidate, Proposal};
+use crate::server::arch_by_name;
 use crate::supervisor::ChaosPolicy;
+use ft_compiler::FaultModel;
 use ft_flags::{Cv, CvId, CvPool};
+use ft_workloads::workload_by_name;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -225,11 +229,11 @@ const MSG_WORK: u64 = 3;
 const MSG_REPLY: u64 = 4;
 const MSG_SHUTDOWN: u64 = 5;
 
-/// Everything a process worker needs to rebuild the coordinator's
-/// evaluation context bit-for-bit: the same workload instantiation,
-/// outline seed, noise root derivation, fault model, and retry
-/// policy. (In-process workers skip the hello and receive a built
-/// context directly.)
+/// Everything a worker needs to rebuild the coordinator's evaluation
+/// context bit-for-bit: the same workload instantiation, outline seed,
+/// noise root derivation, fault model, and retry policy. Process
+/// workers receive it in the hello; in-process workers build from it
+/// directly. Either way [`HelloSpec::context`] is the recipe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelloSpec {
     /// Workload name (resolved via the suite registry).
@@ -255,6 +259,72 @@ pub struct HelloSpec {
     /// whose coordinator tunes a different objective must know (and a
     /// pre-objective peer must fail the version gate, not default).
     pub objective: Objective,
+}
+
+impl HelloSpec {
+    /// Rebuilds the coordinator's evaluation context with the
+    /// coordinator's own recipe (the [`Tuner`] it would build from
+    /// these fields), so a worker's digests, noise streams and fault
+    /// rolls are bit-identical to the coordinator's. Refuses a fault
+    /// rate outside [0, 1] (NaN included), a timeout factor that is
+    /// not finite and positive, a retry count beyond `u32`, and
+    /// workload or architecture names this build does not know.
+    pub fn context(&self) -> Result<EvalContext, RemoteError> {
+        let resilience = self.check()?;
+        let workload = workload_by_name(&self.workload).ok_or_else(|| {
+            RemoteError::Protocol(format!("hello names unknown workload {:?}", self.workload))
+        })?;
+        let arch = arch_by_name(&self.arch).ok_or_else(|| {
+            RemoteError::Protocol(format!("hello names unknown architecture {:?}", self.arch))
+        })?;
+        let faults = FaultModel {
+            seed: self.fault_seed,
+            compile_failure: self.fault_compile,
+            crash: self.fault_crash,
+            hang: self.fault_hang,
+            outlier: self.fault_outlier,
+            exempt_digest: None, // with_faults re-derives the baseline exemption
+        };
+        let tuner = Tuner::new(&workload, &arch)
+            .seed(self.seed)
+            .cap_steps(u32::try_from(self.steps_cap).unwrap_or(u32::MAX))
+            .faults(faults)
+            .resilience(resilience)
+            .objective(self.objective);
+        Ok(tuner.prepare().ctx)
+    }
+
+    /// The value checks of [`HelloSpec::context`]; a coordinator also
+    /// runs them before it spawns a worker process. The codec itself
+    /// stays faithful to whatever bytes it is given.
+    fn check(&self) -> Result<ResilienceConfig, WireError> {
+        check_rate("compile-failure rate", self.fault_compile)?;
+        check_rate("crash rate", self.fault_crash)?;
+        check_rate("hang rate", self.fault_hang)?;
+        check_rate("outlier rate", self.fault_outlier)?;
+        if !(self.timeout_factor.is_finite() && self.timeout_factor > 0.0) {
+            return Err(WireError::BadValue(
+                "timeout factor not finite and positive",
+            ));
+        }
+        let max_retries = u32::try_from(self.max_retries)
+            .map_err(|_| WireError::BadValue("max_retries beyond u32"))?;
+        Ok(ResilienceConfig {
+            max_retries,
+            timeout_factor: self.timeout_factor,
+        })
+    }
+}
+
+/// The one fault-rate check of every surface that takes a fault model
+/// off the wire (hello specs and spooled campaign specs): a rate lies
+/// in [0, 1], which NaN does not.
+pub(crate) fn check_rate(what: &'static str, rate: f64) -> Result<f64, WireError> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(WireError::BadValue(what))
+    }
 }
 
 /// One candidate of a work batch, as interned digests. The worker
@@ -337,26 +407,17 @@ impl LedgerDelta {
 
     /// Field-wise `self - earlier` (counters are monotone).
     pub fn since(&self, earlier: &LedgerDelta) -> LedgerDelta {
-        LedgerDelta {
-            runs: self.runs - earlier.runs,
-            machine_nanos: self.machine_nanos - earlier.machine_nanos,
-            ok_runs: self.ok_runs - earlier.ok_runs,
-            compile_failures: self.compile_failures - earlier.compile_failures,
-            crashes: self.crashes - earlier.crashes,
-            timeouts: self.timeouts - earlier.timeouts,
-            retries: self.retries - earlier.retries,
-            quarantined: self.quarantined - earlier.quarantined,
-            object_compiles: self.object_compiles - earlier.object_compiles,
-            object_reuses: self.object_reuses - earlier.object_reuses,
-            object_evictions: self.object_evictions - earlier.object_evictions,
-            links: self.links - earlier.links,
-            link_reuses: self.link_reuses - earlier.link_reuses,
-            link_evictions: self.link_evictions - earlier.link_evictions,
-        }
+        self.zip(earlier, |now, then| now - then)
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
-        for v in [
+    /// Folds another delta in, field-wise.
+    fn add(&mut self, other: &LedgerDelta) {
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// The counters in wire order.
+    fn counters(&self) -> [u64; 14] {
+        [
             self.runs,
             self.machine_nanos,
             self.ok_runs,
@@ -371,29 +432,46 @@ impl LedgerDelta {
             self.links,
             self.link_reuses,
             self.link_evictions,
-        ] {
+        ]
+    }
+
+    /// Inverse of [`LedgerDelta::counters`].
+    fn from_counters(c: [u64; 14]) -> LedgerDelta {
+        LedgerDelta {
+            runs: c[0],
+            machine_nanos: c[1],
+            ok_runs: c[2],
+            compile_failures: c[3],
+            crashes: c[4],
+            timeouts: c[5],
+            retries: c[6],
+            quarantined: c[7],
+            object_compiles: c[8],
+            object_reuses: c[9],
+            object_evictions: c[10],
+            links: c[11],
+            link_reuses: c[12],
+            link_evictions: c[13],
+        }
+    }
+
+    fn zip(&self, other: &LedgerDelta, f: impl Fn(u64, u64) -> u64) -> LedgerDelta {
+        let (a, b) = (self.counters(), other.counters());
+        LedgerDelta::from_counters(std::array::from_fn(|i| f(a[i], b[i])))
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        for v in self.counters() {
             write_u64(out, v);
         }
     }
 
     fn read(buf: &[u8], pos: &mut usize) -> Result<LedgerDelta, WireError> {
-        let mut next = || take_u64(buf, pos);
-        Ok(LedgerDelta {
-            runs: next()?,
-            machine_nanos: next()?,
-            ok_runs: next()?,
-            compile_failures: next()?,
-            crashes: next()?,
-            timeouts: next()?,
-            retries: next()?,
-            quarantined: next()?,
-            object_compiles: next()?,
-            object_reuses: next()?,
-            object_evictions: next()?,
-            links: next()?,
-            link_reuses: next()?,
-            link_evictions: next()?,
-        })
+        let mut c = [0u64; 14];
+        for v in &mut c {
+            *v = take_u64(buf, pos)?;
+        }
+        Ok(LedgerDelta::from_counters(c))
     }
 }
 
@@ -708,16 +786,10 @@ impl Worker {
 }
 
 /// Drives a worker over a framed byte stream (the `ftune worker`
-/// loop): expects a hello first, answers every work batch, exits
-/// cleanly on shutdown or EOF. `build` turns the hello spec into the
-/// worker's evaluation context (the CLI resolves workload and
-/// architecture names there; tests can inject anything).
-pub fn serve<R, W, F>(rx: &mut R, tx: &mut W, build: F) -> Result<(), RemoteError>
-where
-    R: Read,
-    W: Write,
-    F: FnOnce(&HelloSpec) -> Result<EvalContext, String>,
-{
+/// loop): expects a hello first, builds the worker's context from it
+/// ([`HelloSpec::context`]), answers every work batch, and exits
+/// cleanly on shutdown or EOF.
+pub fn serve<R: Read, W: Write>(rx: &mut R, tx: &mut W) -> Result<(), RemoteError> {
     let hello = match read_frame(rx)? {
         None => return Ok(()),
         Some(payload) => decode_message(&payload)?,
@@ -730,8 +802,7 @@ where
             )))
         }
     };
-    let ctx = build(&spec).map_err(RemoteError::WorkerDied)?;
-    let mut worker = Worker::new(ctx);
+    let mut worker = Worker::new(spec.context()?);
     write_frame(
         tx,
         &encode_message(&Message::HelloAck {
@@ -813,12 +884,15 @@ pub struct ProcessTransport {
 
 impl ProcessTransport {
     /// Spawns `exe worker`, performs the hello handshake, and checks
-    /// the worker rebuilt a context with the expected module count.
+    /// the worker rebuilt a context with the expected module count. A
+    /// spec with impossible values is refused before any process
+    /// starts.
     pub fn spawn(
         exe: &std::path::Path,
         spec: &HelloSpec,
         expect_modules: u64,
     ) -> Result<Self, RemoteError> {
+        spec.check()?;
         let mut child = std::process::Command::new(exe)
             .arg("worker")
             .stdin(std::process::Stdio::piped())
@@ -890,68 +964,6 @@ impl Drop for ProcessTransport {
 pub type WorkerFactory =
     Arc<dyn Fn(usize) -> Result<Box<dyn Transport>, RemoteError> + Send + Sync>;
 
-#[derive(Default)]
-struct PlaneLedger {
-    runs: AtomicU64,
-    machine_nanos: AtomicU64,
-    ok_runs: AtomicU64,
-    compile_failures: AtomicU64,
-    crashes: AtomicU64,
-    timeouts: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
-    object_compiles: AtomicU64,
-    object_reuses: AtomicU64,
-    object_evictions: AtomicU64,
-    links: AtomicU64,
-    link_reuses: AtomicU64,
-    link_evictions: AtomicU64,
-}
-
-impl PlaneLedger {
-    fn apply(&self, d: &LedgerDelta) {
-        self.runs.fetch_add(d.runs, Ordering::Relaxed);
-        self.machine_nanos
-            .fetch_add(d.machine_nanos, Ordering::Relaxed);
-        self.ok_runs.fetch_add(d.ok_runs, Ordering::Relaxed);
-        self.compile_failures
-            .fetch_add(d.compile_failures, Ordering::Relaxed);
-        self.crashes.fetch_add(d.crashes, Ordering::Relaxed);
-        self.timeouts.fetch_add(d.timeouts, Ordering::Relaxed);
-        self.retries.fetch_add(d.retries, Ordering::Relaxed);
-        self.quarantined.fetch_add(d.quarantined, Ordering::Relaxed);
-        self.object_compiles
-            .fetch_add(d.object_compiles, Ordering::Relaxed);
-        self.object_reuses
-            .fetch_add(d.object_reuses, Ordering::Relaxed);
-        self.object_evictions
-            .fetch_add(d.object_evictions, Ordering::Relaxed);
-        self.links.fetch_add(d.links, Ordering::Relaxed);
-        self.link_reuses.fetch_add(d.link_reuses, Ordering::Relaxed);
-        self.link_evictions
-            .fetch_add(d.link_evictions, Ordering::Relaxed);
-    }
-
-    fn totals(&self) -> LedgerDelta {
-        LedgerDelta {
-            runs: self.runs.load(Ordering::Relaxed),
-            machine_nanos: self.machine_nanos.load(Ordering::Relaxed),
-            ok_runs: self.ok_runs.load(Ordering::Relaxed),
-            compile_failures: self.compile_failures.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            object_compiles: self.object_compiles.load(Ordering::Relaxed),
-            object_reuses: self.object_reuses.load(Ordering::Relaxed),
-            object_evictions: self.object_evictions.load(Ordering::Relaxed),
-            links: self.links.load(Ordering::Relaxed),
-            link_reuses: self.link_reuses.load(Ordering::Relaxed),
-            link_evictions: self.link_evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct Slot {
     transport: Option<Box<dyn Transport>>,
     /// CV digests this worker is known to hold (cleared on respawn,
@@ -971,7 +983,8 @@ pub struct RemotePlane {
     kills: AtomicU32,
     spawns: AtomicU64,
     batches: AtomicU64,
-    ledger: PlaneLedger,
+    /// The merged worker ledger; folded once per shard reply.
+    ledger: Mutex<LedgerDelta>,
 }
 
 impl RemotePlane {
@@ -992,7 +1005,7 @@ impl RemotePlane {
             kills: AtomicU32::new(0),
             spawns: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            ledger: PlaneLedger::default(),
+            ledger: Mutex::new(LedgerDelta::default()),
         }
     }
 
@@ -1026,7 +1039,7 @@ impl RemotePlane {
 
     /// The merged remote ledger (all workers, all batches).
     pub fn ledger_totals(&self) -> LedgerDelta {
-        self.ledger.totals()
+        *self.ledger.lock().expect("plane ledger poisoned")
     }
 
     /// The deterministic candidate-index → shard assignment.
@@ -1190,7 +1203,10 @@ impl RemotePlane {
                     for d in digest_ids.keys() {
                         slot.known.insert(*d);
                     }
-                    self.ledger.apply(&reply.ledger);
+                    self.ledger
+                        .lock()
+                        .expect("plane ledger poisoned")
+                        .add(&reply.ledger);
                     return shard
                         .iter()
                         .map(|(k, _)| *k)

@@ -57,7 +57,7 @@ use crate::checkpoint::CampaignCheckpoint;
 use crate::ctx::FaultStats;
 use crate::objective::Objective;
 use crate::pipeline::{Tuner, TuningRun};
-use crate::remote::WireError;
+use crate::remote::{check_rate, WireError};
 use crate::store::ObjectStore;
 use crate::supervisor::{CampaignLog, ChaosPolicy, Step};
 use crate::TuningCost;
@@ -233,11 +233,7 @@ impl CampaignSpec {
         };
         let fault_seed = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
         let mut rate = |what: &'static str| -> Result<f64, WireError> {
-            let v = read_f64(buf, &mut pos).ok_or(truncated(pos))?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(WireError::BadValue(what));
-            }
-            Ok(v)
+            check_rate(what, read_f64(buf, &mut pos).ok_or(truncated(pos))?)
         };
         let fault_compile = rate("compile-failure rate")?;
         let fault_crash = rate("crash rate")?;

@@ -76,13 +76,15 @@ impl Args {
                     args.k = it
                         .next()
                         .and_then(|s| s.parse().ok())
-                        .ok_or("--k needs a number")?
+                        .filter(|k| *k >= 2)
+                        .ok_or("--k needs a sample budget >= 2")?
                 }
                 "--x" => {
                     args.x = it
                         .next()
                         .and_then(|s| s.parse().ok())
-                        .ok_or("--x needs a number")?
+                        .filter(|x| *x >= 1)
+                        .ok_or("--x needs a focus width >= 1")?
                 }
                 "--seed" => {
                     args.seed = it
@@ -960,60 +962,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a hello-spec architecture string: accepts both the CLI
-/// aliases and the display names a coordinator stamps into the spec
-/// (`Architecture::broadwell().name == "Broadwell"`, etc.).
-fn arch_for_spec(name: &str) -> Result<Architecture, String> {
-    funcytuner::tuning::server::arch_by_name(name)
-        .ok_or_else(|| format!("worker: unknown architecture {name}"))
-}
-
-/// Rebuilds the coordinator's evaluation context from a hello spec —
-/// the exact recipe `Tuner::run_campaign` uses, so the worker's
-/// digests, noise streams, and fault rolls are bit-identical.
-fn worker_context(spec: &funcytuner::tuning::remote::HelloSpec) -> Result<EvalContext, String> {
-    use funcytuner::flags::rng::derive_seed;
-    let w = workload_by_name(&spec.workload)
-        .ok_or_else(|| format!("worker: unknown benchmark {}", spec.workload))?;
-    let arch = arch_for_spec(&spec.arch)?;
-    let mut input = w.tuning_input(arch.name).clone();
-    input.steps = input
-        .steps
-        .min(u32::try_from(spec.steps_cap).unwrap_or(u32::MAX));
-    let raw_ir = w.instantiate(&input);
-    let compiler = Compiler::icc(arch.target);
-    let (outlined, _) = outline_with_defaults(
-        &raw_ir,
-        &compiler,
-        &arch,
-        input.steps,
-        derive_seed(spec.seed, "outline"),
-    );
-    let faults = funcytuner::compiler::FaultModel {
-        seed: spec.fault_seed,
-        compile_failure: spec.fault_compile,
-        crash: spec.fault_crash,
-        hang: spec.fault_hang,
-        outlier: spec.fault_outlier,
-        exempt_digest: None, // with_faults re-derives the baseline exemption
-    };
-    let resilience = funcytuner::tuning::ResilienceConfig {
-        max_retries: u32::try_from(spec.max_retries)
-            .map_err(|_| "worker: max_retries out of range".to_string())?,
-        timeout_factor: spec.timeout_factor,
-    };
-    Ok(EvalContext::new(
-        outlined.ir,
-        compiler,
-        arch,
-        input.steps,
-        derive_seed(spec.seed, "noise"),
-    )
-    .with_faults(faults)
-    .with_resilience(resilience)
-    .with_objective(spec.objective))
-}
-
 /// The `ftune worker` loop: frames on stdin, frames on stdout, built
 /// for being spawned by `ftune tune --workers N` (or any coordinator
 /// speaking the `ft_core::remote` protocol). Prints nothing — stdout
@@ -1023,8 +971,7 @@ fn cmd_worker() -> Result<(), String> {
     let stdout = std::io::stdout();
     let mut rx = stdin.lock();
     let mut tx = stdout.lock();
-    funcytuner::tuning::remote::serve(&mut rx, &mut tx, worker_context)
-        .map_err(|e| format!("worker: {e}"))
+    funcytuner::tuning::remote::serve(&mut rx, &mut tx).map_err(|e| format!("worker: {e}"))
 }
 
 #[cfg(test)]
@@ -1060,6 +1007,8 @@ mod tests {
     #[test]
     fn parse_rejects_bad_input() {
         assert!(Args::parse(&argv("tune --k")).is_err());
+        assert!(Args::parse(&argv("tune swim --k 1")).is_err());
+        assert!(Args::parse(&argv("tune swim --x 0")).is_err());
         assert!(Args::parse(&argv("tune --bogus 1")).is_err());
         assert!(Args::parse(&[]).is_err());
         let a = Args::parse(&argv("tune X --arch m1")).unwrap();

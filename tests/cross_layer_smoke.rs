@@ -3,15 +3,16 @@
 //!
 //! The golden swim campaign (Broadwell, K=60, X=8, seed 42, 5 steps)
 //! must reach the canonical digest `golden_determinism` pins through
-//! the bare tuner (whose cache ledger is pinned too), a capacity-1
-//! cache, a supervisor killed once and resumed, a 2-worker evaluation
+//! the bare tuner (whose cache ledger is pinned too), the overlapped
+//! schedule under a seeded interleaving, a pause after Random and its
+//! resume, a capacity-1 cache, a supervisor killed once and resumed, a 2-worker evaluation
 //! plane and a 2-tenant daemon; and a Pareto run must report
 //! the same front bare and on 2 workers. This is the tier-1 check that
 //! no layer moves a campaign's bytes.
 
 use funcytuner::prelude::*;
 use funcytuner::tuning::journal::temp_journal_path;
-use funcytuner::tuning::Objective;
+use funcytuner::tuning::{Objective, Phase};
 use std::path::PathBuf;
 
 /// `GOLDEN_CANONICAL_DIGEST` of the golden-determinism suite.
@@ -56,6 +57,17 @@ fn golden_campaign_digest_holds_through_every_layer() {
         [954, 498, 0, 242, 9, 0],
         "bare cache ledger"
     );
+
+    let overlapped = golden(&w, &arch).overlap_phases().interleave(7).run();
+    assert_eq!(
+        overlapped.canonical_digest(),
+        GOLDEN_DIGEST,
+        "overlapped, interleave 7"
+    );
+
+    let paused = golden(&w, &arch).run_until_phases(&[Phase::Random]);
+    let resumed = golden(&w, &arch).resume(paused).expect("own checkpoint");
+    assert_eq!(resumed.canonical_digest(), GOLDEN_DIGEST, "pause + resume");
 
     let bounded = golden(&w, &arch)
         .cache_capacity(CacheCapacity::Entries(1))

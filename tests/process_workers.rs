@@ -10,7 +10,9 @@ use funcytuner::prelude::*;
 use funcytuner::tuning::remote::{
     decode_frame, decode_message, encode_frame, encode_message, ProcessTransport,
 };
-use funcytuner::tuning::{HelloSpec, Message, Transport, WorkBatch, WorkItem, Worker};
+use funcytuner::tuning::{
+    HelloSpec, Message, RemoteError, Transport, WireError, WorkBatch, WorkItem, Worker,
+};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -141,8 +143,8 @@ fn a_worker_child_rebuilds_the_exact_context_from_the_hello_spec() {
 
 #[test]
 fn a_worker_child_refuses_an_unknown_workload() {
-    let spec = HelloSpec {
-        workload: "no-such-benchmark".to_string(),
+    let good = HelloSpec {
+        workload: "swim".to_string(),
         arch: "broadwell".to_string(),
         steps_cap: 4,
         seed: 1,
@@ -155,10 +157,78 @@ fn a_worker_child_refuses_an_unknown_workload() {
         timeout_factor: 20.0,
         objective: funcytuner::tuning::Objective::Time,
     };
-    assert!(
-        ProcessTransport::spawn(&ftune(), &spec, 1).is_err(),
-        "a bogus workload must fail the handshake, not hang"
-    );
+    // Unknown names fail in the child; the impossible numbers are
+    // refused at the parent, before a process starts.
+    let bad = [
+        (
+            HelloSpec {
+                workload: "no-such-benchmark".to_string(),
+                ..good.clone()
+            },
+            false,
+        ),
+        (
+            HelloSpec {
+                fault_crash: 2.0,
+                ..good.clone()
+            },
+            true,
+        ),
+        (
+            HelloSpec {
+                fault_hang: f64::NAN,
+                ..good.clone()
+            },
+            true,
+        ),
+        (
+            HelloSpec {
+                arch: "m1".to_string(),
+                ..good.clone()
+            },
+            false,
+        ),
+        (
+            HelloSpec {
+                fault_compile: -0.1,
+                ..good.clone()
+            },
+            true,
+        ),
+        (
+            HelloSpec {
+                timeout_factor: 0.0,
+                ..good.clone()
+            },
+            true,
+        ),
+        (
+            HelloSpec {
+                timeout_factor: f64::INFINITY,
+                ..good.clone()
+            },
+            true,
+        ),
+        (
+            HelloSpec {
+                max_retries: u64::from(u32::MAX) + 1,
+                ..good.clone()
+            },
+            true,
+        ),
+    ];
+    for (spec, at_parent) in &bad {
+        match ProcessTransport::spawn(&ftune(), spec, 1) {
+            Ok(_) => panic!("a bad hello must fail the handshake, not hang: {spec:?}"),
+            Err(e) => assert_eq!(
+                matches!(e, RemoteError::Wire(WireError::BadValue(_))),
+                *at_parent,
+                "{spec:?}: {e}"
+            ),
+        }
+        assert!(spec.context().is_err(), "{spec:?}");
+    }
+    assert!(good.context().is_ok());
 }
 
 #[test]

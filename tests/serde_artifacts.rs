@@ -110,3 +110,38 @@ fn tune_file_refuses_malformed_program_models() {
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
 }
+
+#[test]
+fn search_refuses_an_empty_collection_checkpoint() {
+    let path = std::env::temp_dir().join(format!("ft-search-k0-{}.json", std::process::id()));
+    let ftune = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ftune"))
+            .args(args)
+            .output()
+            .expect("spawn ftune")
+    };
+    let collected = ftune(&[
+        "collect",
+        "swim",
+        "--k",
+        "2",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(collected.status.success(), "collect failed: {collected:?}");
+    // Empty the collection while keeping the checkpoint's provenance,
+    // so only the K = 0 collection is wrong.
+    let json = std::fs::read_to_string(&path).unwrap();
+    let mut cp = funcytuner::tuning::Checkpoint::from_json(&json).unwrap();
+    cp.data.cvs.clear();
+    cp.data.end_to_end.clear();
+    cp.data.per_module.iter_mut().for_each(Vec::clear);
+    std::fs::write(&path, cp.to_json().unwrap()).unwrap();
+    let out = ftune(&["search", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "accepted\n{stderr}");
+    assert_ne!(out.status.code(), Some(101), "panicked\n{stderr}");
+    assert!(stderr.contains("collection is empty"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
