@@ -6,6 +6,7 @@ use crate::pgo::PgoProfile;
 use crate::response::jitter;
 use ft_flags::{Cv, FlagId, FlagSpace};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Compiler family being modelled. Personalities differ in vectorizer
 /// aggressiveness and heuristic tuning, which is why the Figure 1
@@ -530,8 +531,17 @@ impl Compiler {
         }
     }
 
-    /// Compiles one module with one CV.
+    /// Compiles one module with one CV. The object gets a descriptor
+    /// of its own; callers compiling a module many times share one
+    /// through [`Compiler::compile_shared`].
     pub fn compile_module(&self, module: &Module, cv: &Cv) -> CompiledModule {
+        self.compile_shared(&Arc::new(module.clone()), cv)
+    }
+
+    /// Compiles one module with one CV; the object points at `module`
+    /// instead of copying it. Equal (`==`) to
+    /// [`Compiler::compile_module`] on the same module.
+    pub fn compile_shared(&self, module: &Arc<Module>, cv: &Cv) -> CompiledModule {
         let decisions = match &module.kind {
             ModuleKind::HotLoop(f) => self.decide_loop(f, &self.semantics(cv), None),
             ModuleKind::NonLoop { code_bytes, .. } => {
@@ -539,7 +549,7 @@ impl Compiler {
             }
         };
         CompiledModule {
-            module: module.clone(),
+            module: Arc::clone(module),
             decisions,
             cv_digest: cv.digest(),
         }
@@ -584,7 +594,7 @@ impl Compiler {
             }
         };
         CompiledModule {
-            module: module.clone(),
+            module: Arc::new(module.clone()),
             decisions,
             cv_digest: cv.digest() ^ 0x9_60,
         }

@@ -12,6 +12,7 @@
 use crate::ir::{LoopFeatures, Module};
 use crate::response::jitter;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// SIMD width of generated code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -203,10 +204,11 @@ impl CodegenDecisions {
 /// One compiled compilation module: the module, what the compiler did
 /// to it, and a digest of the CV that produced it (used to derive
 /// deterministic link-time behaviour).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModule {
-    /// The source module (cloned; modules are small descriptors).
-    pub module: Module,
+    /// The source module's descriptor, shared by every object compiled
+    /// from it (see [`crate::Compiler::compile_shared`]).
+    pub module: Arc<Module>,
     /// What the compiler decided.
     pub decisions: CodegenDecisions,
     /// Digest of the compilation vector used.

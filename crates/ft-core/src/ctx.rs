@@ -7,7 +7,7 @@ use crate::search::{Candidate, Proposal};
 use crate::store::{self, ObjectStore};
 use ft_caliper::Caliper;
 use ft_compiler::lru::{CacheCapacity, CacheWeight};
-use ft_compiler::{CompiledModule, Compiler, FaultModel, ProgramIr};
+use ft_compiler::{CompiledModule, Compiler, FaultModel, Module, ProgramIr};
 use ft_flags::rng::derive_seed_idx;
 use ft_flags::{Cv, CvId, CvPool, FlagSpace};
 use ft_machine::{
@@ -219,6 +219,10 @@ pub struct EvalContext {
     /// Private to this context unless [`EvalContext::with_shared_store`]
     /// binds a process-wide one (fault quarantine stays per-context).
     store: StoreBinding,
+    /// `ir.modules`, each behind one `Arc` that every object this
+    /// context compiles points at, so an object carries no copy of its
+    /// module. Built once; rebinding the store keeps it.
+    descriptors: Vec<Arc<Module>>,
     /// Memoized `-O3` baseline: `(repeats, mean time)` of the first
     /// measurement. Random, FR, and CFR all re-ask for the same
     /// 10-repeat baseline; measuring it once changes no value.
@@ -288,6 +292,7 @@ impl EvalContext {
             "compiler target does not match architecture"
         );
         let modules = ir.len();
+        let descriptors = ir.modules.iter().cloned().map(Arc::new).collect();
         EvalContext {
             ir,
             compiler,
@@ -295,6 +300,7 @@ impl EvalContext {
             steps,
             noise_root,
             store: StoreBinding::private(modules, CacheCapacity::Unbounded),
+            descriptors,
             baseline_memo: OnceLock::new(),
             batch_plan: OnceLock::new(),
             runs: AtomicU64::new(0),
@@ -508,7 +514,7 @@ impl EvalContext {
     fn link_digests(
         &self,
         digests: &[u64],
-        objects: impl FnOnce() -> Vec<CompiledModule>,
+        objects: impl FnOnce() -> Vec<Arc<CompiledModule>>,
     ) -> Arc<LinkedProgram> {
         assert_eq!(
             digests.len(),
@@ -532,21 +538,18 @@ impl EvalContext {
     /// Compiles one object per module through the store's object
     /// layer — the miss path of every link, and the only compile path,
     /// so hit/miss attribution is uniform. `cvs` yields module `j`'s CV
-    /// at position `j`, owned or pooled alike. The link step takes its
-    /// objects by value, so each is cloned out of the store.
+    /// at position `j`, owned or pooled alike. Returns the store's own
+    /// objects: the linked program shares them instead of copying.
     fn compile_each<C: Deref<Target = Cv>>(
         &self,
         cvs: impl Iterator<Item = C>,
-    ) -> Vec<CompiledModule> {
-        self.ir
-            .modules
+    ) -> Vec<Arc<CompiledModule>> {
+        self.descriptors
             .iter()
             .zip(cvs)
             .map(|(m, cv)| {
-                let obj = self
-                    .store
-                    .object(m.id, cv.digest(), || self.compiler.compile_module(m, &cv));
-                (*obj).clone()
+                self.store
+                    .object(m.id, cv.digest(), || self.compiler.compile_shared(m, &cv))
             })
             .collect()
     }

@@ -258,33 +258,19 @@ mod tests {
         let modules: Vec<Module> = (0..40)
             .map(|i| Module::hot_loop(i, &format!("k{i}"), LoopFeatures::synthetic(i as u64), &[]))
             .collect();
-        let first: Vec<CompiledModule> = modules
-            .iter()
-            .map(|m| {
-                (*store
-                    .object(
-                        object_scope(cfp, module_fingerprint(m)),
-                        cv.digest(),
-                        || c.compile_module(m, &cv),
-                    )
-                    .0)
-                    .clone()
-            })
-            .collect();
-        let second: Vec<CompiledModule> = modules
-            .iter()
-            .map(|m| {
-                (*store
-                    .object(
-                        object_scope(cfp, module_fingerprint(m)),
-                        cv.digest(),
-                        || c.compile_module(m, &cv),
-                    )
-                    .0)
-                    .clone()
-            })
-            .collect();
-        assert_eq!(first, second);
+        let objects = || -> Vec<Arc<CompiledModule>> {
+            modules
+                .iter()
+                .map(|m| {
+                    let scope = object_scope(cfp, module_fingerprint(m));
+                    store
+                        .object(scope, cv.digest(), || c.compile_module(m, &cv))
+                        .0
+                })
+                .collect()
+        };
+        let first = objects();
+        assert_eq!(first, objects());
         assert!(store.object_stats().evictions > 0);
     }
 

@@ -28,6 +28,7 @@ use ft_compiler::response::{jitter, unit};
 use ft_compiler::{ModuleId, ProgramIr};
 use ft_flags::rng::{hash_label, mix};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A codegen decision the linker re-derived against the module's CV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,10 +45,12 @@ pub struct LtoOverride {
 
 /// A linked executable: final (possibly overridden) decisions plus the
 /// interference factors the execution model will charge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkedProgram {
-    /// Final per-module compilation results.
-    pub modules: Vec<CompiledModule>,
+    /// Final per-module compilation results: the objects the linker
+    /// was handed, shared rather than copied, except that a module an
+    /// LTO override rewrote is the linker's own copy.
+    pub modules: Vec<Arc<CompiledModule>>,
     /// Per-module multiplicative slowdown from layout/alias conflicts
     /// (1.0 = none).
     pub conflict_factor: Vec<f64>,
@@ -124,7 +127,7 @@ impl LinkedProgram {
 
 /// Mixing hash over all CV digests, order-sensitive: the linker sees
 /// the exact combination of object files.
-fn combination_seed(modules: &[CompiledModule], arch: &Architecture) -> u64 {
+fn combination_seed(modules: &[Arc<CompiledModule>], arch: &Architecture) -> u64 {
     let mut h = hash_label(arch.name);
     for m in modules {
         h = mix(h ^ m.cv_digest.rotate_left((m.module.id % 63) as u32));
@@ -133,8 +136,25 @@ fn combination_seed(modules: &[CompiledModule], arch: &Architecture) -> u64 {
 }
 
 /// Links compiled modules into an executable against `ir`'s structure.
-pub fn link(modules: Vec<CompiledModule>, ir: &ProgramIr, arch: &Architecture) -> LinkedProgram {
+/// Object `i` must be module `i`'s. Owned objects and shared ones (the
+/// `Arc`s a cache holds) link alike; a shared object is copied only if
+/// an LTO override rewrites it.
+pub fn link<M: Into<Arc<CompiledModule>>>(
+    modules: Vec<M>,
+    ir: &ProgramIr,
+    arch: &Architecture,
+) -> LinkedProgram {
     assert_eq!(modules.len(), ir.modules.len(), "one object per module");
+    let modules: Vec<Arc<CompiledModule>> = modules.into_iter().map(Into::into).collect();
+    // Overrides and the combination seed key on module ids, the
+    // conflict and call-edge passes on slots: they must agree.
+    for (i, m) in modules.iter().enumerate() {
+        assert_eq!(
+            m.module.id, i,
+            "object {i} compiles module {}, not {i}",
+            m.module.id
+        );
+    }
     let n = modules.len();
 
     // --- Heterogeneity -----------------------------------------------
@@ -155,7 +175,8 @@ pub fn link(modules: Vec<CompiledModule>, ir: &ProgramIr, arch: &Architecture) -
     let mut overrides = Vec::new();
     if heterogeneity > 0.0 {
         for m in out.iter_mut() {
-            let Some(f) = m.module.features().cloned() else {
+            let module = Arc::clone(&m.module);
+            let Some(f) = module.features() else {
                 continue;
             };
             let bloat =
@@ -166,27 +187,29 @@ pub fn link(modules: Vec<CompiledModule>, ir: &ProgramIr, arch: &Architecture) -
                 continue;
             }
             // The linker re-derives decisions from whole-program
-            // heuristics, ignoring the module's own CV.
-            let before_w = m.decisions.width;
-            let before_u = m.decisions.unroll;
+            // heuristics, ignoring the module's own CV. Only the
+            // rewritten module is copied out of a shared object.
+            let d = &mut Arc::make_mut(m).decisions;
+            let before_w = d.width;
+            let before_u = d.unroll;
             let roll = unit(h, "lto-kind");
             if roll < 0.45 && !f.carried_dependence {
                 // Re-vectorize at the target's widest SIMD.
-                m.decisions.width = arch.target.clamp(VecWidth::W512);
+                d.width = arch.target.clamp(VecWidth::W512);
             } else if roll < 0.70 {
-                m.decisions.unroll = (m.decisions.unroll.max(1) * 2).min(16);
-                m.decisions.register_spill += 0.04;
+                d.unroll = (d.unroll.max(1) * 2).min(16);
+                d.register_spill += 0.04;
             } else {
                 // Cross-module inlining reshuffles the block layout.
-                m.decisions.inline_depth = 2;
+                d.inline_depth = 2;
             }
             let q = jitter(h, "lto-quality", 0.72, 1.02);
-            m.decisions.backend_quality *= q;
-            m.decisions.code_bytes *= 1.12;
+            d.backend_quality *= q;
+            d.code_bytes *= 1.12;
             overrides.push(LtoOverride {
-                module: m.module.id,
-                width: (before_w, m.decisions.width),
-                unroll: (before_u, m.decisions.unroll),
+                module: module.id,
+                width: (before_w, d.width),
+                unroll: (before_u, d.unroll),
                 quality_factor: q,
             });
         }
@@ -512,6 +535,16 @@ mod tests {
             }
         }
         panic!("no override found across 40 mixed links");
+    }
+
+    #[test]
+    #[should_panic(expected = "object 0 compiles module 1, not 0")]
+    fn link_rejects_misordered_objects() {
+        let ir = program(3);
+        let c = compiler();
+        let mut objs = c.compile_program(&ir, &c.space().baseline());
+        objs.swap(0, 1);
+        let _ = link(objs, &ir, &Architecture::broadwell());
     }
 
     #[test]
