@@ -1,5 +1,6 @@
 //! The four space-search algorithms of §2.2.
 
+use crate::canonical::Reader;
 use crate::collection::CollectionData;
 use crate::ctx::EvalContext;
 use crate::objective::Objective;
@@ -138,6 +139,24 @@ impl GreedyOutcome {
         self.realized.write_canonical(out);
         write_f64(out, self.independent_time);
         write_f64(out, self.independent_speedup);
+    }
+
+    /// The lossless form of [`GreedyOutcome::write_canonical`] (see
+    /// [`TuningResult::write_lossless`]).
+    pub fn write_lossless(&self, out: &mut Vec<u8>) {
+        use crate::canonical::write_f64;
+        self.realized.write_lossless(out);
+        write_f64(out, self.independent_time);
+        write_f64(out, self.independent_speedup);
+    }
+
+    /// Inverse of [`GreedyOutcome::write_lossless`].
+    pub fn read_lossless(r: &mut Reader) -> Option<GreedyOutcome> {
+        Some(GreedyOutcome {
+            realized: TuningResult::read_lossless(r)?,
+            independent_time: r.f64()?,
+            independent_speedup: r.f64()?,
+        })
     }
 }
 

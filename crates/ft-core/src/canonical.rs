@@ -3,13 +3,16 @@
 //! The phase-equivalence harness needs to compare two `TuningRun`s for
 //! *bit* equality — including `+inf` scores of quarantined candidates,
 //! which JSON cannot round-trip (`serde_json` writes non-finite floats
-//! as `null`). This module defines a tiny, schema-free encoder used
-//! only for equality checks and digests: every `f64` is its IEEE-754
-//! bit pattern, every length is a little-endian `u64` prefix, and
-//! every field is written in declaration order. Two values encode to
-//! the same bytes iff every deterministic field is bit-identical.
+//! as `null`). This module defines a tiny, schema-free encoder: every
+//! `f64` is its IEEE-754 bit pattern, every length is a little-endian
+//! `u64` prefix, and every field is written in declaration order. Two
+//! values encode to the same bytes iff every deterministic field is
+//! bit-identical. Digests, the worker wire protocol and the campaign
+//! WAL records ([`crate::supervisor::CampaignRecord`]) all use it;
+//! [`Reader`] is the hardened decoder for the last two.
 
 use ft_flags::rng::mix;
+use ft_flags::Cv;
 
 /// Appends a `u64` little-endian.
 pub fn write_u64(out: &mut Vec<u8>, v: u64) {
@@ -38,6 +41,14 @@ pub fn write_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     write_u64(out, vs.len() as u64);
     for v in vs {
         write_f64(out, *v);
+    }
+}
+
+/// Appends a count-prefixed CV list, each CV by its raw flag bytes.
+pub fn write_cvs(out: &mut Vec<u8>, cvs: &[Cv]) {
+    write_u64(out, cvs.len() as u64);
+    for cv in cvs {
+        write_bytes(out, cv.values());
     }
 }
 
@@ -74,6 +85,164 @@ pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
 /// Invalid UTF-8 is a decode failure, not a lossy conversion.
 pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     std::str::from_utf8(read_bytes(buf, pos)?).ok()
+}
+
+/// Appends an optional value: a `0` word for `None`, else a `1` word
+/// followed by `write(value, out)` (the argument order of the
+/// `write_canonical` methods).
+pub fn write_option<T: ?Sized>(
+    out: &mut Vec<u8>,
+    value: Option<&T>,
+    write: impl FnOnce(&T, &mut Vec<u8>),
+) {
+    match value {
+        None => write_u64(out, 0),
+        Some(v) => {
+            write_u64(out, 1);
+            write(v, out);
+        }
+    }
+}
+
+/// A bounds-checked cursor over untrusted canonical bytes. Every read
+/// returns `None` on truncation or a malformed value, and every count
+/// is checked against the bytes that remain before anything is
+/// allocated for it.
+///
+/// A *dry* reader ([`Reader::dry`]) walks the same layout without
+/// materializing it: strings, byte vectors and lists come back empty,
+/// so a dry pass allocates nothing. Decoding a buffer dry first proves
+/// it well-formed, so a hostile buffer is refused before the real pass
+/// allocates a byte.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    dry: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader that decodes `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            dry: false,
+        }
+    }
+
+    /// A reader that only validates `buf` (see the type docs).
+    pub fn dry(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            dry: true,
+        }
+    }
+
+    /// Bytes consumed so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether every byte was consumed.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// Runs a `(buf, pos)` decoder such as [`read_u64`] at the cursor.
+    pub fn with<T>(&mut self, read: impl FnOnce(&[u8], &mut usize) -> Option<T>) -> Option<T> {
+        read(self.buf, &mut self.pos)
+    }
+
+    /// A `u64` (inverse of [`write_u64`]).
+    pub fn u64(&mut self) -> Option<u64> {
+        read_u64(self.buf, &mut self.pos)
+    }
+
+    /// An `f64` by bit pattern (inverse of [`write_f64`]).
+    pub fn f64(&mut self) -> Option<f64> {
+        read_f64(self.buf, &mut self.pos)
+    }
+
+    /// A `u64` word that must fit a `usize`.
+    pub fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// A `u64` word that must fit a `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
+    /// An element count whose elements take at least `min_bytes`
+    /// (non-zero) each: refused unless that many bytes remain.
+    pub fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = self.usize()?;
+        let remaining = self.buf.len() - self.pos;
+        (n.checked_mul(min_bytes)? <= remaining).then_some(n)
+    }
+
+    /// A length-prefixed UTF-8 string (inverse of [`write_str`]).
+    pub fn str(&mut self) -> Option<String> {
+        let s = read_str(self.buf, &mut self.pos)?;
+        Some(if self.dry {
+            String::new()
+        } else {
+            s.to_string()
+        })
+    }
+
+    /// A CV list (inverse of [`write_cvs`]).
+    pub fn cvs(&mut self) -> Option<Vec<Cv>> {
+        self.list(8, |r| {
+            let values = read_bytes(r.buf, &mut r.pos)?;
+            Some(Cv::from_raw(if r.dry {
+                Vec::new()
+            } else {
+                values.to_vec()
+            }))
+        })
+    }
+
+    /// A length-prefixed `f64` slice (inverse of [`write_f64s`]).
+    pub fn f64s(&mut self) -> Option<Vec<f64>> {
+        let n = self.count(8)?;
+        let bytes = &self.buf[self.pos..self.pos + 8 * n];
+        self.pos += bytes.len();
+        if self.dry {
+            return Some(Vec::new());
+        }
+        let word = |c: &[u8]| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")));
+        Some(bytes.chunks_exact(8).map(word).collect())
+    }
+
+    /// A count-prefixed list whose elements take at least `min_bytes`
+    /// each, decoded by `elem`.
+    pub fn list<T>(
+        &mut self,
+        min_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = self.count(min_bytes)?;
+        let mut out = Vec::with_capacity(if self.dry { 0 } else { n });
+        for _ in 0..n {
+            let v = elem(self)?;
+            if !self.dry {
+                out.push(v);
+            }
+        }
+        Some(out)
+    }
+
+    /// An optional value (inverse of [`write_option`]); a presence
+    /// word other than 0 or 1 is malformed.
+    pub fn option<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        match self.u64()? {
+            0 => Some(None),
+            1 => read(self).map(Some),
+            _ => None,
+        }
+    }
 }
 
 /// Folds an encoded buffer into a single `u64` (SplitMix64 over

@@ -15,8 +15,11 @@
 //! campaign is bit-identical to an uninterrupted one.
 
 use crate::algorithms::GreedyOutcome;
+use crate::canonical::Reader;
 use crate::collection::CollectionData;
 use crate::ctx::EvalContext;
+use crate::objective::Objective;
+use crate::pipeline::Phase;
 use crate::result::TuningResult;
 use ft_compiler::FaultModel;
 use serde::{Deserialize, Serialize};
@@ -30,6 +33,12 @@ use std::fmt;
 /// parsed JSON *before* deserializing the struct, so a version-1 file
 /// is refused with a typed [`CheckpointError::Version`] — it is never
 /// silently completed with a defaulted objective.
+///
+/// This versions the JSON export schema (`to_json`/`from_json`) and
+/// the fields a checkpoint carries. The binary campaign WAL record is
+/// versioned on its own by
+/// [`crate::supervisor::RECORD_FORMAT_VERSION`]: moving the WAL off
+/// JSON changed no field and no export, so this stays at 2.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A persisted collection plus its provenance.
@@ -84,9 +93,11 @@ pub enum CheckpointError {
     /// label, duplicate, out of canonical order, or inconsistent with
     /// the phase results actually present).
     Phases(String),
-    /// A CRC-valid campaign journal record is malformed: an unknown
-    /// kind, or a checkpoint or done record without its checkpoint (or
-    /// a done record without its digest).
+    /// A CRC-valid campaign journal record is malformed: its body does
+    /// not decode or fails its checksum, its kind is unknown, a
+    /// checkpoint or done record lacks its checkpoint (or a done record
+    /// its digest), or a checkpoint record does not fold onto the
+    /// records before it (see [`crate::supervisor::fold_checkpoints`]).
     Record(String),
     /// A done record's checkpoint replays to a different canonical
     /// digest than the one the record pins.
@@ -272,7 +283,7 @@ pub struct CampaignCheckpoint {
     /// The `#[serde(default)]` never masks a pre-objective file: the
     /// version gate in [`CampaignCheckpoint::from_json`] fires first.
     #[serde(default)]
-    pub objective: crate::objective::Objective,
+    pub objective: Objective,
     /// `-O3` baseline time, if the baseline phase completed.
     pub baseline_time: Option<f64>,
     /// Figure-4 collection, if completed.
@@ -308,8 +319,7 @@ impl CampaignCheckpoint {
     /// join point while sibling phases were still in flight simply
     /// lacks their entries, and [`crate::Tuner::resume`] recomputes
     /// exactly the missing ones.
-    pub fn completed_phases(&self) -> Vec<crate::pipeline::Phase> {
-        use crate::pipeline::Phase;
+    pub fn completed_phases(&self) -> Vec<Phase> {
         let done = |p: Phase| match p {
             Phase::Baseline => self.baseline_time.is_some(),
             Phase::Collect => self.data.is_some(),
@@ -322,9 +332,9 @@ impl CampaignCheckpoint {
     }
 
     /// Phases a resume still has to run, in canonical order.
-    pub fn pending_phases(&self) -> Vec<crate::pipeline::Phase> {
+    pub fn pending_phases(&self) -> Vec<Phase> {
         let done = self.completed_phases();
-        crate::pipeline::Phase::ALL
+        Phase::ALL
             .into_iter()
             .filter(|p| !done.contains(p))
             .collect()
@@ -347,7 +357,6 @@ impl CampaignCheckpoint {
     /// cross-check but still enforces dependency closure on the
     /// results themselves.
     pub fn validate_phases(&self) -> Result<(), CheckpointError> {
-        use crate::pipeline::Phase;
         if !self.completed.is_empty() {
             let mut last_index: Option<usize> = None;
             for label in &self.completed {
@@ -397,6 +406,97 @@ impl CampaignCheckpoint {
             }
         }
         Ok(())
+    }
+
+    /// Appends the checkpoint in the WAL record encoding (DESIGN §13):
+    /// every field in declaration order, with the canonical primitives,
+    /// losslessly. `phases` restricts it to a segment's delta: the
+    /// phase results outside `phases` are written absent, and the
+    /// stamped list names `phases` alone. The identity and the
+    /// quarantine lists are always written whole.
+    pub(crate) fn write_record(&self, out: &mut Vec<u8>, phases: Option<&[Phase]>) {
+        use crate::canonical::{write_f64, write_option, write_str, write_u64};
+        let keep = |p: Phase| phases.is_none_or(|ps| ps.contains(&p));
+        write_u64(out, u64::from(self.version));
+        write_str(out, &self.workload);
+        write_str(out, &self.arch);
+        write_u64(out, self.budget as u64);
+        write_u64(out, self.focus as u64);
+        write_u64(out, self.seed);
+        write_option(out, self.steps_cap.as_ref(), |cap, out| {
+            write_u64(out, u64::from(*cap))
+        });
+        let f = &self.faults;
+        write_u64(out, f.seed);
+        for rate in [f.compile_failure, f.crash, f.hang, f.outlier] {
+            write_f64(out, rate);
+        }
+        write_option(out, f.exempt_digest.as_ref(), |d, out| write_u64(out, *d));
+        self.objective.write_canonical(out);
+        let baseline = self.baseline_time.filter(|_| keep(Phase::Baseline));
+        write_option(out, baseline.as_ref(), |t, out| write_f64(out, *t));
+        let data = self.data.as_ref().filter(|_| keep(Phase::Collect));
+        write_option(out, data, CollectionData::write_canonical);
+        for (phase, result) in [(Phase::Random, &self.random), (Phase::Fr, &self.fr)] {
+            let result = result.as_ref().filter(|_| keep(phase));
+            write_option(out, result, TuningResult::write_lossless);
+        }
+        let greedy = self.greedy.as_ref().filter(|_| keep(Phase::Greedy));
+        write_option(out, greedy, GreedyOutcome::write_lossless);
+        let cfr = self.cfr.as_ref().filter(|_| keep(Phase::Cfr));
+        write_option(out, cfr, TuningResult::write_lossless);
+        write_u64(out, self.bad_compiles.len() as u64);
+        for (module, digest) in &self.bad_compiles {
+            write_u64(out, *module as u64);
+            write_u64(out, *digest);
+        }
+        write_u64(out, self.bad_programs.len() as u64);
+        for fingerprint in &self.bad_programs {
+            write_u64(out, *fingerprint);
+        }
+        let labels: Vec<&str> = match phases {
+            None => self.completed.iter().map(String::as_str).collect(),
+            Some(ps) => Phase::ALL
+                .into_iter()
+                .filter(|p| ps.contains(p))
+                .map(Phase::label)
+                .collect(),
+        };
+        write_u64(out, labels.len() as u64);
+        for label in labels {
+            write_str(out, label);
+        }
+    }
+
+    /// Inverse of [`CampaignCheckpoint::write_record`].
+    pub(crate) fn read_record(r: &mut Reader) -> Option<CampaignCheckpoint> {
+        Some(CampaignCheckpoint {
+            version: r.u32()?,
+            workload: r.str()?,
+            arch: r.str()?,
+            budget: r.usize()?,
+            focus: r.usize()?,
+            seed: r.u64()?,
+            steps_cap: r.option(Reader::u32)?,
+            faults: FaultModel {
+                seed: r.u64()?,
+                compile_failure: r.f64()?,
+                crash: r.f64()?,
+                hang: r.f64()?,
+                outlier: r.f64()?,
+                exempt_digest: r.option(Reader::u64)?,
+            },
+            objective: r.with(Objective::read_canonical)?,
+            baseline_time: r.option(Reader::f64)?,
+            data: r.option(CollectionData::read_canonical)?,
+            random: r.option(TuningResult::read_lossless)?,
+            fr: r.option(TuningResult::read_lossless)?,
+            greedy: r.option(GreedyOutcome::read_lossless)?,
+            cfr: r.option(TuningResult::read_lossless)?,
+            bad_compiles: r.list(16, |r| Some((r.usize()?, r.u64()?)))?,
+            bad_programs: r.list(8, Reader::u64)?,
+            completed: r.list(8, Reader::str)?,
+        })
     }
 
     /// Serializes to JSON.

@@ -7,6 +7,7 @@
 //! loops from the end-to-end time (§3.3) — it is never measured
 //! directly.
 
+use crate::canonical::Reader;
 use crate::ctx::EvalContext;
 use crate::search::Candidate;
 use ft_caliper::Caliper;
@@ -79,16 +80,23 @@ impl CollectionData {
     /// pattern — including the `+inf` rows of faulted CVs, which JSON
     /// cannot represent.
     pub fn write_canonical(&self, out: &mut Vec<u8>) {
-        use crate::canonical::{write_bytes, write_f64s, write_u64};
-        write_u64(out, self.cvs.len() as u64);
-        for cv in &self.cvs {
-            write_bytes(out, cv.values());
-        }
+        use crate::canonical::{write_cvs, write_f64s, write_u64};
+        write_cvs(out, &self.cvs);
         write_u64(out, self.per_module.len() as u64);
         for row in &self.per_module {
             write_f64s(out, row);
         }
         write_f64s(out, &self.end_to_end);
+    }
+
+    /// Inverse of [`CollectionData::write_canonical`], which is
+    /// lossless.
+    pub fn read_canonical(r: &mut Reader) -> Option<CollectionData> {
+        Some(CollectionData {
+            cvs: r.cvs()?,
+            per_module: r.list(8, Reader::f64s)?,
+            end_to_end: r.f64s()?,
+        })
     }
 
     /// Sum over modules of the per-module minimum — the hypothetical

@@ -138,13 +138,6 @@ pub struct Recovery {
     pub tail: Tail,
 }
 
-impl Recovery {
-    /// The last valid record, if any record survived.
-    pub fn last(&self) -> Option<&[u8]> {
-        self.records.last().map(Vec::as_slice)
-    }
-}
-
 // ---------------------------------------------------------------------
 // The journal itself
 // ---------------------------------------------------------------------

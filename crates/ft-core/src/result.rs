@@ -1,5 +1,6 @@
 //! Tuning outcomes.
 
+use crate::canonical::Reader;
 use crate::objective::{Objective, Score};
 use ft_flags::Cv;
 use serde::{Deserialize, Serialize};
@@ -78,18 +79,27 @@ impl TuningResult {
     /// code bytes, the score timeline, and the front, all by bit
     /// pattern.
     pub fn write_canonical(&self, out: &mut Vec<u8>) {
-        use crate::canonical::{write_bytes, write_f64, write_f64s, write_str, write_u64};
+        self.write_fields(out, self.objective.extends_canonical());
+    }
+
+    /// The lossless form of [`TuningResult::write_canonical`]: the
+    /// objective, winner's code bytes, score timeline and front are
+    /// written under every objective, [`Objective::Time`] included.
+    /// The campaign WAL records use it; digests never do.
+    pub fn write_lossless(&self, out: &mut Vec<u8>) {
+        self.write_fields(out, true);
+    }
+
+    fn write_fields(&self, out: &mut Vec<u8>, extended: bool) {
+        use crate::canonical::{write_cvs, write_f64, write_f64s, write_str, write_u64};
         write_str(out, &self.algorithm);
         write_f64(out, self.best_time);
         write_f64(out, self.baseline_time);
-        write_u64(out, self.assignment.len() as u64);
-        for cv in &self.assignment {
-            write_bytes(out, cv.values());
-        }
+        write_cvs(out, &self.assignment);
         write_u64(out, self.best_index as u64);
         write_f64s(out, &self.history);
         write_u64(out, self.evaluations as u64);
-        if self.objective.extends_canonical() {
+        if extended {
             self.objective.write_canonical(out);
             write_f64(out, self.best_code_bytes);
             write_u64(out, self.scores.len() as u64);
@@ -101,12 +111,33 @@ impl TuningResult {
                 write_u64(out, p.index as u64);
                 write_f64(out, p.time);
                 write_f64(out, p.code_bytes);
-                write_u64(out, p.assignment.len() as u64);
-                for cv in &p.assignment {
-                    write_bytes(out, cv.values());
-                }
+                write_cvs(out, &p.assignment);
             }
         }
+    }
+
+    /// Inverse of [`TuningResult::write_lossless`].
+    pub fn read_lossless(r: &mut Reader) -> Option<TuningResult> {
+        Some(TuningResult {
+            algorithm: r.str()?,
+            best_time: r.f64()?,
+            baseline_time: r.f64()?,
+            assignment: r.cvs()?,
+            best_index: r.usize()?,
+            history: r.f64s()?,
+            evaluations: r.usize()?,
+            objective: r.with(Objective::read_canonical)?,
+            best_code_bytes: r.f64()?,
+            scores: r.list(16, |r| r.with(Score::read_canonical))?,
+            front: r.list(32, |r| {
+                Some(ParetoPoint {
+                    index: r.usize()?,
+                    time: r.f64()?,
+                    code_bytes: r.f64()?,
+                    assignment: r.cvs()?,
+                })
+            })?,
+        })
     }
 
     /// Number of evaluations after which the search was within

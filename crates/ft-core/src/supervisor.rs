@@ -10,16 +10,24 @@
 //! time. Two layers split that work:
 //!
 //! * **One journaled segment executor.** `CampaignLog` owns a
-//!   campaign's [`Journal`]: it recovers the last valid record, keeps
-//!   the segment cursor, runs one segment per step and appends its
-//!   checkpoint, appends the done record and compacts the journal down
-//!   to it, replays a done record from an earlier life (verifying the
+//!   campaign's [`Journal`]: it recovers the campaign by folding the
+//!   journal's checkpoint records ([`fold_checkpoints`]), keeps the
+//!   segment cursor, runs one segment per step and appends a record of
+//!   the phases that segment added, appends the done record (the whole
+//!   final campaign plus its digest) and compacts the journal down to
+//!   it, replays a done record from an earlier life (verifying the
 //!   digest it pins), and writes poison records. The campaign is
 //!   driven through *segments* — cumulative phase targets walking the
 //!   DAG (baseline, collection, each search, the final joins) — so a
 //!   kill between segments loses at most one segment of work. Both the
 //!   [`Supervisor`] and the multi-tenant daemon ([`crate::server`])
 //!   drive this one executor.
+//! * **Binary records.** A [`CampaignRecord`] is written in the
+//!   canonical encoding ([`crate::canonical`]) behind a format tag
+//!   ([`RECORD_MAGIC`], [`RECORD_FORMAT_VERSION`]) and ahead of a
+//!   checksum; a record of any other format is a typed
+//!   [`CheckpointError::Version`] refusal. JSON is the export format
+//!   only (`CampaignCheckpoint::to_json`).
 //! * **Chaos kill-points.** Every step calls its driver's kill hook at
 //!   the record boundary, just before the record is appended. A kill
 //!   drops the step's work with every other in-memory structure and
@@ -43,17 +51,17 @@
 //! `canonical_bytes()` equality between supervised-and-killed runs
 //! and plain `Tuner::run()` across fault models and schedule modes.
 
+use crate::canonical::{digest, write_option, write_str, write_u64, Reader};
 use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
 use crate::ctx::FaultStats;
 use crate::journal::{Journal, JournalError};
 use crate::pipeline::{Phase, Tuner, TuningRun};
 use crate::TuningCost;
 use ft_flags::rng::{derive_seed, splitmix64};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Record kind: an intermediate campaign checkpoint.
+/// Record kind: the phases one segment added to the campaign.
 pub const RECORD_CHECKPOINT: &str = "checkpoint";
 /// Record kind: the campaign completed; carries the final checkpoint
 /// and the canonical digest of the finished run.
@@ -62,30 +70,48 @@ pub const RECORD_DONE: &str = "done";
 /// diagnostic.
 pub const RECORD_POISONED: &str = "poisoned";
 
-/// One journal record of a supervised campaign. A single named struct
-/// (not an enum) so the vendored derive handles it; `kind` selects
-/// which optional fields are meaningful.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// First four bytes of every binary campaign record.
+pub const RECORD_MAGIC: [u8; 4] = *b"FTWR";
+
+/// Format version of the binary campaign record, written as a
+/// little-endian `u32` right after [`RECORD_MAGIC`]. A payload without
+/// the magic, such as a record written by the earlier serde-JSON codec,
+/// reads as version 0; any version but this one is refused with a
+/// typed [`CheckpointError::Version`].
+pub const RECORD_FORMAT_VERSION: u32 = 1;
+
+/// One journal record of a supervised campaign; `kind` selects which
+/// optional fields are meaningful.
+///
+/// A checkpoint record's `checkpoint` holds only what its segment
+/// added: the campaign identity, the new phase result(s) and the
+/// quarantine lists ([`fold_checkpoints`] rebuilds the campaign). A
+/// done record's holds the whole final campaign.
+///
+/// On disk a record is the binary layout of DESIGN §13: the format
+/// tag, every field in the canonical encoding ([`crate::canonical`]),
+/// and a trailing [`crate::canonical::digest`] of everything before
+/// it. `CampaignCheckpoint::to_json` stays the export format.
+#[derive(Debug, Clone)]
 pub struct CampaignRecord {
     /// [`RECORD_CHECKPOINT`], [`RECORD_DONE`], or [`RECORD_POISONED`].
     pub kind: String,
-    /// The frozen campaign state (checkpoint and done records).
-    #[serde(default)]
+    /// The segment's delta (checkpoint records) or the final campaign
+    /// (done records).
     pub checkpoint: Option<CampaignCheckpoint>,
     /// Canonical digest of the finished run, hex (done records).
-    #[serde(default)]
     pub digest: Option<String>,
     /// Why the campaign was quarantined (poisoned records).
-    #[serde(default)]
     pub diagnostic: Option<String>,
     /// The attempt that wrote this record (1-based).
-    #[serde(default)]
     pub attempt: u32,
 }
 
 impl CampaignRecord {
-    /// A mid-campaign checkpoint record (the WAL schema shared by
-    /// `ftune supervise` and the multi-tenant server).
+    /// A checkpoint record carrying `cp` whole. The segment executor
+    /// writes only each segment's delta ([`CampaignRecord::delta_bytes`]),
+    /// which equals this record over a checkpoint holding the delta's
+    /// phases alone.
     pub fn checkpoint(cp: CampaignCheckpoint, attempt: u32) -> CampaignRecord {
         CampaignRecord {
             kind: RECORD_CHECKPOINT.to_string(),
@@ -120,24 +146,64 @@ impl CampaignRecord {
         }
     }
 
-    /// Serializes for a journal payload.
+    /// Encodes the record as a journal payload. Never fails; the
+    /// `Result` is the signature the JSON codec had.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
-        serde_json::to_string(self)
-            .map(String::into_bytes)
-            .map_err(|source| CheckpointError::Serialize { source })
+        Ok(encode_record(
+            &self.kind,
+            self.checkpoint.as_ref().map(|cp| (cp, None)),
+            self.digest.as_deref(),
+            self.diagnostic.as_deref(),
+            self.attempt,
+        ))
     }
 
-    /// Parses a journal payload. A CRC-valid frame whose JSON does not
-    /// parse, whose `kind` is unknown, or whose checkpoint or done
-    /// record lacks its checkpoint (or a done record its digest) is a
-    /// typed error, never a panic and never a silent fresh start.
+    /// The checkpoint record of a segment that added `phases` to the
+    /// campaign `cp`, encoded straight from the engine state.
+    pub(crate) fn delta_bytes(cp: &CampaignCheckpoint, phases: &[Phase], attempt: u32) -> Vec<u8> {
+        encode_record(
+            RECORD_CHECKPOINT,
+            Some((cp, Some(phases))),
+            None,
+            None,
+            attempt,
+        )
+    }
+
+    /// Decodes a journal payload. Every failure is typed, never a
+    /// panic and never a silent fresh start: a payload without this
+    /// build's format tag is [`CheckpointError::Version`]; one that
+    /// fails its checksum or does not decode, whose `kind` is unknown,
+    /// or whose checkpoint or done record lacks its checkpoint (or a
+    /// done record its digest) is [`CheckpointError::Record`]. The body
+    /// is walked once without allocating before it is decoded, so a
+    /// hostile length or count costs no memory.
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignRecord, CheckpointError> {
-        let text = std::str::from_utf8(bytes).map_err(|e| CheckpointError::Deserialize {
-            source: serde::Error::new(format!("record is not UTF-8: {e}")),
-        })?;
-        let record: CampaignRecord =
-            serde_json::from_str(text).map_err(|source| CheckpointError::Deserialize { source })?;
         let malformed = |why: String| Err(CheckpointError::Record(why));
+        let Some(tag) = bytes.get(..8) else {
+            return if RECORD_MAGIC.starts_with(bytes) || bytes.starts_with(&RECORD_MAGIC) {
+                malformed(format!("record truncated to {} bytes", bytes.len()))
+            } else {
+                Err(unsupported(0))
+            };
+        };
+        if tag[..4] != RECORD_MAGIC {
+            return Err(unsupported(0));
+        }
+        let version = u32::from_le_bytes(tag[4..].try_into().expect("4 bytes"));
+        if version != RECORD_FORMAT_VERSION {
+            return Err(unsupported(version));
+        }
+        let Some(split) = bytes.len().checked_sub(8).filter(|n| *n >= 8) else {
+            return malformed(format!("record truncated to {} bytes", bytes.len()));
+        };
+        let (sealed, trailer) = bytes.split_at(split);
+        if digest(sealed).to_le_bytes() != trailer {
+            return malformed("record checksum mismatch".to_string());
+        }
+        let body = &sealed[8..];
+        decode_body(&mut Reader::dry(body))?;
+        let record = decode_body(&mut Reader::new(body))?;
         match record.kind.as_str() {
             RECORD_CHECKPOINT | RECORD_DONE if record.checkpoint.is_none() => {
                 return malformed(format!("{} record carries no checkpoint", record.kind))
@@ -148,10 +214,64 @@ impl CampaignRecord {
             RECORD_CHECKPOINT | RECORD_DONE | RECORD_POISONED => {}
             other => return malformed(format!("unknown record kind {other:?}")),
         }
-        if let Some(cp) = &record.checkpoint {
+        // A delta is not closed under dependencies; the fold validates
+        // what the deltas add up to.
+        if let (RECORD_DONE, Some(cp)) = (record.kind.as_str(), &record.checkpoint) {
             cp.validate_phases()?;
         }
         Ok(record)
+    }
+}
+
+fn unsupported(found: u32) -> CheckpointError {
+    CheckpointError::Version {
+        found,
+        supported: RECORD_FORMAT_VERSION,
+    }
+}
+
+/// Writes a record: the format tag, the fields, the checksum. A
+/// checkpoint paired with `Some(phases)` is written as that delta.
+fn encode_record(
+    kind: &str,
+    checkpoint: Option<(&CampaignCheckpoint, Option<&[Phase]>)>,
+    digest_hex: Option<&str>,
+    diagnostic: Option<&str>,
+    attempt: u32,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&RECORD_MAGIC);
+    out.extend_from_slice(&RECORD_FORMAT_VERSION.to_le_bytes());
+    write_str(&mut out, kind);
+    write_u64(&mut out, u64::from(attempt));
+    write_option(&mut out, checkpoint.as_ref(), |(cp, phases), out| {
+        cp.write_record(out, *phases)
+    });
+    for text in [digest_hex, diagnostic] {
+        write_option(&mut out, text, |s, out| write_str(out, s));
+    }
+    let sum = digest(&out);
+    write_u64(&mut out, sum);
+    out
+}
+
+/// Decodes the fields between the format tag and the checksum.
+fn decode_body(r: &mut Reader) -> Result<CampaignRecord, CheckpointError> {
+    let fields = |r: &mut Reader| {
+        Some(CampaignRecord {
+            kind: r.str()?,
+            attempt: r.u32()?,
+            checkpoint: r.option(CampaignCheckpoint::read_record)?,
+            digest: r.option(Reader::str)?,
+            diagnostic: r.option(Reader::str)?,
+        })
+    };
+    match fields(r) {
+        Some(record) if r.at_end() => Ok(record),
+        _ => Err(CheckpointError::Record(format!(
+            "record body malformed at byte {}",
+            8 + r.pos()
+        ))),
     }
 }
 
@@ -393,20 +513,124 @@ pub fn default_segments() -> Vec<Vec<Phase>> {
     ]
 }
 
+/// The phases a segment completes: its targets and their dependency
+/// closure, in canonical order.
+fn segment_phases(targets: &[Phase]) -> Vec<Phase> {
+    Phase::ALL
+        .into_iter()
+        .filter(|p| targets.iter().any(|t| t == p || t.requires().contains(p)))
+        .collect()
+}
+
 /// Whether a checkpoint already covers a segment: every phase the
 /// segment's targets imply, dependency closure included, completed.
 fn segment_done(cp: &CampaignCheckpoint, targets: &[Phase]) -> bool {
     let done = cp.completed_phases();
-    targets
-        .iter()
-        .flat_map(|t| t.requires().into_iter().chain([*t]))
-        .all(|p| done.contains(&p))
+    segment_phases(targets).iter().all(|p| done.contains(p))
+}
+
+/// Folds a journal's checkpoint records, in order, into the campaign
+/// they describe (`None` for no record). Record `i` must carry the
+/// identity of the records before it and only phases they lack, and
+/// after it the completed set must be exactly the phases segment `i`
+/// of [`default_segments`] completes. The quarantine lists only grow,
+/// so the last record's are kept. Anything else (a missing, reordered,
+/// duplicated or empty delta, a foreign identity, a record of another
+/// kind) is a typed [`CheckpointError::Record`], and each folded state
+/// must pass [`CampaignCheckpoint::validate_phases`].
+pub fn fold_checkpoints(
+    records: impl IntoIterator<Item = CampaignRecord>,
+) -> Result<Option<CampaignCheckpoint>, CheckpointError> {
+    let segments = default_segments();
+    let mut folded: Option<CampaignCheckpoint> = None;
+    for (i, record) in records.into_iter().enumerate() {
+        let refuse = |why: String| CheckpointError::Record(format!("checkpoint record {i}: {why}"));
+        let delta = match (record.kind.as_str(), record.checkpoint) {
+            (RECORD_CHECKPOINT, Some(delta)) => delta,
+            (kind, _) => return Err(refuse(format!("a {kind} record is not a segment delta"))),
+        };
+        let Some(targets) = segments.get(i) else {
+            return Err(refuse(format!("the plan has {} segments", segments.len())));
+        };
+        if delta.completed_phases().is_empty() {
+            return Err(refuse("adds no phase".to_string()));
+        }
+        if delta.completed != delta.completed_labels() {
+            return Err(refuse(format!(
+                "stamps {:?} but carries {:?}",
+                delta.completed,
+                delta.completed_labels()
+            )));
+        }
+        let mut cp = match folded.take() {
+            None => delta,
+            Some(mut cp) => {
+                merge(&mut cp, delta).map_err(refuse)?;
+                cp
+            }
+        };
+        cp.completed = cp.completed_labels();
+        let want = segment_phases(targets);
+        if cp.completed_phases() != want {
+            let labels = |ps: &[Phase]| ps.iter().map(|p| p.label()).collect::<Vec<_>>();
+            return Err(refuse(format!(
+                "the journal then holds {:?}, but segment {i} completes {:?}",
+                cp.completed,
+                labels(&want)
+            )));
+        }
+        cp.validate_phases()?;
+        folded = Some(cp);
+    }
+    Ok(folded)
+}
+
+/// Adds a segment's delta to the campaign folded so far.
+fn merge(cp: &mut CampaignCheckpoint, delta: CampaignCheckpoint) -> Result<(), String> {
+    fn identity(c: &CampaignCheckpoint) -> impl PartialEq + '_ {
+        (
+            c.version,
+            c.workload.as_str(),
+            c.arch.as_str(),
+            c.budget,
+            c.focus,
+            c.seed,
+            c.steps_cap,
+            c.faults,
+            c.objective,
+        )
+    }
+    if identity(cp) != identity(&delta) {
+        return Err(format!(
+            "belongs to another campaign ({} seed {} vs {} seed {})",
+            delta.workload, delta.seed, cp.workload, cp.seed
+        ));
+    }
+    fn add<T>(slot: &mut Option<T>, value: Option<T>, phase: Phase) -> Result<(), String> {
+        match (slot.is_some(), value) {
+            (true, Some(_)) => Err(format!("repeats phase {:?}", phase.label())),
+            (_, Some(v)) => {
+                *slot = Some(v);
+                Ok(())
+            }
+            (_, None) => Ok(()),
+        }
+    }
+    add(&mut cp.baseline_time, delta.baseline_time, Phase::Baseline)?;
+    add(&mut cp.data, delta.data, Phase::Collect)?;
+    add(&mut cp.random, delta.random, Phase::Random)?;
+    add(&mut cp.fr, delta.fr, Phase::Fr)?;
+    add(&mut cp.greedy, delta.greedy, Phase::Greedy)?;
+    add(&mut cp.cfr, delta.cfr, Phase::Cfr)?;
+    cp.bad_compiles = delta.bad_compiles;
+    cp.bad_programs = delta.bad_programs;
+    Ok(())
 }
 
 /// What the executor knows of its campaign between steps.
 enum LogState {
-    /// Mid-campaign: the last durable checkpoint (`None` before the
-    /// first segment commits).
+    /// Mid-campaign: the campaign the durable checkpoint records hold
+    /// (`None` before the first segment commits).
     Running(Option<CampaignCheckpoint>),
     /// An earlier life finished: the done record's checkpoint and the
     /// digest it pins.
@@ -457,26 +681,31 @@ pub(crate) struct CampaignLog {
 
 impl CampaignLog {
     /// Opens (or creates) the journal at `path` and recovers the
-    /// campaign from its last valid record. A malformed record is a
-    /// typed [`SupervisorError::Checkpoint`]; a poison record opens,
-    /// and [`CampaignLog::poisoned`] reports its diagnostic.
+    /// campaign. A journal ending in a done or poison record opens to
+    /// that record, and [`CampaignLog::poisoned`] reports a poison
+    /// record's diagnostic; otherwise the checkpoint records fold into
+    /// the campaign so far ([`fold_checkpoints`]). A malformed record,
+    /// or one that does not fold, is a typed
+    /// [`SupervisorError::Checkpoint`].
     pub(crate) fn open(path: &Path) -> Result<CampaignLog, SupervisorError> {
         let (journal, recovery) = Journal::open_or_create(path)?;
-        let state = match recovery
+        let mut records = recovery
+            .records
+            .iter()
+            .map(|bytes| CampaignRecord::from_bytes(bytes))
+            .collect::<Result<Vec<_>, _>>()?;
+        let terminal = records
             .last()
-            .map(CampaignRecord::from_bytes)
-            .transpose()?
-        {
-            None => LogState::Running(None),
-            Some(record) => match (record.kind.as_str(), record.checkpoint, record.digest) {
-                (RECORD_POISONED, ..) => LogState::Poisoned(
-                    record
-                        .diagnostic
+            .is_some_and(|r| r.kind == RECORD_DONE || r.kind == RECORD_POISONED);
+        let state = match records.pop() {
+            Some(last) if terminal => match (last.kind.as_str(), last.checkpoint, last.digest) {
+                (RECORD_DONE, Some(cp), Some(digest)) => LogState::Done(cp, digest),
+                _ => LogState::Poisoned(
+                    last.diagnostic
                         .unwrap_or_else(|| "poisoned with no diagnostic".to_string()),
                 ),
-                (RECORD_DONE, Some(cp), Some(digest)) => LogState::Done(cp, digest),
-                (_, cp, _) => LogState::Running(cp),
             },
+            last => LogState::Running(fold_checkpoints(records.into_iter().chain(last))?),
         };
         Ok(CampaignLog { journal, state })
     }
@@ -501,8 +730,8 @@ impl CampaignLog {
         matches!(self.state, LogState::Done(..))
     }
 
-    /// The last durable mid-campaign checkpoint, if a segment has
-    /// committed.
+    /// The campaign so far, folded from the durable checkpoint
+    /// records, if a segment has committed.
     pub(crate) fn checkpoint(&self) -> Option<&CampaignCheckpoint> {
         match &self.state {
             LogState::Running(cp) => cp.as_ref(),
@@ -556,6 +785,9 @@ impl CampaignLog {
             .iter()
             .position(|s| !checkpoint.as_ref().is_some_and(|cp| segment_done(cp, s)));
         if let Some(segment) = next {
+            let before = checkpoint
+                .as_ref()
+                .map_or_else(Vec::new, CampaignCheckpoint::completed_phases);
             let paused = match checkpoint {
                 None => tuner().run_until_phases_costed(&segments[segment]),
                 Some(cp) => tuner().resume_until_phases_costed(cp, &segments[segment])?,
@@ -566,9 +798,11 @@ impl CampaignLog {
                     faults: paused.faults,
                 });
             }
-            let mut record = CampaignRecord::checkpoint(paused.checkpoint, attempt);
-            self.journal.append(&record.to_bytes()?)?;
-            self.state = LogState::Running(record.checkpoint.take());
+            let mut added = paused.checkpoint.completed_phases();
+            added.retain(|p| !before.contains(p));
+            let payload = CampaignRecord::delta_bytes(&paused.checkpoint, &added, attempt);
+            self.journal.append(&payload)?;
+            self.state = LogState::Running(Some(paused.checkpoint));
             return Ok(Step::Committed {
                 segment,
                 cost: paused.cost,
@@ -589,10 +823,11 @@ impl CampaignLog {
         }
         let payload = CampaignRecord::done(cp, digest, attempt).to_bytes()?;
         self.journal.append(&payload)?;
-        // Compaction only saves space (the checkpoint prefix can be
-        // megabytes of collection data): the done record is already
-        // durable at the journal tail, which is all recovery reads, so
-        // a failed compaction leaves a correct, longer journal.
+        // Compaction only saves space (the done record repeats every
+        // delta before it): the done record is already durable at the
+        // journal tail, and recovery of a journal ending in a done
+        // record reads that record alone, so a failed compaction
+        // leaves a correct, longer journal.
         let _ = self.journal.compact(&[&payload]);
         Ok(Step::Done {
             run: Box::new(run),

@@ -367,3 +367,87 @@ fn a_done_record_with_a_tampered_digest_is_refused() {
         other => panic!("expected a typed DigestMismatch refusal, got {other:?}"),
     }
 }
+
+/// Every one-record tampering of a journal's checkpoint chain: drop,
+/// swap with the next, or duplicate record `k`, or replace it with
+/// record `k` of another campaign's chain. Dropping the last record is
+/// left out: that is the journal an earlier kill leaves, not a tamper.
+fn tampered_chains(chain: &[Vec<u8>], foreign: &[Vec<u8>]) -> Vec<(String, Vec<Vec<u8>>)> {
+    let mut cases = Vec::new();
+    for k in 0..chain.len() {
+        let mut edit = |what: &str, apply: &dyn Fn(&mut Vec<Vec<u8>>)| {
+            let mut records = chain.to_vec();
+            apply(&mut records);
+            cases.push((format!("{what} record {k}"), records));
+        };
+        if k + 1 < chain.len() {
+            edit("drop", &|r| {
+                r.remove(k);
+            });
+            edit("swap", &|r| r.swap(k, k + 1));
+        }
+        edit("duplicate", &|r| r.insert(k, r[k].clone()));
+        edit("splice a foreign", &|r| r[k] = foreign[k].clone());
+    }
+    cases
+}
+
+/// The checkpoint chain a campaign writes before it is killed at its
+/// done record: one delta record per segment.
+fn killed_before_done<'a>(make: impl Fn() -> Tuner<'a> + 'a, label: &str) -> Vec<Vec<u8>> {
+    let j = journal(label);
+    let killed = Supervisor::new(&j.0, make)
+        .chaos(ChaosPolicy::KillOnce {
+            boundary: default_segments().len(),
+        })
+        .config(SupervisorConfig {
+            max_attempts: 1,
+            ..SupervisorConfig::default()
+        })
+        .run();
+    assert!(matches!(
+        killed,
+        Err(SupervisorError::AttemptsExhausted { .. })
+    ));
+    let records = Journal::recover(&j.0).unwrap().records;
+    assert_eq!(records.len(), default_segments().len(), "{label}");
+    records
+}
+
+#[test]
+fn a_tampered_checkpoint_chain_is_a_typed_refusal() {
+    let arch = Architecture::broadwell();
+    let w = swim();
+    let faults = FaultModel::testbed(0xFA17);
+    let seeded = |seed| {
+        let (w, arch) = (&w, &arch);
+        move || tuner(w, arch, faults, ScheduleMode::Serial).seed(seed)
+    };
+    let chain = killed_before_done(seeded(42), "tamper-own");
+    let foreign = killed_before_done(seeded(43), "tamper-foreign");
+    for (label, records) in tampered_chains(&chain, &foreign) {
+        let j = journal(&format!("tamper-{}", label.replace(' ', "-")));
+        let mut journal = Journal::create(&j.0).unwrap();
+        for record in &records {
+            journal.append(record).unwrap();
+        }
+        match Supervisor::new(&j.0, seeded(42)).run() {
+            Err(SupervisorError::Checkpoint(CheckpointError::Record(why))) => {
+                assert!(why.starts_with("checkpoint record"), "{label}: {why}")
+            }
+            other => panic!("{label}: expected a typed Record refusal, got {other:?}"),
+        }
+    }
+
+    // The untampered prefix an earlier kill leaves resumes to the
+    // reference bytes.
+    let reference = seeded(42)().run();
+    let j = journal("tamper-prefix");
+    let mut journal = Journal::create(&j.0).unwrap();
+    for record in &chain[..chain.len() - 1] {
+        journal.append(record).unwrap();
+    }
+    let resumed = Supervisor::new(&j.0, seeded(42)).run().unwrap();
+    assert_eq!(resumed.report.resumed_from, vec![chain.len() - 1]);
+    assert_bytes_equal(&reference, &resumed.run, "untampered prefix");
+}

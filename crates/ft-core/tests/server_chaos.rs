@@ -14,9 +14,14 @@
 //! 4. A CRC-valid but malformed WAL record is a typed `Wal` refusal at
 //!    admission, and a done record whose digest does not replay
 //!    poisons its tenant.
+//! 5. A tenant WAL whose checkpoint chain was tampered with (a record
+//!    dropped, swapped, duplicated or spliced in from another seed) is
+//!    a typed `Wal` refusal at admission.
 
 use ft_compiler::FaultModel;
-use ft_core::supervisor::{CampaignRecord, RECORD_CHECKPOINT, RECORD_DONE, RECORD_POISONED};
+use ft_core::supervisor::{
+    default_segments, CampaignRecord, RECORD_CHECKPOINT, RECORD_DONE, RECORD_POISONED,
+};
 use ft_core::{
     AdmissionError, CampaignSpec, ChaosPolicy, Journal, ObjectStore, Phase, ProgressEvent,
     ServerConfig, TenantOutcome, TuningRun, TuningServer,
@@ -293,5 +298,67 @@ fn a_done_record_with_a_tampered_digest_poisons_its_tenant() {
         .records;
     let last = CampaignRecord::from_bytes(records.last().expect("records")).expect("parses");
     assert_eq!(last.kind, RECORD_POISONED, "the quarantine is durable");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint chain a lone tenant writes before the daemon is
+/// killed at its done record: one delta record per segment.
+fn tenant_chain(spec: &CampaignSpec, dir: &Path) -> Vec<Vec<u8>> {
+    let mut server = TuningServer::new(ServerConfig::new(dir).threads(1).chaos(
+        ChaosPolicy::KillOnce {
+            boundary: default_segments().len(),
+        },
+    ))
+    .expect("server dir");
+    server.submit("chain", spec.clone()).expect("admission");
+    assert_eq!(server.run().kills, 1);
+    let records = Journal::recover(&dir.join("tenant-chain.wal"))
+        .expect("wal")
+        .records;
+    assert_eq!(records.len(), default_segments().len());
+    records
+}
+
+#[test]
+fn a_tampered_checkpoint_chain_is_a_typed_admission_refusal() {
+    let own = spec(42, 60);
+    let dir = temp_dir("server-tamper");
+    let chain = tenant_chain(&own, &dir.join("own"));
+    let foreign = tenant_chain(&spec(43, 60), &dir.join("foreign"));
+    let mut cases: Vec<(String, Vec<Vec<u8>>)> = Vec::new();
+    for k in 0..chain.len() {
+        let mut edit = |what: &str, apply: &dyn Fn(&mut Vec<Vec<u8>>)| {
+            let mut records = chain.clone();
+            apply(&mut records);
+            cases.push((format!("{what}-{k}"), records));
+        };
+        // Dropping the last record leaves the journal of an earlier
+        // kill, which must resume, so it is not a tamper case.
+        if k + 1 < chain.len() {
+            edit("drop", &|r| {
+                r.remove(k);
+            });
+            edit("swap", &|r| r.swap(k, k + 1));
+        }
+        edit("duplicate", &|r| r.insert(k, r[k].clone()));
+        edit("splice", &|r| r[k] = foreign[k].clone());
+    }
+    let tampered = dir.join("tampered");
+    std::fs::create_dir_all(&tampered).expect("dir");
+    for (name, records) in cases {
+        let mut journal =
+            Journal::create(&tampered.join(format!("tenant-{name}.wal"))).expect("journal");
+        for record in &records {
+            journal.append(record).expect("append");
+        }
+        let mut server = TuningServer::new(ServerConfig::new(&tampered)).expect("dir");
+        match server.submit(&name, own.clone()) {
+            Err(AdmissionError::Wal(why)) => {
+                assert!(why.contains(&name), "{why}");
+                assert!(why.contains("checkpoint record"), "{name}: {why}");
+            }
+            other => panic!("{name}: expected a typed Wal refusal, got {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,6 +49,14 @@ impl Cv {
         Some(Cv { values })
     }
 
+    /// Rebuilds a CV from raw value indices with no space at hand to
+    /// check them against: the trust the serde derive extends to a
+    /// deserialized checkpoint, here for the binary checkpoint-record
+    /// decoder.
+    pub fn from_raw(values: Vec<u8>) -> Self {
+        Cv { values }
+    }
+
     /// The `-O3` baseline vector (every flag at its default value).
     pub fn baseline(space: &FlagSpace) -> Self {
         Cv {
