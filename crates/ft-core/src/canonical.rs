@@ -7,9 +7,13 @@
 //! `f64` is its IEEE-754 bit pattern, every length is a little-endian
 //! `u64` prefix, and every field is written in declaration order. Two
 //! values encode to the same bytes iff every deterministic field is
-//! bit-identical. Digests, the worker wire protocol and the campaign
-//! WAL records ([`crate::supervisor::CampaignRecord`]) all use it;
-//! [`Reader`] is the hardened decoder for the last two.
+//! bit-identical. Digests, the worker wire protocol, spooled campaign
+//! specs and the campaign WAL records
+//! ([`crate::supervisor::CampaignRecord`]) all use it, and [`Reader`]
+//! is the one decoder of every surface that takes these bytes from
+//! outside the process: wire messages, spool specs and WAL records all
+//! read through it, so the rule for bounding untrusted bytes lives in
+//! one place.
 
 use ft_flags::rng::mix;
 use ft_flags::Cv;
@@ -52,41 +56,6 @@ pub fn write_cvs(out: &mut Vec<u8>, cvs: &[Cv]) {
     }
 }
 
-/// Reads a little-endian `u64` at `*pos`, advancing it. `None` when
-/// fewer than 8 bytes remain — decoders must treat that as typed
-/// truncation, never index past the buffer.
-pub fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-}
-
-/// Reads an `f64` by exact bit pattern (inverse of [`write_f64`]).
-pub fn read_f64(buf: &[u8], pos: &mut usize) -> Option<f64> {
-    read_u64(buf, pos).map(f64::from_bits)
-}
-
-/// Reads a length-prefixed byte slice (inverse of [`write_bytes`]).
-/// The declared length is validated against the remaining buffer
-/// *before* any slicing or allocation, so a hostile length prefix can
-/// neither panic nor reserve unbounded memory.
-pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let len = read_u64(buf, pos)?;
-    let len = usize::try_from(len).ok()?;
-    if len > buf.len().saturating_sub(*pos) {
-        return None;
-    }
-    let bytes = &buf[*pos..*pos + len];
-    *pos += len;
-    Some(bytes)
-}
-
-/// Reads a length-prefixed UTF-8 string (inverse of [`write_str`]).
-/// Invalid UTF-8 is a decode failure, not a lossy conversion.
-pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    std::str::from_utf8(read_bytes(buf, pos)?).ok()
-}
-
 /// Appends an optional value: a `0` word for `None`, else a `1` word
 /// followed by `write(value, out)` (the argument order of the
 /// `write_canonical` methods).
@@ -104,10 +73,12 @@ pub fn write_option<T: ?Sized>(
     }
 }
 
-/// A bounds-checked cursor over untrusted canonical bytes. Every read
-/// returns `None` on truncation or a malformed value, and every count
-/// is checked against the bytes that remain before anything is
-/// allocated for it.
+/// A bounds-checked cursor over untrusted canonical bytes: the one
+/// decoder of every byte surface. Every read returns `None` on
+/// truncation or a malformed value and leaves the cursor at the start
+/// of the field it could not read, so [`Reader::pos`] names where a
+/// refusal begins. Every count is checked against the bytes that remain
+/// before anything is allocated for it.
 ///
 /// A *dry* reader ([`Reader::dry`]) walks the same layout without
 /// materializing it: strings, byte vectors and lists come back empty,
@@ -149,53 +120,75 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    /// Runs a `(buf, pos)` decoder such as [`read_u64`] at the cursor.
-    pub fn with<T>(&mut self, read: impl FnOnce(&[u8], &mut usize) -> Option<T>) -> Option<T> {
-        read(self.buf, &mut self.pos)
+    /// Reads one field with `read`, rewinding to its start on failure.
+    fn field<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let start = self.pos;
+        let value = read(self);
+        if value.is_none() {
+            self.pos = start;
+        }
+        value
+    }
+
+    /// The next `n` bytes, borrowed from the buffer.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let bytes = self.buf.get(self.pos..)?.get(..n)?;
+        self.pos += n;
+        Some(bytes)
     }
 
     /// A `u64` (inverse of [`write_u64`]).
     pub fn u64(&mut self) -> Option<u64> {
-        read_u64(self.buf, &mut self.pos)
+        let word = self.take(8)?;
+        Some(u64::from_le_bytes(word.try_into().expect("8 bytes")))
     }
 
     /// An `f64` by bit pattern (inverse of [`write_f64`]).
     pub fn f64(&mut self) -> Option<f64> {
-        read_f64(self.buf, &mut self.pos)
+        self.u64().map(f64::from_bits)
     }
 
     /// A `u64` word that must fit a `usize`.
     pub fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
+        self.field(|r| usize::try_from(r.u64()?).ok())
     }
 
     /// A `u64` word that must fit a `u32`.
     pub fn u32(&mut self) -> Option<u32> {
-        u32::try_from(self.u64()?).ok()
+        self.field(|r| u32::try_from(r.u64()?).ok())
     }
 
     /// An element count whose elements take at least `min_bytes`
     /// (non-zero) each: refused unless that many bytes remain.
     pub fn count(&mut self, min_bytes: usize) -> Option<usize> {
-        let n = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
-        (n.checked_mul(min_bytes)? <= remaining).then_some(n)
+        self.field(|r| {
+            let n = r.usize()?;
+            (n.checked_mul(min_bytes)? <= r.buf.len() - r.pos).then_some(n)
+        })
+    }
+
+    /// A length-prefixed byte slice (inverse of [`write_bytes`]),
+    /// borrowed from the buffer even when dry.
+    pub fn bytes(&mut self) -> Option<&'a [u8]> {
+        self.field(|r| {
+            let n = r.count(1)?;
+            r.take(n)
+        })
     }
 
     /// A length-prefixed UTF-8 string (inverse of [`write_str`]).
+    /// Invalid UTF-8 is a decode failure, not a lossy conversion.
     pub fn str(&mut self) -> Option<String> {
-        let s = read_str(self.buf, &mut self.pos)?;
-        Some(if self.dry {
-            String::new()
-        } else {
-            s.to_string()
+        self.field(|r| {
+            let s = std::str::from_utf8(r.bytes()?).ok()?;
+            Some(if r.dry { String::new() } else { s.to_string() })
         })
     }
 
     /// A CV list (inverse of [`write_cvs`]).
     pub fn cvs(&mut self) -> Option<Vec<Cv>> {
         self.list(8, |r| {
-            let values = read_bytes(r.buf, &mut r.pos)?;
+            let values = r.bytes()?;
             Some(Cv::from_raw(if r.dry {
                 Vec::new()
             } else {
@@ -206,14 +199,7 @@ impl<'a> Reader<'a> {
 
     /// A length-prefixed `f64` slice (inverse of [`write_f64s`]).
     pub fn f64s(&mut self) -> Option<Vec<f64>> {
-        let n = self.count(8)?;
-        let bytes = &self.buf[self.pos..self.pos + 8 * n];
-        self.pos += bytes.len();
-        if self.dry {
-            return Some(Vec::new());
-        }
-        let word = |c: &[u8]| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")));
-        Some(bytes.chunks_exact(8).map(word).collect())
+        self.list(8, Self::f64)
     }
 
     /// A count-prefixed list whose elements take at least `min_bytes`
@@ -294,27 +280,38 @@ mod tests {
         write_f64(&mut out, f64::INFINITY);
         write_bytes(&mut out, &[1, 2, 3]);
         write_str(&mut out, "swim");
-        let mut pos = 0;
-        assert_eq!(read_u64(&out, &mut pos), Some(0xDEAD_BEEF_u64));
-        assert_eq!(
-            read_f64(&out, &mut pos).map(f64::to_bits),
-            Some(f64::INFINITY.to_bits())
-        );
-        assert_eq!(read_bytes(&out, &mut pos), Some(&[1u8, 2, 3][..]));
-        assert_eq!(read_str(&out, &mut pos), Some("swim"));
-        assert_eq!(pos, out.len());
-        assert_eq!(read_u64(&out, &mut pos), None, "past the end");
+        let mut r = Reader::new(&out);
+        assert_eq!(r.u64(), Some(0xDEAD_BEEF_u64));
+        assert_eq!(r.f64().map(f64::to_bits), Some(f64::INFINITY.to_bits()));
+        assert_eq!(r.bytes(), Some(&[1u8, 2, 3][..]));
+        assert_eq!(r.str().as_deref(), Some("swim"));
+        assert!(r.at_end());
+        assert_eq!(r.u64(), None, "past the end");
     }
 
     #[test]
     fn hostile_length_prefix_is_refused_without_allocation() {
         let mut out = Vec::new();
         write_u64(&mut out, u64::MAX); // claims ~2^64 bytes follow
-        let mut pos = 0;
-        assert_eq!(read_bytes(&out, &mut pos), None);
+        assert_eq!(Reader::new(&out).bytes(), None);
         // Truncation mid-prefix is also a clean refusal.
-        let mut pos = 0;
-        assert_eq!(read_bytes(&out[..4], &mut pos), None);
+        assert_eq!(Reader::new(&out[..4]).bytes(), None);
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_cursor_at_the_field() {
+        let mut out = Vec::new();
+        write_u64(&mut out, 7);
+        write_u64(&mut out, 100); // a length prefix that overruns
+        out.extend_from_slice(b"short");
+        let mut r = Reader::new(&out);
+        assert_eq!(r.u64(), Some(7));
+        assert_eq!(r.bytes(), None);
+        assert_eq!(r.pos(), 8, "rewound to the length prefix");
+        assert_eq!(r.count(1), None);
+        assert_eq!(r.pos(), 8);
+        assert_eq!(r.str(), None);
+        assert_eq!(r.pos(), 8);
     }
 
     #[test]

@@ -486,7 +486,7 @@ impl CampaignCheckpoint {
                 outlier: r.f64()?,
                 exempt_digest: r.option(Reader::u64)?,
             },
-            objective: r.with(Objective::read_canonical)?,
+            objective: Objective::read_canonical(r).ok()?,
             baseline_time: r.option(Reader::f64)?,
             data: r.option(CollectionData::read_canonical)?,
             random: r.option(TuningResult::read_lossless)?,

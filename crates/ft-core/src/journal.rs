@@ -24,7 +24,7 @@
 //! The journal stores opaque byte payloads; the campaign-level record
 //! schema lives in [`crate::supervisor`].
 
-use crate::framing::{append_frame, decode_frame};
+use crate::framing::{append_frame, decode_frames};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -284,8 +284,9 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
     Ok(())
 }
 
-/// The recovery scanner: header gate, then frame after frame until the
-/// first invalid one.
+/// The recovery scanner: header gate, then the shared frame decoder's
+/// longest valid prefix; the valid length is the header plus the frames
+/// it consumed.
 fn scan(path: &Path, bytes: &[u8]) -> Result<Recovery, JournalError> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return Err(JournalError::BadHeader {
@@ -293,33 +294,20 @@ fn scan(path: &Path, bytes: &[u8]) -> Result<Recovery, JournalError> {
             found: bytes[..bytes.len().min(MAGIC.len())].to_vec(),
         });
     }
-    let mut records = Vec::new();
-    let mut pos = MAGIC.len();
-    loop {
-        if pos == bytes.len() {
-            return Ok(Recovery {
-                records,
-                valid_len: pos as u64,
-                tail: Tail::Clean,
-            });
-        }
-        match decode_frame(&bytes[pos..]) {
-            Ok((payload, consumed)) => {
-                records.push(payload.to_vec());
-                pos += consumed;
-            }
-            Err(reason) => {
-                return Ok(Recovery {
-                    records,
-                    valid_len: pos as u64,
-                    tail: Tail::Torn {
-                        offset: pos as u64,
-                        reason,
-                    },
-                })
-            }
-        }
-    }
+    let (payloads, stop) = decode_frames(&bytes[MAGIC.len()..]);
+    let consumed: usize = payloads.iter().map(|p| FRAME_HEADER + p.len()).sum();
+    let valid_len = (MAGIC.len() + consumed) as u64;
+    Ok(Recovery {
+        records: payloads.into_iter().map(<[u8]>::to_vec).collect(),
+        valid_len,
+        tail: match stop {
+            None => Tail::Clean,
+            Some(reason) => Tail::Torn {
+                offset: valid_len,
+                reason,
+            },
+        },
+    })
 }
 
 /// Test-support: a unique temp path under the OS temp dir. Uniqueness

@@ -83,7 +83,7 @@ pub use search::{
 };
 pub use server::{
     arch_by_name, AdmissionError, CampaignSpec, ProgressEvent, ServerConfig, ServerReport,
-    TenantOutcome, TenantReport, TuningServer, SPEC_VERSION,
+    TenantOutcome, TenantReport, TuningServer, MAX_BUDGET, SPEC_VERSION,
 };
 pub use stability::{measure_repeated, speedup_with_stats, MeasurementStats};
 pub use store::ObjectStore;

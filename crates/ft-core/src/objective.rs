@@ -30,7 +30,8 @@
 //! multiply-add per side, no transcendentals), so it is as
 //! deterministic as the times themselves.
 
-use crate::canonical::{read_f64, read_u64, write_f64, write_u64};
+use crate::canonical::{write_f64, write_u64, Reader};
+use crate::remote::{need, WireError};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
@@ -94,9 +95,9 @@ impl Score {
     }
 
     /// Inverse of [`Score::write_canonical`].
-    pub fn read_canonical(buf: &[u8], pos: &mut usize) -> Option<Score> {
-        let time = read_f64(buf, pos)?;
-        let code_bytes = read_f64(buf, pos)?;
+    pub fn read_canonical(r: &mut Reader) -> Option<Score> {
+        let time = r.f64()?;
+        let code_bytes = r.f64()?;
         Some(Score { time, code_bytes })
     }
 }
@@ -194,17 +195,22 @@ impl Objective {
         write_f64(out, w);
     }
 
-    /// Inverse of [`Objective::write_canonical`]; `None` on truncation
-    /// or an unknown tag.
-    pub fn read_canonical(buf: &[u8], pos: &mut usize) -> Option<Objective> {
-        let tag = read_u64(buf, pos)?;
-        let w = read_f64(buf, pos)?;
+    /// Inverse of [`Objective::write_canonical`], and the one check of
+    /// an objective word on every surface: a truncated word is
+    /// [`WireError::Truncated`] at the field that ran out, an unknown
+    /// tag or a weight outside [0, 1] (NaN included) a
+    /// [`WireError::BadValue`] naming which. The wire reports these as
+    /// they are; the spool and the WAL map them to their own refusals.
+    pub fn read_canonical(r: &mut Reader) -> Result<Objective, WireError> {
+        let tag = need(r.u64(), r)?;
+        let w = need(r.f64(), r)?;
         match tag {
-            0 => Some(Objective::Time),
-            1 => Some(Objective::CodeBytes),
-            2 if w.is_finite() && (0.0..=1.0).contains(&w) => Some(Objective::Weighted { w }),
-            3 => Some(Objective::Pareto),
-            _ => None,
+            0 => Ok(Objective::Time),
+            1 => Ok(Objective::CodeBytes),
+            2 if (0.0..=1.0).contains(&w) => Ok(Objective::Weighted { w }),
+            2 => Err(WireError::BadValue("objective weight outside [0, 1]")),
+            3 => Ok(Objective::Pareto),
+            _ => Err(WireError::BadValue("unknown objective tag")),
         }
     }
 }
@@ -405,15 +411,25 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             o.write_canonical(&mut buf);
-            let mut pos = 0;
-            assert_eq!(Objective::read_canonical(&buf, &mut pos), Some(o));
-            assert_eq!(pos, buf.len());
+            let mut r = Reader::new(&buf);
+            assert_eq!(Objective::read_canonical(&mut r), Ok(o));
+            assert!(r.at_end());
         }
         let mut buf = Vec::new();
         write_u64(&mut buf, 9); // unknown tag
         write_f64(&mut buf, 0.0);
-        assert_eq!(Objective::read_canonical(&buf, &mut 0), None);
-        assert_eq!(Objective::read_canonical(&buf[..4], &mut 0), None);
+        assert_eq!(
+            Objective::read_canonical(&mut Reader::new(&buf)),
+            Err(WireError::BadValue("unknown objective tag"))
+        );
+        assert_eq!(
+            Objective::read_canonical(&mut Reader::new(&buf[..4])),
+            Err(WireError::Truncated { at: 0 })
+        );
+        assert_eq!(
+            Objective::read_canonical(&mut Reader::new(&buf[..12])),
+            Err(WireError::Truncated { at: 8 })
+        );
     }
 
     #[test]

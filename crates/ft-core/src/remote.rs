@@ -43,9 +43,8 @@
 //! definitions it lost, and resends the batch. Because evaluation is
 //! pure, the retried shard returns the same bits.
 
-use crate::canonical::{read_bytes, read_u64, write_bytes, write_u64};
+use crate::canonical::{write_bytes, write_u64, Reader};
 use crate::ctx::{EvalContext, ResilienceConfig};
-use crate::framing::crc32;
 use crate::objective::{Objective, Score};
 use crate::pipeline::Tuner;
 use crate::search::{Candidate, Proposal};
@@ -180,7 +179,10 @@ impl From<std::io::Error> for RemoteError {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec — one implementation, shared with the WAL journal.
+// Frame codec — one implementation, shared with the WAL journal. One
+// stream reader, `read_frame`, pulls every frame off a pipe (the worker
+// loop, the hello handshake and every round trip), and `decode_frame`
+// is the one CRC check behind it and behind the in-process transport.
 // ---------------------------------------------------------------------------
 
 pub use crate::framing::{decode_frame, decode_frames, encode_frame};
@@ -193,30 +195,38 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), RemoteErro
     Ok(())
 }
 
-/// Reads one frame from a stream. `Ok(None)` is a clean EOF at a
-/// frame boundary; EOF inside a frame is [`RemoteError::WorkerDied`].
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, RemoteError> {
-    let mut header = [0u8; FRAME_HEADER];
+/// Reads one whole frame (header and payload) off a stream, its CRC
+/// unchecked: [`decode_frame`] is the one CRC check of every transport.
+/// `Ok(None)` is a clean EOF at a frame boundary and EOF inside a frame
+/// is [`RemoteError::WorkerDied`]. A length above [`MAX_FRAME_BYTES`] is
+/// refused before anything is allocated for it.
+fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, RemoteError> {
+    let mut frame = vec![0u8; FRAME_HEADER];
     let mut got = 0;
     while got < FRAME_HEADER {
-        match r.read(&mut header[got..])? {
+        match r.read(&mut frame[got..])? {
             0 if got == 0 => return Ok(None),
             0 => return Err(RemoteError::WorkerDied("EOF inside frame header".into())),
             n => got += n,
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(RemoteError::Frame(FrameError::LengthInsane));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
+    frame.resize(FRAME_HEADER + len, 0);
+    r.read_exact(&mut frame[FRAME_HEADER..])
         .map_err(|_| RemoteError::WorkerDied("EOF inside frame payload".into()))?;
-    if crc32(&payload) != crc {
-        return Err(RemoteError::Frame(FrameError::CrcMismatch));
-    }
-    Ok(Some(payload))
+    Ok(Some(frame))
+}
+
+/// The next message on a stream, CRC-checked; `Ok(None)` on a clean
+/// EOF at a frame boundary.
+fn read_message<R: Read>(r: &mut R) -> Result<Option<Message>, RemoteError> {
+    let Some(frame) = read_frame(r)? else {
+        return Ok(None);
+    };
+    Ok(Some(decode_message(decode_frame(&frame)?.0)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -265,9 +275,10 @@ impl HelloSpec {
     /// Rebuilds the coordinator's evaluation context with the
     /// coordinator's own recipe (the [`Tuner`] it would build from
     /// these fields), so a worker's digests, noise streams and fault
-    /// rolls are bit-identical to the coordinator's. Refuses a fault
-    /// rate outside [0, 1] (NaN included), a timeout factor that is
-    /// not finite and positive, a retry count beyond `u32`, and
+    /// rolls are bit-identical to the coordinator's. Refuses a zero
+    /// step cap (a run of no steps has no hot loops to outline), a
+    /// fault rate outside [0, 1] (NaN included), a timeout factor that
+    /// is not finite and positive, a retry count beyond `u32`, and
     /// workload or architecture names this build does not know.
     pub fn context(&self) -> Result<EvalContext, RemoteError> {
         let resilience = self.check()?;
@@ -298,6 +309,9 @@ impl HelloSpec {
     /// runs them before it spawns a worker process. The codec itself
     /// stays faithful to whatever bytes it is given.
     fn check(&self) -> Result<ResilienceConfig, WireError> {
+        if self.steps_cap == 0 {
+            return Err(WireError::BadValue("steps cap of zero"));
+        }
         check_rate("compile-failure rate", self.fault_compile)?;
         check_rate("crash rate", self.fault_crash)?;
         check_rate("hang rate", self.fault_hang)?;
@@ -466,10 +480,10 @@ impl LedgerDelta {
         }
     }
 
-    fn read(buf: &[u8], pos: &mut usize) -> Result<LedgerDelta, WireError> {
+    fn read(r: &mut Reader) -> Result<LedgerDelta, WireError> {
         let mut c = [0u64; 14];
         for v in &mut c {
-            *v = take_u64(buf, pos)?;
+            *v = need(r.u64(), r)?;
         }
         Ok(LedgerDelta::from_counters(c))
     }
@@ -505,31 +519,10 @@ pub enum Message {
     Shutdown,
 }
 
-fn take_u64(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
-    let at = *pos;
-    read_u64(buf, pos).ok_or(WireError::Truncated { at })
-}
-
-fn take_f64(buf: &[u8], pos: &mut usize) -> Result<f64, WireError> {
-    take_u64(buf, pos).map(f64::from_bits)
-}
-
-fn take_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], WireError> {
-    let at = *pos;
-    read_bytes(buf, pos).ok_or(WireError::Truncated { at })
-}
-
-fn take_objective(buf: &[u8], pos: &mut usize) -> Result<Objective, WireError> {
-    let tag = take_u64(buf, pos)?;
-    let w = take_f64(buf, pos)?;
-    match tag {
-        0 => Ok(Objective::Time),
-        1 => Ok(Objective::CodeBytes),
-        2 if w.is_finite() && (0.0..=1.0).contains(&w) => Ok(Objective::Weighted { w }),
-        2 => Err(WireError::BadValue("objective weight outside [0, 1]")),
-        3 => Ok(Objective::Pareto),
-        _ => Err(WireError::BadValue("unknown objective tag")),
-    }
+/// The value of a read at `r`, or [`WireError::Truncated`] at the field
+/// it could not read (where a failed [`Reader`] read leaves the cursor).
+pub(crate) fn need<T>(value: Option<T>, r: &Reader) -> Result<T, WireError> {
+    value.ok_or(WireError::Truncated { at: r.pos() })
 }
 
 /// Encodes a message payload (frame it with [`encode_frame`] before
@@ -596,73 +589,64 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     out
 }
 
-/// Decodes a message payload. Every failure is typed; claimed counts
-/// are never trusted for allocation (each element is read — and
-/// bounds-checked — before it is pushed, so a hostile count dies on
-/// truncation, not OOM).
+/// Decodes a message payload. Every failure is typed, and every
+/// claimed count is checked against the bytes that remain before
+/// anything is allocated for it, so a hostile count dies on truncation,
+/// not OOM.
 pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
-    let mut pos = 0;
-    let msg = match take_u64(buf, &mut pos)? {
+    let r = &mut Reader::new(buf);
+    let name = |r: &mut Reader, what| {
+        let bytes = need(r.bytes(), r)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_string)
+            .map_err(|_| WireError::BadValue(what))
+    };
+    let msg = match need(r.u64(), r)? {
         MSG_HELLO => {
-            let version = take_u64(buf, &mut pos)?;
+            let version = need(r.u64(), r)?;
             if version != PROTOCOL_VERSION {
                 return Err(WireError::Version {
                     found: version,
                     supported: PROTOCOL_VERSION,
                 });
             }
-            let workload = std::str::from_utf8(take_bytes(buf, &mut pos)?)
-                .map_err(|_| WireError::BadValue("workload name not UTF-8"))?
-                .to_string();
-            let arch = std::str::from_utf8(take_bytes(buf, &mut pos)?)
-                .map_err(|_| WireError::BadValue("arch name not UTF-8"))?
-                .to_string();
             Message::Hello(HelloSpec {
-                workload,
-                arch,
-                steps_cap: take_u64(buf, &mut pos)?,
-                seed: take_u64(buf, &mut pos)?,
-                fault_seed: take_u64(buf, &mut pos)?,
-                fault_compile: take_f64(buf, &mut pos)?,
-                fault_crash: take_f64(buf, &mut pos)?,
-                fault_hang: take_f64(buf, &mut pos)?,
-                fault_outlier: take_f64(buf, &mut pos)?,
-                max_retries: take_u64(buf, &mut pos)?,
-                timeout_factor: take_f64(buf, &mut pos)?,
-                objective: take_objective(buf, &mut pos)?,
+                workload: name(r, "workload name not UTF-8")?,
+                arch: name(r, "arch name not UTF-8")?,
+                steps_cap: need(r.u64(), r)?,
+                seed: need(r.u64(), r)?,
+                fault_seed: need(r.u64(), r)?,
+                fault_compile: need(r.f64(), r)?,
+                fault_crash: need(r.f64(), r)?,
+                fault_hang: need(r.f64(), r)?,
+                fault_outlier: need(r.f64(), r)?,
+                max_retries: need(r.u64(), r)?,
+                timeout_factor: need(r.f64(), r)?,
+                objective: Objective::read_canonical(r)?,
             })
         }
         MSG_HELLO_ACK => Message::HelloAck {
-            modules: take_u64(buf, &mut pos)?,
+            modules: need(r.u64(), r)?,
         },
         MSG_WORK => {
-            let seq = take_u64(buf, &mut pos)?;
-            let timeout_ref_bits = take_u64(buf, &mut pos)?;
-            let n_defs = take_u64(buf, &mut pos)?;
-            let mut defs = Vec::new();
-            for _ in 0..n_defs {
-                let digest = take_u64(buf, &mut pos)?;
-                let values = take_bytes(buf, &mut pos)?.to_vec();
-                defs.push((digest, values));
-            }
-            let n_items = take_u64(buf, &mut pos)?;
-            let mut items = Vec::new();
-            for _ in 0..n_items {
-                let uniform = match take_u64(buf, &mut pos)? {
+            let seq = need(r.u64(), r)?;
+            let timeout_ref_bits = need(r.u64(), r)?;
+            // A definition is at least a digest and a length prefix.
+            let defs = r.list(16, |r| Some((r.u64()?, r.bytes()?.to_vec())));
+            let defs = need(defs, r)?;
+            // An item is at least its tag, digest count and noise seed.
+            let n = need(r.count(24), r)?;
+            let mut items = Vec::with_capacity(n);
+            for _ in 0..n {
+                let uniform = match need(r.u64(), r)? {
                     0 => false,
                     1 => true,
                     _ => return Err(WireError::BadValue("uniform tag")),
                 };
-                let n_digests = take_u64(buf, &mut pos)?;
-                let mut digests = Vec::new();
-                for _ in 0..n_digests {
-                    digests.push(take_u64(buf, &mut pos)?);
-                }
-                let noise_seed = take_u64(buf, &mut pos)?;
                 items.push(WorkItem {
                     uniform,
-                    digests,
-                    noise_seed,
+                    digests: need(r.list(8, Reader::u64), r)?,
+                    noise_seed: need(r.u64(), r)?,
                 });
             }
             Message::Work(WorkBatch {
@@ -672,32 +656,18 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
                 items,
             })
         }
-        MSG_REPLY => {
-            let seq = take_u64(buf, &mut pos)?;
-            let n_times = take_u64(buf, &mut pos)?;
-            let mut time_bits = Vec::new();
-            for _ in 0..n_times {
-                time_bits.push(take_u64(buf, &mut pos)?);
-            }
-            let n_codes = take_u64(buf, &mut pos)?;
-            let mut code_bits = Vec::new();
-            for _ in 0..n_codes {
-                code_bits.push(take_u64(buf, &mut pos)?);
-            }
-            let ledger = LedgerDelta::read(buf, &mut pos)?;
-            Message::Reply(BatchReply {
-                seq,
-                time_bits,
-                code_bits,
-                ledger,
-            })
-        }
+        MSG_REPLY => Message::Reply(BatchReply {
+            seq: need(r.u64(), r)?,
+            time_bits: need(r.list(8, Reader::u64), r)?,
+            code_bits: need(r.list(8, Reader::u64), r)?,
+            ledger: LedgerDelta::read(r)?,
+        }),
         MSG_SHUTDOWN => Message::Shutdown,
         other => return Err(WireError::UnknownKind(other)),
     };
-    if pos != buf.len() {
+    if !r.at_end() {
         return Err(WireError::Trailing {
-            extra: buf.len() - pos,
+            extra: buf.len() - r.pos(),
         });
     }
     Ok(msg)
@@ -790,9 +760,8 @@ impl Worker {
 /// ([`HelloSpec::context`]), answers every work batch, and exits
 /// cleanly on shutdown or EOF.
 pub fn serve<R: Read, W: Write>(rx: &mut R, tx: &mut W) -> Result<(), RemoteError> {
-    let hello = match read_frame(rx)? {
-        None => return Ok(()),
-        Some(payload) => decode_message(&payload)?,
+    let Some(hello) = read_message(rx)? else {
+        return Ok(());
     };
     let spec = match hello {
         Message::Hello(spec) => spec,
@@ -809,8 +778,8 @@ pub fn serve<R: Read, W: Write>(rx: &mut R, tx: &mut W) -> Result<(), RemoteErro
             modules: worker.modules() as u64,
         }),
     )?;
-    while let Some(payload) = read_frame(rx)? {
-        match decode_message(&payload)? {
+    while let Some(msg) = read_message(rx)? {
+        match msg {
             Message::Work(batch) => {
                 let reply = worker.work(&batch)?;
                 write_frame(tx, &encode_message(&Message::Reply(reply)))?;
@@ -901,9 +870,9 @@ impl ProcessTransport {
         let mut stdin = child.stdin.take().expect("piped stdin");
         let mut stdout = child.stdout.take().expect("piped stdout");
         write_frame(&mut stdin, &encode_message(&Message::Hello(spec.clone())))?;
-        let ack = read_frame(&mut stdout)?
+        let ack = read_message(&mut stdout)?
             .ok_or_else(|| RemoteError::WorkerDied("worker exited before hello ack".into()))?;
-        match decode_message(&ack)? {
+        match ack {
             Message::HelloAck { modules } if modules == expect_modules => Ok(ProcessTransport {
                 child,
                 stdin,
@@ -927,24 +896,8 @@ impl Transport for ProcessTransport {
         // unverified: the coordinator's `decode_frame` is the single
         // point of verification for every transport, so pipe damage
         // and in-process damage take the identical typed path.
-        let mut header = [0u8; FRAME_HEADER];
-        let mut got = 0;
-        while got < FRAME_HEADER {
-            match self.stdout.read(&mut header[got..])? {
-                0 => return Err(RemoteError::WorkerDied("worker exited mid-batch".into())),
-                n => got += n,
-            }
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(RemoteError::Frame(FrameError::LengthInsane));
-        }
-        let mut reply = vec![0u8; FRAME_HEADER + len];
-        reply[..FRAME_HEADER].copy_from_slice(&header);
-        self.stdout
-            .read_exact(&mut reply[FRAME_HEADER..])
-            .map_err(|_| RemoteError::WorkerDied("worker exited inside a reply frame".into()))?;
-        Ok(reply)
+        read_frame(&mut self.stdout)?
+            .ok_or_else(|| RemoteError::WorkerDied("worker exited mid-batch".into()))
     }
 }
 
@@ -1431,6 +1384,16 @@ mod tests {
         let (prefix, tail) = decode_frames(&stream);
         assert_eq!(prefix.len(), 1);
         assert_eq!(tail, Some(FrameError::LengthOverrun));
+    }
+
+    #[test]
+    fn the_stream_reader_refuses_an_insane_length_before_allocation() {
+        let mut header = u32::MAX.to_le_bytes().to_vec();
+        header.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut &header[..]),
+            Err(RemoteError::Frame(FrameError::LengthInsane))
+        ));
     }
 
     #[test]

@@ -126,9 +126,9 @@ impl TuningResult {
             best_index: r.usize()?,
             history: r.f64s()?,
             evaluations: r.usize()?,
-            objective: r.with(Objective::read_canonical)?,
+            objective: Objective::read_canonical(r).ok()?,
             best_code_bytes: r.f64()?,
-            scores: r.list(16, |r| r.with(Score::read_canonical))?,
+            scores: r.list(16, Score::read_canonical)?,
             front: r.list(32, |r| {
                 Some(ParetoPoint {
                     index: r.usize()?,

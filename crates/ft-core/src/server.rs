@@ -53,11 +53,12 @@
 //! `tenancy_equivalence`, `server_chaos`, and `prop_server` suites
 //! prove the composition.
 
+use crate::canonical::Reader;
 use crate::checkpoint::CampaignCheckpoint;
 use crate::ctx::FaultStats;
 use crate::objective::Objective;
 use crate::pipeline::{Tuner, TuningRun};
-use crate::remote::{check_rate, WireError};
+use crate::remote::{check_rate, need, WireError};
 use crate::store::ObjectStore;
 use crate::supervisor::{CampaignLog, ChaosPolicy, Step};
 use crate::TuningCost;
@@ -75,6 +76,14 @@ use std::sync::{Arc, Condvar, Mutex};
 /// a version-1 spec can never decode with a silently defaulted
 /// objective.
 pub const SPEC_VERSION: u64 = 2;
+
+/// The largest sample budget K a campaign is admitted with, on the
+/// spool and on the command line. Collection samples all K CVs at
+/// once, so an unbounded K is an allocation failure that aborts the
+/// whole process (a daemon with every tenant), not a typed refusal.
+/// One million is 1000x the paper's K = 1000; a collection that size
+/// holds tens of MiB of CVs and runs for hours.
+pub const MAX_BUDGET: usize = 1_000_000;
 
 /// A tenant's campaign submission: everything the daemon needs to
 /// rebuild the exact [`Tuner`] the tenant would run alone.
@@ -201,29 +210,23 @@ impl CampaignSpec {
     /// version skew, impossible values, and trailing bytes are all
     /// refused without panicking.
     pub fn decode(buf: &[u8]) -> Result<CampaignSpec, WireError> {
-        use crate::canonical::{read_f64, read_str, read_u64};
-        let mut pos = 0;
-        let truncated = |at: usize| WireError::Truncated { at };
-        let version = read_u64(buf, &mut pos).ok_or(truncated(0))?;
+        let r = &mut Reader::new(buf);
+        let version = need(r.u64(), r)?;
         if version != SPEC_VERSION {
             return Err(WireError::Version {
                 found: version,
                 supported: SPEC_VERSION,
             });
         }
-        let workload = read_str(buf, &mut pos)
-            .ok_or(WireError::BadValue("workload name"))?
-            .to_string();
-        let arch = read_str(buf, &mut pos)
-            .ok_or(WireError::BadValue("arch name"))?
-            .to_string();
-        let budget = usize::try_from(read_u64(buf, &mut pos).ok_or(truncated(pos))?)
+        let workload = r.str().ok_or(WireError::BadValue("workload name"))?;
+        let arch = r.str().ok_or(WireError::BadValue("arch name"))?;
+        let budget = usize::try_from(need(r.u64(), r)?)
             .map_err(|_| WireError::BadValue("budget out of range"))?;
-        let focus = usize::try_from(read_u64(buf, &mut pos).ok_or(truncated(pos))?)
+        let focus = usize::try_from(need(r.u64(), r)?)
             .map_err(|_| WireError::BadValue("focus out of range"))?;
-        let seed = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
-        let has_steps = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
-        let steps_raw = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
+        let seed = need(r.u64(), r)?;
+        let has_steps = need(r.u64(), r)?;
+        let steps_raw = need(r.u64(), r)?;
         let steps_cap = match has_steps {
             0 => None,
             1 => {
@@ -231,26 +234,24 @@ impl CampaignSpec {
             }
             _ => return Err(WireError::BadValue("steps cap flag")),
         };
-        let fault_seed = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
-        let mut rate = |what: &'static str| -> Result<f64, WireError> {
-            check_rate(what, read_f64(buf, &mut pos).ok_or(truncated(pos))?)
-        };
+        let fault_seed = need(r.u64(), r)?;
+        let mut rate = |what| check_rate(what, need(r.f64(), r)?);
         let fault_compile = rate("compile-failure rate")?;
         let fault_crash = rate("crash rate")?;
         let fault_hang = rate("hang rate")?;
         let fault_outlier = rate("outlier rate")?;
-        let has_cap = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
-        let cap_raw = read_u64(buf, &mut pos).ok_or(truncated(pos))?;
+        let has_cap = need(r.u64(), r)?;
+        let cap_raw = need(r.u64(), r)?;
         let run_cap = match has_cap {
             0 => None,
             1 => Some(cap_raw),
             _ => return Err(WireError::BadValue("run cap flag")),
         };
-        let objective = Objective::read_canonical(buf, &mut pos)
-            .ok_or(WireError::BadValue("objective word"))?;
-        if pos != buf.len() {
+        let objective =
+            Objective::read_canonical(r).map_err(|_| WireError::BadValue("objective word"))?;
+        if !r.at_end() {
             return Err(WireError::Trailing {
-                extra: buf.len() - pos,
+                extra: buf.len() - r.pos(),
             });
         }
         Ok(CampaignSpec {
@@ -683,14 +684,17 @@ impl TuningServer {
         let arch = arch_by_name(&spec.arch).ok_or_else(|| {
             AdmissionError::InvalidSpec(format!("unknown architecture {:?}", spec.arch))
         })?;
-        if spec.budget < 2 {
+        if !(2..=MAX_BUDGET).contains(&spec.budget) {
             return Err(AdmissionError::InvalidSpec(format!(
-                "budget {} too small",
+                "budget {} outside [2, {MAX_BUDGET}]",
                 spec.budget
             )));
         }
         if spec.focus < 1 {
             return Err(AdmissionError::InvalidSpec("focus must be >= 1".into()));
+        }
+        if spec.steps_cap == Some(0) {
+            return Err(AdmissionError::InvalidSpec("steps cap must be >= 1".into()));
         }
 
         let path = self.config.dir.join(format!("tenant-{name}.wal"));
@@ -1088,6 +1092,18 @@ mod tests {
         bad_arch.arch = "itanium".into();
         assert!(matches!(
             server.submit("t0", bad_arch),
+            Err(AdmissionError::InvalidSpec(_))
+        ));
+        let mut no_steps = spec();
+        no_steps.steps_cap = Some(0);
+        assert!(matches!(
+            server.submit("t0", no_steps),
+            Err(AdmissionError::InvalidSpec(_))
+        ));
+        let mut huge = spec();
+        huge.budget = MAX_BUDGET + 1;
+        assert!(matches!(
+            server.submit("t0", huge),
             Err(AdmissionError::InvalidSpec(_))
         ));
         server.submit("t0", spec()).expect("valid spec admitted");

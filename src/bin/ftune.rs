@@ -15,7 +15,7 @@
 
 use funcytuner::machine::roofline;
 use funcytuner::prelude::*;
-use funcytuner::tuning::{collect, critical_flags, random_search, Objective};
+use funcytuner::tuning::{collect, critical_flags, random_search, Objective, MAX_BUDGET};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,8 +76,8 @@ impl Args {
                     args.k = it
                         .next()
                         .and_then(|s| s.parse().ok())
-                        .filter(|k| *k >= 2)
-                        .ok_or("--k needs a sample budget >= 2")?
+                        .filter(|k| (2..=MAX_BUDGET).contains(k))
+                        .ok_or_else(|| format!("--k needs a sample budget in [2, {MAX_BUDGET}]"))?
                 }
                 "--x" => {
                     args.x = it
@@ -1008,6 +1008,14 @@ mod tests {
     fn parse_rejects_bad_input() {
         assert!(Args::parse(&argv("tune --k")).is_err());
         assert!(Args::parse(&argv("tune swim --k 1")).is_err());
+        assert!(Args::parse(&argv("tune swim --k 1099511627776")).is_err());
+        assert!(Args::parse(&argv(&format!("tune swim --k {}", MAX_BUDGET + 1))).is_err());
+        assert_eq!(
+            Args::parse(&argv(&format!("tune swim --k {MAX_BUDGET}")))
+                .unwrap()
+                .k,
+            MAX_BUDGET
+        );
         assert!(Args::parse(&argv("tune swim --x 0")).is_err());
         assert!(Args::parse(&argv("tune --bogus 1")).is_err());
         assert!(Args::parse(&[]).is_err());

@@ -216,6 +216,13 @@ fn a_worker_child_refuses_an_unknown_workload() {
             },
             true,
         ),
+        (
+            HelloSpec {
+                steps_cap: 0,
+                ..good.clone()
+            },
+            true,
+        ),
     ];
     for (spec, at_parent) in &bad {
         match ProcessTransport::spawn(&ftune(), spec, 1) {
@@ -229,22 +236,22 @@ fn a_worker_child_refuses_an_unknown_workload() {
         assert!(spec.context().is_err(), "{spec:?}");
     }
     assert!(good.context().is_ok());
+
+    // A child handed the zero-cap hello directly refuses it with the
+    // typed diagnostic instead of panicking.
+    let zero_cap = HelloSpec {
+        steps_cap: 0,
+        ..good.clone()
+    };
+    let out = worker_fed(&encode_frame(&encode_message(&Message::Hello(zero_cap))));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("steps cap of zero"), "{stderr}");
 }
 
-#[test]
-fn a_worker_child_exits_cleanly_on_a_protocol_version_mismatch() {
-    use funcytuner::tuning::canonical::write_u64;
-    use funcytuner::tuning::remote::PROTOCOL_VERSION;
+/// Runs an `ftune worker` child on `input` (then EOF) to its exit.
+fn worker_fed(input: &[u8]) -> std::process::Output {
     use std::io::Write;
-
-    // Hand-craft a hello frame from a future protocol revision (the
-    // version word is checked before any other hello field, so the
-    // truncated spec never matters).
-    let mut payload = Vec::new();
-    write_u64(&mut payload, 1); // MSG_HELLO
-    write_u64(&mut payload, PROTOCOL_VERSION + 1);
-    let frame = encode_frame(&payload);
-
     let mut child = Command::new(ftune())
         .arg("worker")
         .stdin(std::process::Stdio::piped())
@@ -256,9 +263,25 @@ fn a_worker_child_exits_cleanly_on_a_protocol_version_mismatch() {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(&frame)
-        .expect("frame written");
-    let out = child.wait_with_output().expect("worker exits");
+        .write_all(input)
+        .expect("input written");
+    child.wait_with_output().expect("worker exits")
+}
+
+#[test]
+fn a_worker_child_exits_cleanly_on_a_protocol_version_mismatch() {
+    use funcytuner::tuning::canonical::write_u64;
+    use funcytuner::tuning::remote::PROTOCOL_VERSION;
+
+    // Hand-craft a hello frame from a future protocol revision (the
+    // version word is checked before any other hello field, so the
+    // truncated spec never matters).
+    let mut payload = Vec::new();
+    write_u64(&mut payload, 1); // MSG_HELLO
+    write_u64(&mut payload, PROTOCOL_VERSION + 1);
+    let frame = encode_frame(&payload);
+
+    let out = worker_fed(&frame);
 
     assert!(
         !out.status.success(),

@@ -1,13 +1,23 @@
-//! The campaign WAL record codec under hostile input, and its
+//! Every byte surface under hostile input, and the WAL record codec's
 //! losslessness on real journals.
 //!
-//! 1. **Hostile input.** `CampaignRecord::from_bytes` runs on a real
-//!    delta record and a real done record truncated at every byte
-//!    offset, with a bit flipped at every byte offset, and with each
-//!    element-count prefix set to `u64::MAX` (re-sealed with a fresh
-//!    checksum so the decoder, not the checksum, must refuse it). Every
-//!    case is a typed error, never a panic, and allocates no more than
-//!    the record's length (a counting global allocator measures it).
+//! 1. **Hostile input.** One harness ([`attack`]) takes a valid payload
+//!    and its decoder and runs it truncated at every byte offset, with
+//!    a bit flipped at every byte offset, and with each element-count
+//!    or length prefix set to `u64::MAX`. Cuts and hostile counts must
+//!    be typed refusals; a flip may decode to another valid value.
+//!    Nothing may panic, and no refusal may hold more than a fixed
+//!    multiple of the payload's length (a counting global allocator
+//!    measures it; each surface states its multiple). It runs over:
+//!    - a real delta and done WAL record (`CampaignRecord::from_bytes`),
+//!      each case re-sealed with a fresh checksum so the decoder, not
+//!      the checksum, must refuse it; the checksum itself must refuse
+//!      every raw cut and flip;
+//!    - HELLO, WORK (with CV definitions) and REPLY wire messages
+//!      (`decode_message`);
+//!    - a spooled `CampaignSpec` (`CampaignSpec::decode`);
+//!    - a worker's frame stream, cut at every offset: it ends cleanly
+//!      only at a frame boundary and is `WorkerDied` inside a frame.
 //! 2. **Losslessness.** Under both fault models and both the Time and
 //!    Pareto objectives, every segment's delta and every folded
 //!    checkpoint re-encodes to identical bytes and exports the same
@@ -17,19 +27,25 @@
 //!    is a typed `Version` refusal for `Supervisor`, the daemon and
 //!    `ftune supervise`.
 //!
-//! The byte layout the walker below follows is the one DESIGN §13
-//! documents.
+//! The byte layouts the walker below follows are the ones DESIGN §13
+//! (WAL records), §14 (wire messages) and §15 (spool specs) document.
 
 use funcytuner::compiler::FaultModel;
 use funcytuner::prelude::*;
 use funcytuner::tuning::canonical::digest;
 use funcytuner::tuning::journal::temp_journal_path;
+use funcytuner::tuning::remote::{decode_message, encode_frame, encode_message, serve};
 use funcytuner::tuning::supervisor::{
     default_segments, fold_checkpoints, CampaignRecord, RECORD_FORMAT_VERSION,
 };
-use funcytuner::tuning::{CampaignCheckpoint, CheckpointError, Objective, Phase};
+use funcytuner::tuning::{
+    BatchReply, CampaignCheckpoint, CheckpointError, HelloSpec, LedgerDelta, Message, Objective,
+    Phase, RemoteError, WireError, WorkBatch, WorkItem,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Debug;
+use std::io::Cursor;
 use std::path::PathBuf;
 
 // ---------------------------------------------------------------------
@@ -177,9 +193,8 @@ fn record_bytes(cp: &CampaignCheckpoint) -> Vec<u8> {
 // The documented layout
 // ---------------------------------------------------------------------
 
-/// Walks a record by the layout DESIGN §13 documents, independently of
-/// the decoder, and collects the offset of every count or length
-/// prefix.
+/// Walks a payload by its documented layout, independently of the
+/// decoder, and collects the offset of every count or length prefix.
 struct Walker<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -270,26 +285,34 @@ impl Walker<'_> {
     }
 }
 
-/// Every count prefix of a whole record, checking that the layout
-/// accounts for every byte.
-fn count_offsets(record: &[u8]) -> Vec<usize> {
-    assert_eq!(&record[..4], b"FTWR");
-    assert_eq!(
-        u32::from_le_bytes(record[4..8].try_into().unwrap()),
-        RECORD_FORMAT_VERSION
-    );
+/// The offset of every count prefix in `buf` from `from` on, walked by
+/// `layout`, which must account for every byte.
+fn count_offsets(buf: &[u8], from: usize, layout: impl FnOnce(&mut Walker)) -> Vec<usize> {
     let mut w = Walker {
-        buf: record,
-        pos: 8,
+        buf,
+        pos: from,
         counts: Vec::new(),
     };
-    w.bytes(); // kind
-    w.word(); // attempt
-    w.option(Walker::checkpoint);
-    w.option(Walker::bytes); // digest
-    w.option(Walker::bytes); // diagnostic
-    assert_eq!(w.pos + 8, record.len(), "layout leaves bytes over");
+    layout(&mut w);
+    assert_eq!(w.pos, buf.len(), "layout leaves bytes over");
     w.counts
+}
+
+/// Every count prefix of a record's body (the record without its
+/// checksum trailer).
+fn record_counts(body: &[u8]) -> Vec<usize> {
+    assert_eq!(&body[..4], b"FTWR");
+    assert_eq!(
+        u32::from_le_bytes(body[4..8].try_into().unwrap()),
+        RECORD_FORMAT_VERSION
+    );
+    count_offsets(body, 8, |w| {
+        w.bytes(); // kind
+        w.word(); // attempt
+        w.option(Walker::checkpoint);
+        w.option(Walker::bytes); // digest
+        w.option(Walker::bytes); // diagnostic
+    })
 }
 
 /// `body` with a fresh checksum trailer, as an encoder would seal it.
@@ -303,9 +326,84 @@ fn reseal(mut sealed: Vec<u8>) -> Vec<u8> {
 // 1. Hostile input
 // ---------------------------------------------------------------------
 
-/// Decodes `bytes`, which must be refused with a typed error while
-/// holding at most `bound` bytes.
-fn assert_refused(bytes: &[u8], bound: usize, label: &str) -> CheckpointError {
+/// One byte surface under attack.
+struct Surface<'a> {
+    label: &'a str,
+    /// A valid payload; for a sealed surface, the part under its seal.
+    body: &'a [u8],
+    /// Wraps a mutated body the way its encoder would (the WAL's
+    /// checksum trailer); the identity for an unsealed surface.
+    seal: fn(Vec<u8>) -> Vec<u8>,
+    /// The offset of every count or length prefix in `body`.
+    counts: Vec<usize>,
+    /// No cut or hostile count may hold more than this many times
+    /// `body`'s length.
+    alloc_factor: usize,
+}
+
+/// A flip may leave a well-formed payload that decodes in full before
+/// a value is refused, so it may hold its decoded form. On every
+/// surface that is at most twice its encoding: the largest ratio, a
+/// wire CV definition of `16 + n` bytes that decodes to a 32-byte
+/// `(digest, Vec)` pair plus its `n` values, stays under it.
+const DECODED_ALLOC_FACTOR: usize = 2;
+
+/// What a surface refused: every cut, then every hostile count.
+struct Refusals<E> {
+    cuts: Vec<E>,
+    counts: Vec<E>,
+}
+
+/// Runs `decode` on `surface` cut at every offset, with a bit flipped
+/// at every offset, and with each count set to `u64::MAX`. Cuts and
+/// counts must be refused; flips may decode. Nothing may panic or hold
+/// more than the surface's bound.
+fn attack<T, E: Debug>(surface: &Surface, decode: impl Fn(&[u8]) -> Result<T, E>) -> Refusals<E> {
+    let Surface {
+        label,
+        body,
+        seal,
+        alloc_factor,
+        ..
+    } = *surface;
+    let run = |bytes: Vec<u8>, case: &str, factor: usize| -> Option<E> {
+        let bytes = seal(bytes);
+        let (refusal, peak) = peak_alloc(|| decode(&bytes).err());
+        let bound = factor * body.len();
+        assert!(
+            peak <= bound,
+            "{label} {case}: held {peak} bytes, bound {bound}"
+        );
+        refusal
+    };
+    let refused = |bytes: Vec<u8>, case: String| {
+        run(bytes, &case, alloc_factor).unwrap_or_else(|| panic!("{label} {case}: accepted"))
+    };
+    let intact = run(body.to_vec(), "intact", DECODED_ALLOC_FACTOR);
+    assert!(intact.is_none(), "{label}: refused {intact:?}");
+    for at in 0..body.len() {
+        let mut flipped = body.to_vec();
+        flipped[at] ^= 1 << (at % 8);
+        run(flipped, &format!("bit flip at {at}"), DECODED_ALLOC_FACTOR);
+    }
+    let cuts = (0..body.len())
+        .map(|cut| refused(body[..cut].to_vec(), format!("cut at {cut}")))
+        .collect();
+    let counts = surface
+        .counts
+        .iter()
+        .map(|&at| {
+            let mut hostile = body.to_vec();
+            hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            refused(hostile, format!("count at {at}"))
+        })
+        .collect();
+    Refusals { cuts, counts }
+}
+
+/// Decodes a whole sealed record, which must be refused with a typed
+/// error while holding at most `bound` bytes.
+fn assert_refused(bytes: &[u8], bound: usize, label: &str) {
     let (result, peak) = peak_alloc(|| CampaignRecord::from_bytes(bytes));
     let err = result.err().unwrap_or_else(|| panic!("{label}: accepted"));
     assert!(
@@ -319,7 +417,6 @@ fn assert_refused(bytes: &[u8], bound: usize, label: &str) -> CheckpointError {
         peak <= bound,
         "{label}: held {peak} bytes, record has {bound}"
     );
-    err
 }
 
 #[test]
@@ -334,41 +431,207 @@ fn hostile_records_are_typed_refusals_that_allocate_no_more_than_the_record() {
     // The collection's delta and the done record: every field kind.
     for (label, record) in [("delta", &journal.deltas[1]), ("done", &journal.done)] {
         let len = record.len();
-        assert!(CampaignRecord::from_bytes(record).is_ok(), "{label}");
-
+        // The checksum refuses every raw cut and flip.
         for cut in 0..len {
             assert_refused(&record[..cut], len, &format!("{label} cut at {cut}"));
-            // Re-sealed, a cut past the format tag reaches the decoder.
-            if (8..len - 8).contains(&cut) {
-                let resealed = reseal(record[..cut].to_vec());
-                assert_refused(&resealed, len, &format!("{label} resealed cut at {cut}"));
-            }
         }
-
         for at in 0..len {
             let mut flipped = record.clone();
             flipped[at] ^= 1 << (at % 8);
             assert_refused(&flipped, len, &format!("{label} bit flip at {at}"));
-            // Re-sealed, a flip may decode to another valid record,
-            // but it must never panic.
-            if at < len - 8 {
-                flipped.truncate(len - 8);
-                let _ = CampaignRecord::from_bytes(&reseal(flipped));
-            }
         }
 
-        let counts = count_offsets(record);
+        // Under a fresh checksum, the decoder refuses within the
+        // record's length: its dry pass allocates nothing.
+        let body = &record[..len - 8];
+        let counts = record_counts(body);
         // At least one length prefix per collected CV (K = 16).
         assert!(
             counts.len() > 16,
             "{label}: {} count prefixes",
             counts.len()
         );
-        for at in counts {
-            let mut hostile = record[..len - 8].to_vec();
-            hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            let err = assert_refused(&reseal(hostile), len, &format!("{label} count at {at}"));
+        let surface = Surface {
+            label,
+            body,
+            seal: reseal,
+            counts,
+            alloc_factor: 1,
+        };
+        let refusals = attack(&surface, CampaignRecord::from_bytes);
+        for err in &refusals.cuts {
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Record(_) | CheckpointError::Version { .. }
+                ),
+                "{label}: {err:?}"
+            );
+        }
+        for err in &refusals.counts {
             assert!(matches!(err, CheckpointError::Record(_)), "{label}: {err}");
+        }
+    }
+}
+
+/// A hello as the coordinator sends it.
+fn hello() -> HelloSpec {
+    HelloSpec {
+        workload: "swim".to_string(),
+        arch: "broadwell".to_string(),
+        steps_cap: 2,
+        seed: 42,
+        fault_seed: 0xFA17,
+        fault_compile: 0.01,
+        fault_crash: 0.02,
+        fault_hang: 0.005,
+        fault_outlier: 0.03,
+        max_retries: 2,
+        timeout_factor: 20.0,
+        objective: Objective::Weighted { w: 0.25 },
+    }
+}
+
+fn unsealed(body: Vec<u8>) -> Vec<u8> {
+    body
+}
+
+#[test]
+fn hostile_wire_messages_are_typed_refusals() {
+    let space = FlagSpace::icc();
+    let cvs: Vec<Cv> = (0..3)
+        .map(|v| space.baseline().with(&space, v, 1))
+        .collect();
+    let work = Message::Work(WorkBatch {
+        seq: 7,
+        timeout_ref_bits: 1.5f64.to_bits(),
+        defs: cvs
+            .iter()
+            .map(|cv| (cv.digest(), cv.values().to_vec()))
+            .collect(),
+        items: vec![
+            WorkItem {
+                uniform: true,
+                digests: vec![cvs[0].digest()],
+                noise_seed: 11,
+            },
+            WorkItem {
+                uniform: false,
+                digests: cvs.iter().map(Cv::digest).collect(),
+                noise_seed: 12,
+            },
+        ],
+    });
+    let reply = Message::Reply(BatchReply {
+        seq: 7,
+        time_bits: vec![1.25f64.to_bits(), f64::INFINITY.to_bits()],
+        code_bits: vec![4096f64.to_bits(), f64::INFINITY.to_bits()],
+        ledger: LedgerDelta {
+            runs: 2,
+            machine_nanos: 3_000_000,
+            ..LedgerDelta::default()
+        },
+    });
+    type Walk = fn(&mut Walker);
+    let cases: [(&str, Message, Walk); 3] = [
+        ("hello", Message::Hello(hello()), |w| {
+            w.words(2); // kind, version
+            w.bytes(); // workload
+            w.bytes(); // arch
+            w.words(9); // steps cap, seeds, fault rates, retries, timeout
+            w.words(2); // objective
+        }),
+        ("work", work, |w| {
+            w.words(3); // kind, seq, timeout reference
+            w.list(|w| {
+                w.word(); // digest
+                w.bytes(); // values
+            });
+            w.list(|w| {
+                w.word(); // uniform tag
+                w.f64s(); // digests
+                w.word(); // noise seed
+            });
+        }),
+        ("reply", reply, |w| {
+            w.words(2); // kind, seq
+            w.f64s(); // time bits
+            w.f64s(); // code bits
+            w.words(14); // ledger delta
+        }),
+    ];
+    for (label, msg, layout) in cases {
+        let body = encode_message(&msg);
+        assert_eq!(decode_message(&body).as_ref(), Ok(&msg), "{label}");
+        let surface = Surface {
+            label,
+            body: &body,
+            seal: unsealed,
+            counts: count_offsets(&body, 0, layout),
+            // The decoder builds as it reads, so a refusal may hold a
+            // decoded prefix: a list it reserved for a count is at most
+            // twice the bytes that count was checked against.
+            alloc_factor: DECODED_ALLOC_FACTOR,
+        };
+        for err in attack(&surface, decode_message).counts {
+            assert!(matches!(err, WireError::Truncated { .. }), "{label}: {err}");
+        }
+    }
+}
+
+#[test]
+fn hostile_spool_specs_are_typed_refusals() {
+    let mut spec = CampaignSpec::new("swim", "broadwell").with_fault_model(FaultModel::testbed(9));
+    spec.steps_cap = Some(3);
+    spec.run_cap = Some(500);
+    spec.objective = Objective::Pareto;
+    let body = spec.encode();
+    let surface = Surface {
+        label: "spool spec",
+        body: &body,
+        seal: unsealed,
+        counts: count_offsets(&body, 0, |w| {
+            w.word(); // version
+            w.bytes(); // workload
+            w.bytes(); // arch
+            w.words(14); // budget to run cap, objective
+        }),
+        // A spec holds its two names and nothing else.
+        alloc_factor: 1,
+    };
+    attack(&surface, CampaignSpec::decode);
+}
+
+#[test]
+fn a_frame_stream_ends_cleanly_only_at_a_frame_boundary() {
+    let empty = Message::Work(WorkBatch {
+        seq: 1,
+        timeout_ref_bits: 0,
+        defs: Vec::new(),
+        items: Vec::new(),
+    });
+    let mut stream = Vec::new();
+    let mut boundaries = vec![0];
+    for msg in [
+        Message::Hello(hello()),
+        empty.clone(),
+        empty,
+        Message::Shutdown,
+    ] {
+        stream.extend(encode_frame(&encode_message(&msg)));
+        boundaries.push(stream.len());
+    }
+    for cut in 0..=stream.len() {
+        let mut replies = Vec::new();
+        match serve(&mut Cursor::new(&stream[..cut]), &mut replies) {
+            Ok(()) => assert!(boundaries.contains(&cut), "cut at {cut} ended cleanly"),
+            Err(RemoteError::WorkerDied(_)) => {
+                assert!(
+                    !boundaries.contains(&cut),
+                    "cut at {cut} died at a boundary"
+                )
+            }
+            Err(e) => panic!("cut at {cut}: {e}"),
         }
     }
 }
