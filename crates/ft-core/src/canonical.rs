@@ -8,12 +8,12 @@
 //! `u64` prefix, and every field is written in declaration order. Two
 //! values encode to the same bytes iff every deterministic field is
 //! bit-identical. Digests, the worker wire protocol, spooled campaign
-//! specs and the campaign WAL records
-//! ([`crate::supervisor::CampaignRecord`]) all use it, and [`Reader`]
-//! is the one decoder of every surface that takes these bytes from
-//! outside the process: wire messages, spool specs and WAL records all
-//! read through it, so the rule for bounding untrusted bytes lives in
-//! one place.
+//! specs and the sealed checkpoint records (the campaign WAL's
+//! [`crate::supervisor::CampaignRecord`] and the collection file's
+//! [`crate::Checkpoint`]) all use it, and [`Reader`] is the one decoder
+//! of every surface that takes these bytes from outside the process:
+//! wire messages, spool specs and sealed records all read through it,
+//! so the rule for bounding untrusted bytes lives in one place.
 
 use ft_flags::rng::mix;
 use ft_flags::Cv;

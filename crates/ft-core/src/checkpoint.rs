@@ -13,49 +13,47 @@
 //! where it stopped instead of redoing the collection. Because every
 //! phase draws its seeds independently from the root seed, a resumed
 //! campaign is bit-identical to an uninterrupted one.
+//!
+//! On disk both are *sealed records* (`seal`, `unseal`): a 4-byte
+//! tag ([`COLLECTION_MAGIC`] for a collection file, the WAL's
+//! [`crate::supervisor::RECORD_MAGIC`] for a campaign record), the
+//! one [`RECORD_FORMAT_VERSION`], the body in the canonical encoding
+//! ([`crate::canonical`]) and a trailing checksum. Every time, `+inf`
+//! rows included, survives bit for bit.
 
 use crate::algorithms::GreedyOutcome;
-use crate::canonical::Reader;
+use crate::canonical::{digest, write_str, write_u64, Reader};
 use crate::collection::CollectionData;
 use crate::ctx::EvalContext;
 use crate::objective::Objective;
 use crate::pipeline::Phase;
 use crate::result::TuningResult;
 use ft_compiler::FaultModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Current on-disk schema version of both checkpoint kinds.
+/// First four bytes of a collection checkpoint file.
+pub const COLLECTION_MAGIC: [u8; 4] = *b"FTCK";
+
+/// Format version of every sealed record, written as a little-endian
+/// `u32` right after its tag. A payload without the tag, such as a
+/// file of the earlier serde-JSON codec, reads as version 0; any
+/// version but this one is refused with a typed
+/// [`CheckpointError::Version`].
 ///
-/// Version history: 0 = pre-versioning files (refused), 1 = the
-/// pre-objective schema, 2 = campaigns carry the tuning objective and
-/// results carry score timelines. The loaders read the version off the
-/// parsed JSON *before* deserializing the struct, so a version-1 file
-/// is refused with a typed [`CheckpointError::Version`] — it is never
-/// silently completed with a defaulted objective.
-///
-/// This versions the JSON export schema (`to_json`/`from_json`) and
-/// the fields a checkpoint carries. The binary campaign WAL record is
-/// versioned on its own by
-/// [`crate::supervisor::RECORD_FORMAT_VERSION`]: moving the WAL off
-/// JSON changed no field and no export, so this stays at 2.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version history: 0 = serde JSON (refused), 1 = the first binary
+/// WAL record, 2 = campaign checkpoints lose their in-body schema
+/// version and collection checkpoints are sealed too.
+pub const RECORD_FORMAT_VERSION: u32 = 2;
 
 /// A persisted collection plus its provenance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Schema version ([`CHECKPOINT_VERSION`] when written by this
-    /// build; 0 marks a pre-versioning file).
-    #[serde(default)]
-    pub version: u32,
     /// Program name the data was collected on.
     pub program: String,
     /// Architecture name.
     pub arch: String,
     /// Time-steps per collection run.
     pub steps: u32,
-    /// Number of modules (J + 1).
-    pub modules: usize,
     /// Module names, in id order (guards against re-outlining drift).
     pub module_names: Vec<String>,
     /// The collection itself.
@@ -65,26 +63,15 @@ pub struct Checkpoint {
 /// Why a checkpoint cannot be used with a context.
 ///
 /// Each failure mode is its own variant so callers can branch on the
-/// cause (and `source()` hands the underlying serde error back intact)
-/// instead of grepping a formatted string. No `Eq`: the serde error it
-/// wraps only implements `PartialEq`.
-#[derive(Debug, Clone, PartialEq)]
+/// cause instead of grepping a formatted string.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Program/architecture/input mismatch.
     Mismatch(String),
-    /// Serializing a checkpoint to JSON failed.
-    Serialize {
-        /// The underlying serde error.
-        source: serde::Error,
-    },
-    /// The JSON could not be parsed as a checkpoint.
-    Deserialize {
-        /// The underlying serde error.
-        source: serde::Error,
-    },
-    /// The file's schema version is not one this build reads.
+    /// The record's format version is not one this build reads.
     Version {
-        /// Version recorded in the file (0 for pre-versioning files).
+        /// Version recorded in the file (0 for a payload without the
+        /// expected tag).
         found: u32,
         /// The version this build writes and reads.
         supported: u32,
@@ -93,11 +80,12 @@ pub enum CheckpointError {
     /// label, duplicate, out of canonical order, or inconsistent with
     /// the phase results actually present).
     Phases(String),
-    /// A CRC-valid campaign journal record is malformed: its body does
-    /// not decode or fails its checksum, its kind is unknown, a
-    /// checkpoint or done record lacks its checkpoint (or a done record
-    /// its digest), or a checkpoint record does not fold onto the
-    /// records before it (see [`crate::supervisor::fold_checkpoints`]).
+    /// A sealed record is malformed: it is truncated, fails its
+    /// checksum or its body does not decode; or, for a campaign record,
+    /// its kind is unknown, a checkpoint or done record lacks its
+    /// checkpoint (or a done record its digest), or a checkpoint record
+    /// does not fold onto the records before it (see
+    /// [`crate::supervisor::fold_checkpoints`]).
     Record(String),
     /// A done record's checkpoint replays to a different canonical
     /// digest than the one the record pins.
@@ -113,19 +101,13 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
-            CheckpointError::Serialize { source } => {
-                write!(f, "checkpoint serialize error: {source}")
-            }
-            CheckpointError::Deserialize { source } => {
-                write!(f, "checkpoint parse error: {source}")
-            }
             CheckpointError::Version { found, supported } => write!(
                 f,
                 "unsupported checkpoint version {found} (this build reads \
                  version {supported}; re-collect or use a matching build)"
             ),
             CheckpointError::Phases(m) => write!(f, "checkpoint phase list invalid: {m}"),
-            CheckpointError::Record(m) => write!(f, "malformed campaign record: {m}"),
+            CheckpointError::Record(m) => write!(f, "malformed sealed record: {m}"),
             CheckpointError::DigestMismatch { recorded, replayed } => write!(
                 f,
                 "done record pins digest {recorded} but its checkpoint replays to {replayed:016x}"
@@ -134,26 +116,80 @@ impl fmt::Display for CheckpointError {
     }
 }
 
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Serialize { source } | CheckpointError::Deserialize { source } => {
-                Some(source)
-            }
-            _ => None,
-        }
+impl std::error::Error for CheckpointError {}
+
+/// Seals a record: `tag`, [`RECORD_FORMAT_VERSION`], the body `write`
+/// appends in the canonical encoding, and a trailing
+/// [`crate::canonical::digest`] of everything before it, so the record
+/// verifies itself outside any frame.
+pub(crate) fn seal(tag: [u8; 4], write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&tag);
+    out.extend_from_slice(&RECORD_FORMAT_VERSION.to_le_bytes());
+    write(&mut out);
+    let sum = digest(&out);
+    write_u64(&mut out, sum);
+    out
+}
+
+/// Inverse of [`seal`]. Every failure is typed, never a panic: a
+/// payload without `tag` or of another format is
+/// [`CheckpointError::Version`]; a truncated one, one that fails its
+/// checksum, or one whose body `read` does not consume whole is
+/// [`CheckpointError::Record`]. The body is walked once dry before it
+/// is decoded, so a hostile length or count costs no memory.
+pub(crate) fn unseal<T>(
+    bytes: &[u8],
+    tag: [u8; 4],
+    read: impl Fn(&mut Reader) -> Option<T>,
+) -> Result<T, CheckpointError> {
+    let truncated =
+        || CheckpointError::Record(format!("record truncated to {} bytes", bytes.len()));
+    let unsupported = |found| CheckpointError::Version {
+        found,
+        supported: RECORD_FORMAT_VERSION,
+    };
+    let Some(head) = bytes.get(..8) else {
+        return Err(if tag.starts_with(bytes) || bytes.starts_with(&tag) {
+            truncated()
+        } else {
+            unsupported(0)
+        });
+    };
+    if head[..4] != tag {
+        return Err(unsupported(0));
     }
+    let version = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
+    if version != RECORD_FORMAT_VERSION {
+        return Err(unsupported(version));
+    }
+    let Some(split) = bytes.len().checked_sub(8).filter(|n| *n >= 8) else {
+        return Err(truncated());
+    };
+    let (sealed, trailer) = bytes.split_at(split);
+    if digest(sealed).to_le_bytes() != trailer {
+        return Err(CheckpointError::Record(
+            "record checksum mismatch".to_string(),
+        ));
+    }
+    let decode = |mut r: Reader| match read(&mut r) {
+        Some(value) if r.at_end() => Ok(value),
+        _ => Err(CheckpointError::Record(format!(
+            "record body malformed at byte {}",
+            8 + r.pos()
+        ))),
+    };
+    decode(Reader::dry(&sealed[8..]))?;
+    decode(Reader::new(&sealed[8..]))
 }
 
 impl Checkpoint {
     /// Captures a collection from the context it was produced in.
     pub fn capture(ctx: &EvalContext, data: CollectionData) -> Checkpoint {
         Checkpoint {
-            version: CHECKPOINT_VERSION,
             program: ctx.ir.name.clone(),
             arch: ctx.arch.name.to_string(),
             steps: ctx.steps,
-            modules: ctx.modules(),
             module_names: ctx.ir.modules.iter().map(|m| m.name.clone()).collect(),
             data,
         }
@@ -206,64 +242,43 @@ impl Checkpoint {
         Ok(self.data)
     }
 
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
-        serde_json::to_string(self).map_err(|source| CheckpointError::Serialize { source })
+    /// Encodes the checkpoint as a sealed [`COLLECTION_MAGIC`] record:
+    /// the program, architecture, steps and module names, then the
+    /// collection by [`CollectionData::write_canonical`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        seal(COLLECTION_MAGIC, |out| {
+            write_str(out, &self.program);
+            write_str(out, &self.arch);
+            write_u64(out, u64::from(self.steps));
+            write_u64(out, self.module_names.len() as u64);
+            for name in &self.module_names {
+                write_str(out, name);
+            }
+            self.data.write_canonical(out);
+        })
     }
 
-    /// Deserializes from JSON, refusing schema versions this build
-    /// does not understand. The version is read off the parsed value
-    /// before the struct is deserialized, so a skewed file fails as a
-    /// [`CheckpointError::Version`] rather than a missing-field (or —
-    /// worse — defaulted-field) deserialization.
-    pub fn from_json(json: &str) -> Result<Checkpoint, CheckpointError> {
-        let value: serde::Value =
-            serde_json::from_str(json).map_err(|source| CheckpointError::Deserialize { source })?;
-        check_version(version_field(&value)?)?;
-        Checkpoint::deserialize_value(&value)
-            .map_err(|source| CheckpointError::Deserialize { source })
-    }
-}
-
-/// Shared version gate of both checkpoint kinds.
-fn check_version(version: u32) -> Result<(), CheckpointError> {
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::Version {
-            found: version,
-            supported: CHECKPOINT_VERSION,
-        });
-    }
-    Ok(())
-}
-
-/// Reads the schema version off a parsed checkpoint object — the gate
-/// both loaders run *before* full deserialization. A missing field is
-/// version 0 (a pre-versioning file), matching the old
-/// `#[serde(default)]` behavior.
-fn version_field(value: &serde::Value) -> Result<u32, CheckpointError> {
-    let serde::Value::Object(fields) = value else {
-        return Err(CheckpointError::Deserialize {
-            source: serde::Error::new("checkpoint is not a JSON object"),
-        });
-    };
-    match fields.iter().find(|(k, _)| k.as_str() == "version") {
-        None => Ok(0),
-        Some((_, serde::Value::U64(n))) if u32::try_from(*n).is_ok() => Ok(*n as u32),
-        Some((_, serde::Value::I64(n))) if u32::try_from(*n).is_ok() => Ok(*n as u32),
-        Some(_) => Err(CheckpointError::Deserialize {
-            source: serde::Error::new("checkpoint version is not a u32"),
-        }),
+    /// Decodes a collection file; every failure is a typed
+    /// [`CheckpointError::Version`] or [`CheckpointError::Record`] (see
+    /// the module docs). [`Checkpoint::restore`] checks it against a context.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        unseal(bytes, COLLECTION_MAGIC, |r| {
+            Some(Checkpoint {
+                program: r.str()?,
+                arch: r.str()?,
+                steps: r.u32()?,
+                module_names: r.list(8, Reader::str)?,
+                data: CollectionData::read_canonical(r)?,
+            })
+        })
     }
 }
 
 /// A whole tuning campaign frozen mid-phase: the configuration that
 /// reproduces it, every phase result completed so far, and the fault
 /// quarantine accumulated across those phases.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
-    /// Schema version ([`CHECKPOINT_VERSION`] when written).
-    #[serde(default)]
-    pub version: u32,
     /// Workload name.
     pub workload: String,
     /// Architecture name.
@@ -280,9 +295,6 @@ pub struct CampaignCheckpoint {
     pub faults: FaultModel,
     /// The tuning objective — checkpoint identity like the seed: a
     /// resume must optimize the same thing the original campaign did.
-    /// The `#[serde(default)]` never masks a pre-objective file: the
-    /// version gate in [`CampaignCheckpoint::from_json`] fires first.
-    #[serde(default)]
     pub objective: Objective,
     /// `-O3` baseline time, if the baseline phase completed.
     pub baseline_time: Option<f64>,
@@ -302,13 +314,10 @@ pub struct CampaignCheckpoint {
     pub bad_programs: Vec<u64>,
     /// Labels of the completed phases in canonical order, stamped by
     /// the writer. Redundant with the `Option` result fields above —
-    /// which is the point: [`CampaignCheckpoint::from_json`] cross-
-    /// checks the list against the results actually present, so a
-    /// hand-edited or corrupted phase list fails loudly at load time
-    /// instead of as a confusing mismatch deep in a resume. Empty in
-    /// pre-PR-7 files (`#[serde(default)]`), where the check is
-    /// skipped.
-    #[serde(default)]
+    /// which is the point: [`CampaignCheckpoint::validate_phases`]
+    /// cross-checks the list against the results actually present, so
+    /// a hand-edited or corrupted phase list fails loudly at load time
+    /// instead of as a confusing mismatch deep in a resume.
     pub completed: Vec<String>,
 }
 
@@ -353,45 +362,39 @@ impl CampaignCheckpoint {
     /// duplicates, canonical order, consistent with the result fields
     /// present, and closed under phase dependencies (a checkpoint
     /// claiming Greedy without the collection it consumed is corrupt,
-    /// not resumable). An empty list (pre-PR-7 file) skips the
-    /// cross-check but still enforces dependency closure on the
-    /// results themselves.
+    /// not resumable).
     pub fn validate_phases(&self) -> Result<(), CheckpointError> {
-        if !self.completed.is_empty() {
-            let mut last_index: Option<usize> = None;
-            for label in &self.completed {
-                let Some(index) = Phase::ALL.iter().position(|p| p.label() == label.as_str())
-                else {
-                    return Err(CheckpointError::Phases(format!(
-                        "unknown phase label {label:?}"
-                    )));
-                };
-                match last_index {
-                    Some(prev) if prev == index => {
-                        return Err(CheckpointError::Phases(format!(
-                            "duplicate phase {label:?}"
-                        )));
-                    }
-                    Some(prev) if prev > index => {
-                        return Err(CheckpointError::Phases(format!(
-                            "phase {label:?} out of canonical order (after {:?})",
-                            Phase::ALL[prev].label()
-                        )));
-                    }
-                    _ => {}
-                }
-                last_index = Some(index);
-            }
-            let derived = self.completed_labels();
-            if self.completed != derived {
+        let mut last_index: Option<usize> = None;
+        for label in &self.completed {
+            let Some(index) = Phase::ALL.iter().position(|p| p.label() == label.as_str()) else {
                 return Err(CheckpointError::Phases(format!(
-                    "stamped list {:?} disagrees with the results present {derived:?}",
-                    self.completed
+                    "unknown phase label {label:?}"
                 )));
+            };
+            match last_index {
+                Some(prev) if prev == index => {
+                    return Err(CheckpointError::Phases(format!(
+                        "duplicate phase {label:?}"
+                    )));
+                }
+                Some(prev) if prev > index => {
+                    return Err(CheckpointError::Phases(format!(
+                        "phase {label:?} out of canonical order (after {:?})",
+                        Phase::ALL[prev].label()
+                    )));
+                }
+                _ => {}
             }
+            last_index = Some(index);
         }
-        // Dependency closure over the results themselves (holds for
-        // legacy files too): every completed phase's transitive
+        let derived = self.completed_labels();
+        if self.completed != derived {
+            return Err(CheckpointError::Phases(format!(
+                "stamped list {:?} disagrees with the results present {derived:?}",
+                self.completed
+            )));
+        }
+        // Dependency closure: every completed phase's transitive
         // requirements must also be completed.
         let done = self.completed_phases();
         for phase in &done {
@@ -415,9 +418,8 @@ impl CampaignCheckpoint {
     /// stamped list names `phases` alone. The identity and the
     /// quarantine lists are always written whole.
     pub(crate) fn write_record(&self, out: &mut Vec<u8>, phases: Option<&[Phase]>) {
-        use crate::canonical::{write_f64, write_option, write_str, write_u64};
+        use crate::canonical::{write_f64, write_option};
         let keep = |p: Phase| phases.is_none_or(|ps| ps.contains(&p));
-        write_u64(out, u64::from(self.version));
         write_str(out, &self.workload);
         write_str(out, &self.arch);
         write_u64(out, self.budget as u64);
@@ -471,7 +473,6 @@ impl CampaignCheckpoint {
     /// Inverse of [`CampaignCheckpoint::write_record`].
     pub(crate) fn read_record(r: &mut Reader) -> Option<CampaignCheckpoint> {
         Some(CampaignCheckpoint {
-            version: r.u32()?,
             workload: r.str()?,
             arch: r.str()?,
             budget: r.usize()?,
@@ -498,26 +499,6 @@ impl CampaignCheckpoint {
             completed: r.list(8, Reader::str)?,
         })
     }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
-        serde_json::to_string(self).map_err(|source| CheckpointError::Serialize { source })
-    }
-
-    /// Deserializes from JSON, refusing schema versions this build
-    /// does not understand and structurally invalid phase lists. The
-    /// version gate runs before struct deserialization: a version-1
-    /// (pre-objective) file is a typed [`CheckpointError::Version`],
-    /// never a campaign with a silently defaulted objective.
-    pub fn from_json(json: &str) -> Result<CampaignCheckpoint, CheckpointError> {
-        let value: serde::Value =
-            serde_json::from_str(json).map_err(|source| CheckpointError::Deserialize { source })?;
-        check_version(version_field(&value)?)?;
-        let cp = CampaignCheckpoint::deserialize_value(&value)
-            .map_err(|source| CheckpointError::Deserialize { source })?;
-        cp.validate_phases()?;
-        Ok(cp)
-    }
 }
 
 #[cfg(test)]
@@ -525,18 +506,28 @@ mod tests {
     use super::*;
     use crate::collection::collect;
     use crate::ctx::testutil::ctx_for;
+    use crate::supervisor::CampaignRecord;
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
-    fn round_trip_preserves_collection() {
+    fn round_trip_preserves_collection_bit_for_bit() {
         let ctx = ctx_for("swim", Some(3));
-        let data = collect(&ctx, 20, 7);
+        let mut data = collect(&ctx, 20, 7);
+        // A faulted CV's row: JSON could not carry it.
+        data.per_module[0][3] = f64::INFINITY;
         let cp = Checkpoint::capture(&ctx, data.clone());
-        let json = cp.to_json().unwrap();
-        let restored = Checkpoint::from_json(&json).unwrap().restore(&ctx).unwrap();
+        let bytes = cp.to_bytes();
+        assert_eq!(&bytes[..4], b"FTCK");
+        let restored = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_bytes(), bytes);
+        let restored = restored.restore(&ctx).unwrap();
         assert_eq!(restored.cvs, data.cvs);
-        // JSON float text round-trips to within one ULP.
-        for (a, b) in restored.end_to_end.iter().zip(&data.end_to_end) {
-            assert!((a - b).abs() < 1e-12);
+        assert_eq!(bits(&restored.end_to_end), bits(&data.end_to_end));
+        for (a, b) in restored.per_module.iter().zip(&data.per_module) {
+            assert_eq!(bits(a), bits(b));
         }
     }
 
@@ -546,7 +537,7 @@ mod tests {
         let data = collect(&ctx, 30, 7);
         let direct = crate::algorithms::cfr(&ctx, &data, 6, 30, 5);
         let cp = Checkpoint::capture(&ctx, data);
-        let restored = Checkpoint::from_json(&cp.to_json().unwrap())
+        let restored = Checkpoint::from_bytes(&cp.to_bytes())
             .unwrap()
             .restore(&ctx)
             .unwrap();
@@ -591,101 +582,68 @@ mod tests {
     }
 
     #[test]
-    fn garbage_json_is_a_typed_parse_error_with_a_source() {
-        let err = Checkpoint::from_json("{not json").unwrap_err();
-        assert!(matches!(err, CheckpointError::Deserialize { .. }), "{err}");
-        // The serde cause is preserved, not flattened into a string.
-        assert!(std::error::Error::source(&err).is_some());
-    }
-
-    #[test]
-    fn version_survives_round_trip_and_mismatches_are_refused() {
-        let ctx = ctx_for("swim", Some(3));
-        let cp = Checkpoint::capture(&ctx, collect(&ctx, 5, 7));
-        assert_eq!(cp.version, CHECKPOINT_VERSION);
-        let json = cp.to_json().unwrap();
-        assert_eq!(
-            Checkpoint::from_json(&json).unwrap().version,
-            CHECKPOINT_VERSION
-        );
-
-        // A future (or corrupted) version number is a Version error
-        // carrying both sides of the mismatch...
-        let future = json.replacen(
-            &format!("\"version\":{CHECKPOINT_VERSION}"),
-            &format!("\"version\":{}", CHECKPOINT_VERSION + 1),
-            1,
-        );
-        assert_ne!(future, json, "version field must be serialized");
-        let err = Checkpoint::from_json(&future).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::Version {
-                found: CHECKPOINT_VERSION + 1,
-                supported: CHECKPOINT_VERSION
-            },
-            "{err}"
-        );
-        assert!(err.to_string().contains("version"));
-
-        // ...and so is a pre-versioning file, which deserializes with
-        // the version-0 default.
-        let mut legacy: serde::Value = serde_json::from_str(&json).unwrap();
-        if let serde::Value::Object(fields) = &mut legacy {
-            fields.retain(|(k, _)| k.as_str() != "version");
-        }
-        let err = Checkpoint::from_json(&serde_json::to_string(&legacy).unwrap()).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Version { found: 0, .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn pre_objective_campaign_checkpoint_is_a_typed_version_error() {
-        // Forge a version-1 file: the pre-objective schema had no
-        // `objective` field. Because `#[serde(default)]` would happily
-        // fill one in, the loader must gate on the version *before*
-        // deserializing — a v1 campaign is a Version{1, 2} refusal,
-        // never a resumed campaign with a silently defaulted objective.
-        let cp = CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
-            workload: "swim".to_string(),
-            arch: "broadwell".to_string(),
-            budget: 10,
-            focus: 3,
-            seed: 42,
-            steps_cap: Some(3),
-            faults: ft_compiler::FaultModel::zero(),
-            objective: crate::objective::Objective::Time,
-            baseline_time: Some(1.0),
-            data: None,
-            random: None,
-            fr: None,
-            greedy: None,
-            cfr: None,
-            bad_compiles: Vec::new(),
-            bad_programs: Vec::new(),
-            completed: vec!["baseline".to_string()],
+    fn garbage_and_truncation_are_typed_refusals() {
+        let unsupported = |found| CheckpointError::Version {
+            found,
+            supported: RECORD_FORMAT_VERSION,
         };
-        let mut v1: serde::Value = serde_json::from_str(&cp.to_json().unwrap()).unwrap();
-        if let serde::Value::Object(fields) = &mut v1 {
-            fields.retain(|(k, _)| k.as_str() != "objective");
-            for (k, v) in fields.iter_mut() {
-                if k.as_str() == "version" {
-                    *v = serde::Value::U64(1);
-                }
-            }
-        }
-        let err = CampaignCheckpoint::from_json(&serde_json::to_string(&v1).unwrap()).unwrap_err();
+        // No tag: garbage, a JSON-era file, a campaign record.
         assert_eq!(
-            err,
-            CheckpointError::Version {
-                found: 1,
-                supported: CHECKPOINT_VERSION
-            },
-            "{err}"
+            Checkpoint::from_bytes(b"{not json").unwrap_err(),
+            unsupported(0)
         );
+        let ctx = ctx_for("swim", Some(3));
+        let bytes = Checkpoint::capture(&ctx, collect(&ctx, 5, 7)).to_bytes();
+        let wal = CampaignRecord::poisoned("x".to_string(), 1)
+            .to_bytes()
+            .unwrap();
+        assert_eq!(Checkpoint::from_bytes(&wal).unwrap_err(), unsupported(0));
+        // Nor does a collection file read as a campaign record.
+        assert_eq!(
+            CampaignRecord::from_bytes(&bytes).unwrap_err(),
+            unsupported(0)
+        );
+        for cut in [0, 3, 8, 15, bytes.len() / 2, bytes.len() - 1] {
+            let err = Checkpoint::from_bytes(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Record(_)),
+                "cut {cut}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn other_format_versions_are_refused() {
+        let ctx = ctx_for("swim", Some(3));
+        let bytes = Checkpoint::capture(&ctx, collect(&ctx, 5, 7)).to_bytes();
+        assert_eq!(bytes[4..8], RECORD_FORMAT_VERSION.to_le_bytes());
+        // A future (or corrupted) version and format 1 are Version
+        // errors carrying both sides of the mismatch; the gate fires
+        // before the checksum.
+        for found in [RECORD_FORMAT_VERSION + 1, 1] {
+            let mut skewed = bytes.clone();
+            skewed[4..8].copy_from_slice(&found.to_le_bytes());
+            let err = Checkpoint::from_bytes(&skewed).unwrap_err();
+            assert_eq!(
+                err,
+                CheckpointError::Version {
+                    found,
+                    supported: RECORD_FORMAT_VERSION
+                },
+                "{err}"
+            );
+            assert!(err.to_string().contains("version"));
+        }
+    }
+
+    /// A campaign checkpoint through a done record, whose decoder
+    /// validates the phase list.
+    fn reload(cp: &CampaignCheckpoint) -> Result<CampaignCheckpoint, CheckpointError> {
+        let bytes = CampaignRecord::done(cp.clone(), 0, 1).to_bytes()?;
+        let record = CampaignRecord::from_bytes(&bytes)?;
+        Ok(record
+            .checkpoint
+            .expect("a done record carries the campaign"))
     }
 
     #[test]
@@ -693,7 +651,6 @@ mod tests {
         // Build a minimal valid campaign checkpoint by hand (baseline
         // only) and then corrupt its stamped phase list field-by-field.
         let base = CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
             workload: "swim".to_string(),
             arch: "broadwell".to_string(),
             budget: 10,
@@ -713,13 +670,12 @@ mod tests {
             completed: vec!["baseline".to_string()],
         };
         assert!(base.validate_phases().is_ok());
-        let json = base.to_json().unwrap();
-        assert!(CampaignCheckpoint::from_json(&json).is_ok());
+        assert!(reload(&base).is_ok());
 
         let corrupt = |completed: Vec<&str>| {
             let mut cp = base.clone();
             cp.completed = completed.into_iter().map(String::from).collect();
-            CampaignCheckpoint::from_json(&cp.to_json().unwrap()).unwrap_err()
+            reload(&cp).unwrap_err()
         };
 
         let err = corrupt(vec!["baseline", "baseline"]);
@@ -744,7 +700,7 @@ mod tests {
         let mut cp = base.clone();
         cp.random = Some(stub_result());
         cp.completed = vec!["random".to_string(), "baseline".to_string()];
-        let err = CampaignCheckpoint::from_json(&cp.to_json().unwrap()).unwrap_err();
+        let err = reload(&cp).unwrap_err();
         assert!(matches!(err, CheckpointError::Phases(_)), "{err}");
         assert!(err.to_string().contains("order"));
 
@@ -752,28 +708,24 @@ mod tests {
         assert!(matches!(err, CheckpointError::Phases(_)), "{err}");
         assert!(err.to_string().contains("unknown"));
 
-        // Stamped list inconsistent with the results present.
-        let err = corrupt(vec!["baseline", "random"]);
-        assert!(matches!(err, CheckpointError::Phases(_)), "{err}");
-        assert!(err.to_string().contains("disagrees"));
+        // Stamped list inconsistent with the results present, an
+        // unstamped list included: every writer stamps it.
+        for stamped in [vec!["baseline", "random"], vec![]] {
+            let err = corrupt(stamped);
+            assert!(matches!(err, CheckpointError::Phases(_)), "{err}");
+            assert!(err.to_string().contains("disagrees"));
+        }
 
-        // A legacy file with no stamped list loads (dependency closure
-        // still holds: baseline alone is closed).
-        let mut cp = base.clone();
-        cp.completed = Vec::new();
-        assert!(CampaignCheckpoint::from_json(&cp.to_json().unwrap()).is_ok());
-
-        // Dependency closure is enforced even without a stamped list:
-        // a greedy result without the collection it consumed is
-        // corrupt.
+        // Dependency closure: a greedy result without the collection it
+        // consumed is corrupt.
         let mut cp = base;
-        cp.completed = Vec::new();
         cp.greedy = Some(crate::algorithms::GreedyOutcome {
             realized: stub_result(),
             independent_time: 1.0,
             independent_speedup: 1.0,
         });
-        let err = CampaignCheckpoint::from_json(&cp.to_json().unwrap()).unwrap_err();
+        cp.completed = cp.completed_labels();
+        let err = reload(&cp).unwrap_err();
         assert!(matches!(err, CheckpointError::Phases(_)), "{err}");
         assert!(err.to_string().contains("dependency"));
     }

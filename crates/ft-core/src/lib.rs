@@ -56,7 +56,7 @@ pub mod variance;
 
 pub use algorithms::{cfr, fr_search, greedy, random_search, GreedyOutcome};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use checkpoint::{CampaignCheckpoint, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
+pub use checkpoint::{CampaignCheckpoint, Checkpoint, CheckpointError, RECORD_FORMAT_VERSION};
 pub use collection::{collect, collect_candidates, CollectionData, MixedCollection};
 pub use convergence::Convergence;
 pub use cost::TuningCost;

@@ -60,7 +60,7 @@
 
 use crate::algorithms::{cfr, fr_search, greedy, random_search, GreedyOutcome};
 use crate::breaker::BreakerConfig;
-use crate::checkpoint::{CampaignCheckpoint, CheckpointError, CHECKPOINT_VERSION};
+use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
 use crate::collection::{collect, CollectionData};
 use crate::cost::TuningCost;
 use crate::ctx::{EvalContext, FaultStats, ResilienceConfig};
@@ -595,7 +595,6 @@ impl<'a> Tuner<'a> {
     /// no completed phase.
     fn fresh_checkpoint(&self) -> CampaignCheckpoint {
         CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
             workload: self.workload.meta.name.to_string(),
             arch: self.arch.name.to_string(),
             budget: self.budget,
@@ -898,7 +897,6 @@ impl Campaign {
             ..
         } = self;
         (state.bad_compiles, state.bad_programs) = prepared.ctx.quarantine_snapshot();
-        state.version = CHECKPOINT_VERSION;
         state.completed = state.completed_labels();
         PausedCampaign {
             checkpoint: state,

@@ -22,12 +22,12 @@
 //!   kill between segments loses at most one segment of work. Both the
 //!   [`Supervisor`] and the multi-tenant daemon ([`crate::server`])
 //!   drive this one executor.
-//! * **Binary records.** A [`CampaignRecord`] is written in the
-//!   canonical encoding ([`crate::canonical`]) behind a format tag
-//!   ([`RECORD_MAGIC`], [`RECORD_FORMAT_VERSION`]) and ahead of a
-//!   checksum; a record of any other format is a typed
-//!   [`CheckpointError::Version`] refusal. JSON is the export format
-//!   only (`CampaignCheckpoint::to_json`).
+//! * **Binary records.** A [`CampaignRecord`] is a sealed record (see
+//!   [`crate::checkpoint`]): the canonical encoding
+//!   ([`crate::canonical`]) behind a format tag ([`RECORD_MAGIC`],
+//!   [`crate::checkpoint::RECORD_FORMAT_VERSION`]) and ahead of a
+//!   checksum, the one on-disk form of a checkpoint; a record of any
+//!   other format is a typed [`CheckpointError::Version`] refusal.
 //! * **Chaos kill-points.** Every step calls its driver's kill hook at
 //!   the record boundary, just before the record is appended. A kill
 //!   drops the step's work with every other in-memory structure and
@@ -51,8 +51,8 @@
 //! `canonical_bytes()` equality between supervised-and-killed runs
 //! and plain `Tuner::run()` across fault models and schedule modes.
 
-use crate::canonical::{digest, write_option, write_str, write_u64, Reader};
-use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
+use crate::canonical::{write_option, write_str, write_u64, Reader};
+use crate::checkpoint::{seal, unseal, CampaignCheckpoint, CheckpointError};
 use crate::ctx::FaultStats;
 use crate::journal::{Journal, JournalError};
 use crate::pipeline::{Phase, Tuner, TuningRun};
@@ -70,15 +70,9 @@ pub const RECORD_DONE: &str = "done";
 /// diagnostic.
 pub const RECORD_POISONED: &str = "poisoned";
 
-/// First four bytes of every binary campaign record.
+/// First four bytes of every binary campaign record; sealed under
+/// [`crate::checkpoint::RECORD_FORMAT_VERSION`] like every checkpoint.
 pub const RECORD_MAGIC: [u8; 4] = *b"FTWR";
-
-/// Format version of the binary campaign record, written as a
-/// little-endian `u32` right after [`RECORD_MAGIC`]. A payload without
-/// the magic, such as a record written by the earlier serde-JSON codec,
-/// reads as version 0; any version but this one is refused with a
-/// typed [`CheckpointError::Version`].
-pub const RECORD_FORMAT_VERSION: u32 = 1;
 
 /// One journal record of a supervised campaign; `kind` selects which
 /// optional fields are meaningful.
@@ -88,10 +82,10 @@ pub const RECORD_FORMAT_VERSION: u32 = 1;
 /// quarantine lists ([`fold_checkpoints`] rebuilds the campaign). A
 /// done record's holds the whole final campaign.
 ///
-/// On disk a record is the binary layout of DESIGN §13: the format
-/// tag, every field in the canonical encoding ([`crate::canonical`]),
-/// and a trailing [`crate::canonical::digest`] of everything before
-/// it. `CampaignCheckpoint::to_json` stays the export format.
+/// On disk a record is the binary layout of DESIGN §13: a sealed
+/// record (see [`crate::checkpoint`]) under [`RECORD_MAGIC`] whose
+/// body is every field in the canonical encoding
+/// ([`crate::canonical`]).
 #[derive(Debug, Clone)]
 pub struct CampaignRecord {
     /// [`RECORD_CHECKPOINT`], [`RECORD_DONE`], or [`RECORD_POISONED`].
@@ -171,39 +165,24 @@ impl CampaignRecord {
     }
 
     /// Decodes a journal payload. Every failure is typed, never a
-    /// panic and never a silent fresh start: a payload without this
-    /// build's format tag is [`CheckpointError::Version`]; one that
-    /// fails its checksum or does not decode, whose `kind` is unknown,
-    /// or whose checkpoint or done record lacks its checkpoint (or a
-    /// done record its digest) is [`CheckpointError::Record`]. The body
-    /// is walked once without allocating before it is decoded, so a
-    /// hostile length or count costs no memory.
+    /// panic and never a silent fresh start: besides the seal's own
+    /// refusals ([`crate::checkpoint`]: no `FTWR` tag or another
+    /// format is [`CheckpointError::Version`], a truncated, tampered or
+    /// undecodable record [`CheckpointError::Record`]), a record whose
+    /// `kind` is unknown, or whose checkpoint or done record lacks its
+    /// checkpoint (or a done record its digest) is
+    /// [`CheckpointError::Record`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignRecord, CheckpointError> {
+        let record = unseal(bytes, RECORD_MAGIC, |r| {
+            Some(CampaignRecord {
+                kind: r.str()?,
+                attempt: r.u32()?,
+                checkpoint: r.option(CampaignCheckpoint::read_record)?,
+                digest: r.option(Reader::str)?,
+                diagnostic: r.option(Reader::str)?,
+            })
+        })?;
         let malformed = |why: String| Err(CheckpointError::Record(why));
-        let Some(tag) = bytes.get(..8) else {
-            return if RECORD_MAGIC.starts_with(bytes) || bytes.starts_with(&RECORD_MAGIC) {
-                malformed(format!("record truncated to {} bytes", bytes.len()))
-            } else {
-                Err(unsupported(0))
-            };
-        };
-        if tag[..4] != RECORD_MAGIC {
-            return Err(unsupported(0));
-        }
-        let version = u32::from_le_bytes(tag[4..].try_into().expect("4 bytes"));
-        if version != RECORD_FORMAT_VERSION {
-            return Err(unsupported(version));
-        }
-        let Some(split) = bytes.len().checked_sub(8).filter(|n| *n >= 8) else {
-            return malformed(format!("record truncated to {} bytes", bytes.len()));
-        };
-        let (sealed, trailer) = bytes.split_at(split);
-        if digest(sealed).to_le_bytes() != trailer {
-            return malformed("record checksum mismatch".to_string());
-        }
-        let body = &sealed[8..];
-        decode_body(&mut Reader::dry(body))?;
-        let record = decode_body(&mut Reader::new(body))?;
         match record.kind.as_str() {
             RECORD_CHECKPOINT | RECORD_DONE if record.checkpoint.is_none() => {
                 return malformed(format!("{} record carries no checkpoint", record.kind))
@@ -223,15 +202,8 @@ impl CampaignRecord {
     }
 }
 
-fn unsupported(found: u32) -> CheckpointError {
-    CheckpointError::Version {
-        found,
-        supported: RECORD_FORMAT_VERSION,
-    }
-}
-
-/// Writes a record: the format tag, the fields, the checksum. A
-/// checkpoint paired with `Some(phases)` is written as that delta.
+/// Seals a record's fields. A checkpoint paired with `Some(phases)` is
+/// written as that delta.
 fn encode_record(
     kind: &str,
     checkpoint: Option<(&CampaignCheckpoint, Option<&[Phase]>)>,
@@ -239,40 +211,16 @@ fn encode_record(
     diagnostic: Option<&str>,
     attempt: u32,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&RECORD_MAGIC);
-    out.extend_from_slice(&RECORD_FORMAT_VERSION.to_le_bytes());
-    write_str(&mut out, kind);
-    write_u64(&mut out, u64::from(attempt));
-    write_option(&mut out, checkpoint.as_ref(), |(cp, phases), out| {
-        cp.write_record(out, *phases)
-    });
-    for text in [digest_hex, diagnostic] {
-        write_option(&mut out, text, |s, out| write_str(out, s));
-    }
-    let sum = digest(&out);
-    write_u64(&mut out, sum);
-    out
-}
-
-/// Decodes the fields between the format tag and the checksum.
-fn decode_body(r: &mut Reader) -> Result<CampaignRecord, CheckpointError> {
-    let fields = |r: &mut Reader| {
-        Some(CampaignRecord {
-            kind: r.str()?,
-            attempt: r.u32()?,
-            checkpoint: r.option(CampaignCheckpoint::read_record)?,
-            digest: r.option(Reader::str)?,
-            diagnostic: r.option(Reader::str)?,
-        })
-    };
-    match fields(r) {
-        Some(record) if r.at_end() => Ok(record),
-        _ => Err(CheckpointError::Record(format!(
-            "record body malformed at byte {}",
-            8 + r.pos()
-        ))),
-    }
+    seal(RECORD_MAGIC, |out| {
+        write_str(out, kind);
+        write_u64(out, u64::from(attempt));
+        write_option(out, checkpoint.as_ref(), |(cp, phases), out| {
+            cp.write_record(out, *phases)
+        });
+        for text in [digest_hex, diagnostic] {
+            write_option(out, text, |s, out| write_str(out, s));
+        }
+    })
 }
 
 /// Retry/backoff/quarantine policy of a supervisor.
@@ -589,7 +537,6 @@ pub fn fold_checkpoints(
 fn merge(cp: &mut CampaignCheckpoint, delta: CampaignCheckpoint) -> Result<(), String> {
     fn identity(c: &CampaignCheckpoint) -> impl PartialEq + '_ {
         (
-            c.version,
             c.workload.as_str(),
             c.arch.as_str(),
             c.budget,

@@ -16,7 +16,8 @@
 //!    the uninterrupted result.
 
 use ft_compiler::{Compiler, FaultModel};
-use ft_core::{Candidate, EvalContext, Phase, Proposal, Tuner, TuningRun};
+use ft_core::supervisor::CampaignRecord;
+use ft_core::{CampaignCheckpoint, Candidate, EvalContext, Phase, Proposal, Tuner, TuningRun};
 use ft_machine::Architecture;
 use ft_outline::outline_with_defaults;
 use ft_workloads::{workload_by_name, Workload};
@@ -28,6 +29,14 @@ fn digest_assignment(cvs: &[ft_flags::Cv]) -> u64 {
         h = ft_flags::rng::mix(h ^ cv.digest());
     }
     h
+}
+
+/// A checkpoint through its WAL record bytes: what a killed process
+/// reloads.
+fn reload(cp: CampaignCheckpoint) -> CampaignCheckpoint {
+    let bytes = CampaignRecord::checkpoint(cp, 1).to_bytes().unwrap();
+    let record = CampaignRecord::from_bytes(&bytes).unwrap();
+    record.checkpoint.expect("a checkpoint record carries one")
 }
 
 fn swim() -> Workload {
@@ -150,10 +159,7 @@ fn killed_clean_campaign_resumes_into_the_uninterrupted_result() {
     let w = swim();
     let straight = tuner(&w, &arch, FaultModel::zero()).run();
     for stop in [Phase::Baseline, Phase::Collect, Phase::Fr, Phase::Greedy] {
-        let cp = tuner(&w, &arch, FaultModel::zero()).run_until(stop);
-        // Round-trip through JSON: what a killed process would reload.
-        let json = cp.to_json().unwrap();
-        let cp = ft_core::CampaignCheckpoint::from_json(&json).unwrap();
+        let cp = reload(tuner(&w, &arch, FaultModel::zero()).run_until(stop));
         let resumed = tuner(&w, &arch, FaultModel::zero())
             .resume(cp)
             .expect("matching checkpoint");
@@ -168,9 +174,7 @@ fn killed_faulted_campaign_resumes_into_the_uninterrupted_result() {
     let faults = FaultModel::testbed(0xFA17);
     let straight = tuner(&w, &arch, faults).run();
     for stop in [Phase::Collect, Phase::Random, Phase::Fr] {
-        let cp = tuner(&w, &arch, faults).run_until(stop);
-        let json = cp.to_json().unwrap();
-        let cp = ft_core::CampaignCheckpoint::from_json(&json).unwrap();
+        let cp = reload(tuner(&w, &arch, faults).run_until(stop));
         assert_eq!(cp.faults, faults, "fault model survives the round trip");
         let resumed = tuner(&w, &arch, faults)
             .resume(cp)
@@ -231,8 +235,7 @@ fn quarantine_survives_the_checkpoint_round_trip() {
         !cp.bad_compiles.is_empty(),
         "10% compile-failure collection must quarantine something"
     );
-    let json = cp.to_json().unwrap();
-    let reloaded = ft_core::CampaignCheckpoint::from_json(&json).unwrap();
+    let reloaded = reload(cp.clone());
     assert_eq!(reloaded.bad_compiles, cp.bad_compiles);
     assert_eq!(reloaded.bad_programs, cp.bad_programs);
 }

@@ -20,7 +20,11 @@
 //!    (first-discovery vs quarantine-skip) may shift, never a value.
 
 use ft_compiler::FaultModel;
-use ft_core::{CampaignCheckpoint, CheckpointError, Phase, ScheduleMode, Tuner, TuningRun};
+use ft_core::supervisor::CampaignRecord;
+use ft_core::{
+    CampaignCheckpoint, CheckpointError, Phase, ScheduleMode, Tuner, TuningRun,
+    RECORD_FORMAT_VERSION,
+};
 use ft_machine::Architecture;
 use ft_workloads::{workload_by_name, Workload};
 
@@ -42,6 +46,14 @@ fn fault_models() -> [(&'static str, FaultModel); 2] {
         ("zero", FaultModel::zero()),
         ("testbed", FaultModel::testbed(0xFA17)),
     ]
+}
+
+/// A checkpoint through its WAL record bytes: what a killed process
+/// reloads.
+fn reload(cp: CampaignCheckpoint) -> CampaignCheckpoint {
+    let bytes = CampaignRecord::checkpoint(cp, 1).to_bytes().unwrap();
+    let record = CampaignRecord::from_bytes(&bytes).unwrap();
+    record.checkpoint.expect("a checkpoint record carries one")
 }
 
 fn assert_bytes_equal(a: &TuningRun, b: &TuningRun, label: &str) {
@@ -90,10 +102,7 @@ fn every_single_phase_boundary_resumes_into_identical_bytes() {
     for (name, faults) in fault_models() {
         let straight = tuner(&w, &arch, faults).run();
         for stop in Phase::ALL {
-            let cp = tuner(&w, &arch, faults).run_until(stop);
-            // Round-trip through JSON: what a killed process reloads.
-            let json = cp.to_json().unwrap();
-            let cp = CampaignCheckpoint::from_json(&json).unwrap();
+            let cp = reload(tuner(&w, &arch, faults).run_until(stop));
             for mode in [ScheduleMode::Serial, ScheduleMode::Overlapped] {
                 let resumed = tuner(&w, &arch, faults)
                     .schedule(mode)
@@ -160,8 +169,7 @@ fn mid_overlap_join_checkpoints_resume_into_identical_bytes() {
                     "faults={name} join={join:?}: {p:?} must be complete"
                 );
             }
-            let json = cp.to_json().unwrap();
-            let cp = CampaignCheckpoint::from_json(&json).unwrap();
+            let cp = reload(cp);
             for mode in [ScheduleMode::Serial, ScheduleMode::Overlapped] {
                 let resumed = tuner(&w, &arch, faults)
                     .schedule(mode)
@@ -233,23 +241,27 @@ fn mid_overlap_checkpoint_refuses_corruption_and_version_mismatch() {
     let arch = Architecture::broadwell();
     let w = swim();
     let cp = tuner(&w, &arch, FaultModel::zero()).run_until_phases(&[Phase::Collect, Phase::Fr]);
-    let json = cp.to_json().unwrap();
+    // A done record: its decoder validates the phase list.
+    let sealed = |cp: &CampaignCheckpoint| {
+        CampaignRecord::done(cp.clone(), 0, 1)
+            .to_bytes()
+            .expect("encodes")
+    };
+    let bytes = sealed(&cp);
 
-    // Garbage is a typed parse error carrying the serde cause.
-    let err = CampaignCheckpoint::from_json("{definitely not json").unwrap_err();
-    assert!(matches!(err, CheckpointError::Deserialize { .. }), "{err}");
-    assert!(std::error::Error::source(&err).is_some());
-
-    // A future schema version is refused with both sides of the
-    // mismatch...
-    let v = ft_core::CHECKPOINT_VERSION;
-    let future = json.replacen(
-        &format!("\"version\":{v}"),
-        &format!("\"version\":{}", v + 1),
-        1,
+    // Garbage (a JSON fragment among it) is a typed refusal.
+    let err = CampaignRecord::from_bytes(b"{definitely not json").unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::Version { found: 0, .. }),
+        "{err}"
     );
-    assert_ne!(future, json, "version field must be serialized");
-    let err = CampaignCheckpoint::from_json(&future).unwrap_err();
+
+    // A future format version is refused with both sides of the
+    // mismatch...
+    let v = RECORD_FORMAT_VERSION;
+    let mut future = bytes.clone();
+    future[4..8].copy_from_slice(&(v + 1).to_le_bytes());
+    let err = CampaignRecord::from_bytes(&future).unwrap_err();
     assert!(
         matches!(err, CheckpointError::Version { found, supported }
             if found == v + 1 && supported == v),
@@ -257,19 +269,23 @@ fn mid_overlap_checkpoint_refuses_corruption_and_version_mismatch() {
     );
     assert!(err.to_string().contains("version"));
 
-    // ...and a truncated file is a parse error again.
-    let err = CampaignCheckpoint::from_json(&json[..json.len() / 2]).unwrap_err();
-    assert!(matches!(err, CheckpointError::Deserialize { .. }), "{err}");
+    // ...and a truncated record is a malformed one.
+    let err = CampaignRecord::from_bytes(&bytes[..bytes.len() / 2]).unwrap_err();
+    assert!(matches!(err, CheckpointError::Record(_)), "{err}");
 
     // A corrupted completed-phase list fails loudly at load time.
-    let tampered = json.replacen("\"completed\":[\"baseline\"", "\"completed\":[\"cfr\"", 1);
-    assert_ne!(tampered, json, "completed list must be serialized");
-    let err = CampaignCheckpoint::from_json(&tampered).unwrap_err();
+    let mut tampered = cp.clone();
+    assert_eq!(tampered.completed[0], "baseline");
+    tampered.completed[0] = "cfr".to_string();
+    let err = CampaignRecord::from_bytes(&sealed(&tampered)).unwrap_err();
     assert!(matches!(err, CheckpointError::Phases(_)), "{err}");
 
     // A mid-overlap checkpoint still validates campaign identity on
     // resume, whatever the schedule.
-    let cp = CampaignCheckpoint::from_json(&json).unwrap();
+    let cp = CampaignRecord::from_bytes(&bytes)
+        .expect("decodes")
+        .checkpoint
+        .expect("carries the campaign");
     for mode in [ScheduleMode::Serial, ScheduleMode::Overlapped] {
         let err = match tuner(&w, &arch, FaultModel::zero())
             .budget(61)
@@ -298,8 +314,7 @@ fn overlapped_resume_of_an_overlap_written_checkpoint_round_trips() {
         .overlap_phases()
         .interleave(3)
         .run_until_phases(&[Phase::Collect, Phase::Random, Phase::Fr]);
-    let json = cp.to_json().unwrap();
-    let cp = CampaignCheckpoint::from_json(&json).unwrap();
+    let cp = reload(cp);
     let resumed = tuner(&w, &arch, faults)
         .overlap_phases()
         .resume(cp)

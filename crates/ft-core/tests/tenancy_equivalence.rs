@@ -268,19 +268,21 @@ fn a_killed_daemon_restarts_and_resumes_every_tenant_byte_identically() {
     );
 }
 
-/// Every record of a WAL as (kind, checkpoint JSON, digest): all a
-/// record holds except the `attempt` that wrote it, which is a
+/// Every record of a WAL as (kind, checkpoint record bytes, digest):
+/// all a record holds except the `attempt` that wrote it, which is a
 /// supervisor attempt on one side and a daemon generation on the other.
-fn wal_records(path: &Path) -> Vec<(String, Option<String>, Option<String>)> {
+fn wal_records(path: &Path) -> Vec<(String, Option<Vec<u8>>, Option<String>)> {
     Journal::recover(path)
         .expect("wal")
         .records
         .iter()
         .map(|bytes| {
             let record = CampaignRecord::from_bytes(bytes).expect("record parses");
-            let checkpoint = record
-                .checkpoint
-                .map(|cp| cp.to_json().expect("serializes"));
+            let checkpoint = record.checkpoint.map(|cp| {
+                CampaignRecord::checkpoint(cp, 1)
+                    .to_bytes()
+                    .expect("encodes")
+            });
             (record.kind, checkpoint, record.digest)
         })
         .collect()

@@ -9,8 +9,8 @@
 //! ftune critical CloverLeaf --loop dt         # §4.4 critical flags
 //! ftune compare swim                          # vs OpenTuner/COBAYN/PGO
 //! ftune cost AMG                              # §4.3 tuning-overhead ledger
-//! ftune collect AMG --k 1000 --out amg.json # checkpoint the collection
-//! ftune search amg.json                     # re-search without re-collecting
+//! ftune collect AMG --k 1000 --out amg.ftck   # checkpoint the collection
+//! ftune search amg.ftck                       # re-search without re-collecting
 //! ```
 
 use funcytuner::machine::roofline;
@@ -248,7 +248,7 @@ fn help() {
            tune-file <model.json>       tune a custom program model\n\
            optreport <bench> --loop L   O3-vs-CFR optimization reports\n\
            collect <bench> --out F      run the K-sample collection, checkpoint it\n\
-           search <checkpoint.json>     re-run CFR from a saved collection\n\
+           search <checkpoint>          re-run CFR from a saved collection\n\
            supervise <bench>            crash-safe campaign under a WAL journal\n\
            submit <bench>               spool a campaign for the daemon (--tenant, --spool)\n\
            serve                        run every spooled campaign as a multi-tenant daemon\n\
@@ -630,17 +630,7 @@ fn cmd_importance(args: &Args) -> Result<(), String> {
         .loop_name
         .as_ref()
         .ok_or("importance needs --loop NAME")?;
-    let input = w.tuning_input(arch.name);
-    let ir = w.instantiate(input);
-    let compiler = Compiler::icc(arch.target);
-    let (outlined, _) = outline_with_defaults(&ir, &compiler, &arch, input.steps, args.seed);
-    let ctx = EvalContext::new(
-        outlined.ir,
-        Compiler::icc(arch.target),
-        arch.clone(),
-        input.steps,
-        args.seed,
-    );
+    let ctx = outlined_ctx(&w, arch.clone(), None, args.seed);
     let module = ctx
         .ir
         .module_by_name(loop_name)
@@ -657,63 +647,36 @@ fn cmd_importance(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuilds the evaluation context a checkpoint was captured in.
-fn ctx_for_checkpoint(
-    cp: &funcytuner::tuning::Checkpoint,
-    seed: u64,
-) -> Result<EvalContext, String> {
-    let arch = match cp.arch.as_str() {
-        "Opteron" => Architecture::opteron(),
-        "Sandy Bridge" => Architecture::sandy_bridge(),
-        "Broadwell" => Architecture::broadwell(),
-        "Skylake-512" => Architecture::skylake_avx512(),
-        other => return Err(format!("unknown architecture {other} in checkpoint")),
-    };
-    let w = workload_by_name(&cp.program)
-        .ok_or_else(|| format!("unknown benchmark {} in checkpoint", cp.program))?;
+/// The evaluation context of `w`'s tuning input on `arch`, outlined at
+/// `steps` time-steps (the input's own when `None`): the recipe
+/// `importance`, `collect` and `search` share.
+fn outlined_ctx(w: &Workload, arch: Architecture, steps: Option<u32>, seed: u64) -> EvalContext {
     let input = w.tuning_input(arch.name);
+    let steps = steps.unwrap_or(input.steps);
     let ir = w.instantiate(input);
     let compiler = Compiler::icc(arch.target);
-    let (outlined, _) = outline_with_defaults(&ir, &compiler, &arch, cp.steps, seed);
-    Ok(EvalContext::new(
-        outlined.ir,
-        Compiler::icc(arch.target),
-        arch,
-        cp.steps,
-        seed,
-    ))
+    let (outlined, _) = outline_with_defaults(&ir, &compiler, &arch, steps, seed);
+    EvalContext::new(outlined.ir, compiler, arch, steps, seed)
 }
 
 fn cmd_collect(args: &Args) -> Result<(), String> {
     let out = args
         .out
         .clone()
-        .unwrap_or_else(|| "collection.json".to_string());
-    let arch = args.architecture()?;
+        .unwrap_or_else(|| "collection.ftck".to_string());
     let w = args.workload()?;
-    let input = w.tuning_input(arch.name);
-    let ir = w.instantiate(input);
-    let compiler = Compiler::icc(arch.target);
-    let (outlined, _) = outline_with_defaults(&ir, &compiler, &arch, input.steps, args.seed);
-    let ctx = EvalContext::new(
-        outlined.ir,
-        Compiler::icc(arch.target),
-        arch.clone(),
-        input.steps,
-        args.seed,
-    );
+    let ctx = outlined_ctx(&w, args.architecture()?, None, args.seed);
     println!(
         "collecting per-loop data: {} on {} (K = {}, J = {})...",
         w.meta.name,
-        arch.name,
+        ctx.arch.name,
         args.k,
         ctx.modules() - 1
     );
     let data = collect(&ctx, args.k, args.seed);
-    let cp = funcytuner::tuning::Checkpoint::capture(&ctx, data);
-    let json = cp.to_json().map_err(|e| e.to_string())?;
-    std::fs::write(&out, &json).map_err(|e| format!("write {out}: {e}"))?;
-    println!("checkpoint written to {out} ({} bytes)", json.len());
+    let bytes = funcytuner::tuning::Checkpoint::capture(&ctx, data).to_bytes();
+    std::fs::write(&out, &bytes).map_err(|e| format!("write {out}: {e}"))?;
+    println!("checkpoint written to {out} ({} bytes)", bytes.len());
     println!("re-run the search phase with: ftune search {out}");
     Ok(())
 }
@@ -723,16 +686,21 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         .bench
         .as_ref()
         .ok_or("search needs a checkpoint path")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let cp = funcytuner::tuning::Checkpoint::from_json(&json).map_err(|e| e.to_string())?;
+    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
+    let cp =
+        funcytuner::tuning::Checkpoint::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "checkpoint: {} on {} (K = {}, {} modules)",
         cp.program,
         cp.arch,
         cp.data.k(),
-        cp.modules
+        cp.module_names.len()
     );
-    let ctx = ctx_for_checkpoint(&cp, args.seed)?;
+    let arch = funcytuner::tuning::server::arch_by_name(&cp.arch)
+        .ok_or_else(|| format!("unknown architecture {} in checkpoint", cp.arch))?;
+    let w = workload_by_name(&cp.program)
+        .ok_or_else(|| format!("unknown benchmark {} in checkpoint", cp.program))?;
+    let ctx = outlined_ctx(&w, arch, Some(cp.steps), args.seed);
     let k = cp.data.k();
     let data = cp.restore(&ctx).map_err(|e| e.to_string())?;
     let baseline = ctx.baseline_time(10);

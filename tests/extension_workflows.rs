@@ -21,11 +21,9 @@ fn checkpointed_collection_feeds_every_downstream_consumer() {
     // the workflow `ftune collect` + `ftune search` implements.
     let ctx = quick_ctx("CloverLeaf");
     let data = collect(&ctx, 120, 13);
-    let json = Checkpoint::capture(&ctx, data)
-        .to_json()
-        .expect("serializes");
-    let restored = Checkpoint::from_json(&json)
-        .expect("parses")
+    let bytes = Checkpoint::capture(&ctx, data).to_bytes();
+    let restored = Checkpoint::from_bytes(&bytes)
+        .expect("decodes")
         .restore(&ctx)
         .expect("same context");
 

@@ -13,7 +13,7 @@
 //! * every ledger balances (`runs == ok + crashes + timeouts`).
 
 use funcytuner::compiler::FaultModel;
-use funcytuner::tuning::supervisor::default_segments;
+use funcytuner::tuning::supervisor::{default_segments, CampaignRecord};
 use funcytuner::tuning::{
     CampaignCheckpoint, CampaignSpec, ObjectStore, ServerConfig, TenantOutcome, TuningServer,
 };
@@ -47,6 +47,12 @@ fn tenant_draw() -> impl Strategy<Value = TenantDraw> {
     (0u64..1000, 20usize..61, any::<bool>(), 0u64..4, 1u64..121)
 }
 
+fn record_bytes(cp: &CampaignCheckpoint) -> Vec<u8> {
+    CampaignRecord::checkpoint(cp.clone(), 1)
+        .to_bytes()
+        .expect("encodes")
+}
+
 /// What a tenant's campaign should come to, computed by a serial
 /// segment-advance loop with the server's budget rule: gate on
 /// `runs >= cap` before every segment and before the final resume.
@@ -55,7 +61,8 @@ enum Expected {
         digest: u64,
     },
     Exhausted {
-        checkpoint: Option<String>,
+        /// The checkpoint's WAL record bytes.
+        checkpoint: Option<Vec<u8>>,
         runs: u64,
     },
 }
@@ -69,7 +76,7 @@ fn expected_outcome(spec: &CampaignSpec) -> Expected {
     for segment in &default_segments() {
         if runs >= cap {
             return Expected::Exhausted {
-                checkpoint: checkpoint.map(|cp| cp.to_json().expect("serializes")),
+                checkpoint: checkpoint.as_ref().map(record_bytes),
                 runs,
             };
         }
@@ -90,7 +97,7 @@ fn expected_outcome(spec: &CampaignSpec) -> Expected {
     }
     if runs >= cap {
         return Expected::Exhausted {
-            checkpoint: checkpoint.map(|cp| cp.to_json().expect("serializes")),
+            checkpoint: checkpoint.as_ref().map(record_bytes),
             runs,
         };
     }
@@ -169,9 +176,7 @@ proptest! {
                         *runs, t.cost.runs,
                         "{} raw charge vs serial comparator", label
                     );
-                    let got = got
-                        .as_ref()
-                        .map(|cp| cp.to_json().expect("serializes"));
+                    let got = got.as_deref().map(record_bytes);
                     prop_assert_eq!(
                         checkpoint.clone(), got,
                         "{} checkpoint vs serial comparator", label

@@ -95,32 +95,41 @@ fn tune_file_refuses_malformed_program_models() {
         ("dangling-edge", dangling_edge, "call edge out of range"),
         ("sparse-ids", sparse_ids, "module ids must be dense"),
     ] {
-        let path =
-            std::env::temp_dir().join(format!("ft-tune-file-{name}-{}.json", std::process::id()));
-        std::fs::write(&path, serde_json::to_string(&ir).unwrap()).unwrap();
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ftune"))
-            .args(["tune-file", path.to_str().unwrap(), "--k", "10"])
-            .output()
-            .expect("spawn ftune");
-        let _ = std::fs::remove_file(&path);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{name}: accepted\n{stderr}");
-        assert_ne!(out.status.code(), Some(101), "{name}: panicked\n{stderr}");
-        assert!(stderr.contains(problem), "{name}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        let json = serde_json::to_string(&ir).unwrap();
+        assert_refuses("tune-file", name, json.as_bytes(), problem);
     }
 }
 
-#[test]
-fn search_refuses_an_empty_collection_checkpoint() {
-    let path = std::env::temp_dir().join(format!("ft-search-k0-{}.json", std::process::id()));
-    let ftune = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_ftune"))
-            .args(args)
-            .output()
-            .expect("spawn ftune")
-    };
-    let collected = ftune(&[
+fn ftune(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_ftune"))
+        .args(args)
+        .output()
+        .expect("spawn ftune")
+}
+
+fn temp_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ft-{name}-{}", std::process::id()))
+}
+
+/// Runs `ftune <command> <path>` on `bytes` and asserts a clean refusal:
+/// exit 2, never an abort (134) or a panic (101), with `problem` in the
+/// message.
+fn assert_refuses(command: &str, name: &str, bytes: &[u8], problem: &str) {
+    let path = temp_path(name);
+    std::fs::write(&path, bytes).unwrap();
+    let out = ftune(&[command, path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{command} {name}\n{stderr}");
+    assert!(stderr.contains(problem), "{command} {name}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{command} {name}: {stderr}");
+}
+
+/// Collects a small swim checkpoint through the CLI and returns its
+/// bytes.
+fn collected(name: &str) -> Vec<u8> {
+    let path = temp_path(name);
+    let out = ftune(&[
         "collect",
         "swim",
         "--k",
@@ -128,20 +137,59 @@ fn search_refuses_an_empty_collection_checkpoint() {
         "--out",
         path.to_str().unwrap(),
     ]);
-    assert!(collected.status.success(), "collect failed: {collected:?}");
+    assert!(out.status.success(), "collect failed: {out:?}");
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+#[test]
+fn search_refuses_an_empty_collection_checkpoint() {
     // Empty the collection while keeping the checkpoint's provenance,
     // so only the K = 0 collection is wrong.
-    let json = std::fs::read_to_string(&path).unwrap();
-    let mut cp = funcytuner::tuning::Checkpoint::from_json(&json).unwrap();
+    let mut cp = funcytuner::tuning::Checkpoint::from_bytes(&collected("search-k0")).unwrap();
     cp.data.cvs.clear();
     cp.data.end_to_end.clear();
     cp.data.per_module.iter_mut().for_each(Vec::clear);
-    std::fs::write(&path, cp.to_json().unwrap()).unwrap();
-    let out = ftune(&["search", path.to_str().unwrap()]);
-    let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "accepted\n{stderr}");
-    assert_ne!(out.status.code(), Some(101), "panicked\n{stderr}");
-    assert!(stderr.contains("collection is empty"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_refuses("search", "search-k0", &cp.to_bytes(), "collection is empty");
+}
+
+#[test]
+fn hostile_files_are_typed_refusals_not_aborts() {
+    // Deep nesting once overflowed the JSON parser's stack (exit 134).
+    let brackets = vec![b'['; 200_000];
+    assert_refuses("tune-file", "brackets", &brackets, "nesting deeper than");
+    assert_refuses(
+        "search",
+        "brackets",
+        &brackets,
+        "unsupported checkpoint version 0",
+    );
+
+    // A collect output cut short fails its seal.
+    let bytes = collected("search-cut");
+    assert_refuses(
+        "search",
+        "cut",
+        &bytes[..bytes.len() / 2],
+        "record checksum mismatch",
+    );
+    assert_refuses("search", "stub", &bytes[..6], "record truncated");
+
+    // A WAL record is sealed under another tag.
+    let arch = Architecture::broadwell();
+    let w = workload_by_name("swim").unwrap();
+    let cp = Tuner::new(&w, &arch)
+        .budget(10)
+        .cap_steps(3)
+        .run_until(funcytuner::tuning::Phase::Baseline);
+    let record = funcytuner::tuning::supervisor::CampaignRecord::checkpoint(cp, 1)
+        .to_bytes()
+        .unwrap();
+    assert_refuses(
+        "search",
+        "wal-record",
+        &record,
+        "unsupported checkpoint version 0",
+    );
 }

@@ -13,6 +13,8 @@
 //!      each case re-sealed with a fresh checksum so the decoder, not
 //!      the checksum, must refuse it; the checksum itself must refuse
 //!      every raw cut and flip;
+//!    - a collection checkpoint file (`Checkpoint::from_bytes`), sealed
+//!      the same way;
 //!    - HELLO, WORK (with CV definitions) and REPLY wire messages
 //!      (`decode_message`);
 //!    - a spooled `CampaignSpec` (`CampaignSpec::decode`);
@@ -20,12 +22,11 @@
 //!      only at a frame boundary and is `WorkerDied` inside a frame.
 //! 2. **Losslessness.** Under both fault models and both the Time and
 //!    Pareto objectives, every segment's delta and every folded
-//!    checkpoint re-encodes to identical bytes and exports the same
-//!    JSON, and folding the deltas rebuilds the engine's cumulative
-//!    checkpoint after every segment.
-//! 3. **JSON-era journals.** A record written by the earlier JSON codec
-//!    is a typed `Version` refusal for `Supervisor`, the daemon and
-//!    `ftune supervise`.
+//!    checkpoint re-encodes to identical bytes, and folding the deltas
+//!    rebuilds the engine's cumulative checkpoint after every segment.
+//! 3. **Older journals.** A record written by the earlier JSON codec or
+//!    in format 1 is a typed `Version` refusal for `Supervisor`, the
+//!    daemon and `ftune supervise`.
 //!
 //! The byte layouts the walker below follows are the ones DESIGN §13
 //! (WAL records), §14 (wire messages) and §15 (spool specs) document.
@@ -35,12 +36,10 @@ use funcytuner::prelude::*;
 use funcytuner::tuning::canonical::digest;
 use funcytuner::tuning::journal::temp_journal_path;
 use funcytuner::tuning::remote::{decode_message, encode_frame, encode_message, serve};
-use funcytuner::tuning::supervisor::{
-    default_segments, fold_checkpoints, CampaignRecord, RECORD_FORMAT_VERSION,
-};
+use funcytuner::tuning::supervisor::{default_segments, fold_checkpoints, CampaignRecord};
 use funcytuner::tuning::{
-    BatchReply, CampaignCheckpoint, CheckpointError, HelloSpec, LedgerDelta, Message, Objective,
-    Phase, RemoteError, WireError, WorkBatch, WorkItem,
+    BatchReply, CampaignCheckpoint, Checkpoint, CheckpointError, HelloSpec, LedgerDelta, Message,
+    Objective, Phase, RemoteError, WireError, WorkBatch, WorkItem, RECORD_FORMAT_VERSION,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -257,8 +256,13 @@ impl Walker<'_> {
         }); // front
     }
 
+    fn collection(&mut self) {
+        self.list(Self::bytes); // CVs
+        self.list(Self::f64s); // per-module rows
+        self.f64s(); // end-to-end times
+    }
+
     fn checkpoint(&mut self) {
-        self.word(); // version
         self.bytes(); // workload
         self.bytes(); // arch
         self.words(3); // budget, focus, seed
@@ -267,11 +271,7 @@ impl Walker<'_> {
         self.option(|w| w.words(1)); // exempt digest
         self.words(2); // objective
         self.option(|w| w.words(1)); // baseline
-        self.option(|w| {
-            w.list(Self::bytes);
-            w.list(Self::f64s);
-            w.f64s()
-        }); // collection
+        self.option(Self::collection);
         self.option(Self::result); // random
         self.option(Self::result); // fr
         self.option(|w| {
@@ -298,15 +298,20 @@ fn count_offsets(buf: &[u8], from: usize, layout: impl FnOnce(&mut Walker)) -> V
     w.counts
 }
 
-/// Every count prefix of a record's body (the record without its
-/// checksum trailer).
-fn record_counts(body: &[u8]) -> Vec<usize> {
-    assert_eq!(&body[..4], b"FTWR");
+/// Every count prefix of a sealed record's body (the record without
+/// its checksum trailer), walked by `layout` after the tag and format.
+fn sealed_counts(body: &[u8], tag: &[u8; 4], layout: impl FnOnce(&mut Walker)) -> Vec<usize> {
+    assert_eq!(&body[..4], tag);
     assert_eq!(
         u32::from_le_bytes(body[4..8].try_into().unwrap()),
         RECORD_FORMAT_VERSION
     );
-    count_offsets(body, 8, |w| {
+    count_offsets(body, 8, layout)
+}
+
+/// Every count prefix of a WAL record's body.
+fn record_counts(body: &[u8]) -> Vec<usize> {
+    sealed_counts(body, b"FTWR", |w| {
         w.bytes(); // kind
         w.word(); // attempt
         w.option(Walker::checkpoint);
@@ -471,6 +476,48 @@ fn hostile_records_are_typed_refusals_that_allocate_no_more_than_the_record() {
         for err in &refusals.counts {
             assert!(matches!(err, CheckpointError::Record(_)), "{label}: {err}");
         }
+    }
+}
+
+#[test]
+fn a_hostile_collection_file_is_a_typed_refusal_that_allocates_no_more_than_the_file() {
+    let arch = Architecture::broadwell();
+    let w = swim();
+    let run = tuner(&w, &arch, FaultModel::testbed(0xFA17), Objective::Time)
+        .budget(16)
+        .run();
+    let file = Checkpoint::capture(&run.ctx, run.data.clone()).to_bytes();
+    let decoded = Checkpoint::from_bytes(&file).expect("decodes");
+    assert_eq!(decoded.to_bytes(), file, "round-trips bit for bit");
+
+    let body = &file[..file.len() - 8];
+    let counts = sealed_counts(body, b"FTCK", |w| {
+        w.bytes(); // program
+        w.bytes(); // arch
+        w.word(); // steps
+        w.list(Walker::bytes); // module names
+        w.collection();
+    });
+    let surface = Surface {
+        label: "collection file",
+        body,
+        seal: reseal,
+        counts,
+        // Decoded only after a dry pass allocates nothing.
+        alloc_factor: 1,
+    };
+    let refusals = attack(&surface, Checkpoint::from_bytes);
+    for err in &refusals.cuts {
+        assert!(
+            matches!(
+                err,
+                CheckpointError::Record(_) | CheckpointError::Version { .. }
+            ),
+            "{err:?}"
+        );
+    }
+    for err in &refusals.counts {
+        assert!(matches!(err, CheckpointError::Record(_)), "{err}");
     }
 }
 
@@ -667,21 +714,11 @@ fn deltas_and_folded_checkpoints_round_trip_losslessly() {
                     .expect("non-empty");
                 let bytes = record_bytes(&folded);
                 assert_eq!(bytes, record_bytes(&engine[i]), "{label}: fold {i}");
-                assert_eq!(
-                    folded.to_json().unwrap(),
-                    engine[i].to_json().unwrap(),
-                    "{label}: fold {i}"
-                );
                 let decoded = CampaignRecord::from_bytes(&bytes)
                     .expect("folded decodes")
                     .checkpoint
                     .expect("carries the campaign");
                 assert_eq!(record_bytes(&decoded), bytes, "{label}: fold {i}");
-                assert_eq!(
-                    decoded.to_json().unwrap(),
-                    folded.to_json().unwrap(),
-                    "{label}: fold {i}"
-                );
             }
 
             let done = CampaignRecord::from_bytes(&journal.done).expect("done decodes");
@@ -697,59 +734,76 @@ fn deltas_and_folded_checkpoints_round_trip_losslessly() {
 }
 
 // ---------------------------------------------------------------------
-// 3. JSON-era journals
+// 3. Older journals
 // ---------------------------------------------------------------------
 
-/// A checkpoint record as the earlier serde-JSON codec wrote it.
-fn json_era_record(cp: &CampaignCheckpoint) -> Vec<u8> {
-    format!(
-        r#"{{"kind":"checkpoint","checkpoint":{},"digest":null,"diagnostic":null,"attempt":1}}"#,
-        cp.to_json().unwrap()
-    )
-    .into_bytes()
+/// The baseline checkpoint record of `tuner(swim, Broadwell, zero
+/// faults, Time)` as the earlier serde-JSON codec wrote it.
+const JSON_ERA_RECORD: &[u8] = br#"{"kind":"checkpoint","checkpoint":{"version":2,"workload":"swim","arch":"Broadwell","budget":60,"focus":8,"seed":42,"steps_cap":5,"faults":{"seed":0,"compile_failure":0.0,"crash":0.0,"hang":0.0,"outlier":0.0,"exempt_digest":null},"objective":"time","baseline_time":2.2759811726138643,"data":null,"random":null,"fr":null,"greedy":null,"cfr":null,"bad_compiles":[],"bad_programs":[],"completed":["baseline"]},"digest":null,"diagnostic":null,"attempt":1}"#;
+
+/// A poison record in format 1, whose poison layout format 2 kept:
+/// only the format word differs.
+fn format_1_record() -> Vec<u8> {
+    let mut sealed = CampaignRecord::poisoned("an older build".to_string(), 1)
+        .to_bytes()
+        .unwrap();
+    sealed.truncate(sealed.len() - 8);
+    sealed[4..8].copy_from_slice(&1u32.to_le_bytes());
+    reseal(sealed)
 }
 
-fn assert_version_zero(err: &CheckpointError) {
+fn unsupported(found: u32) -> CheckpointError {
+    CheckpointError::Version {
+        found,
+        supported: RECORD_FORMAT_VERSION,
+    }
+}
+
+/// Asserts that the record decoder, `Supervisor` and the daemon all
+/// refuse a journal holding `payload` as format `found`.
+fn assert_every_driver_refuses(payload: &[u8], found: u32) {
     assert_eq!(
-        *err,
-        CheckpointError::Version {
-            found: 0,
-            supported: RECORD_FORMAT_VERSION
-        }
+        CampaignRecord::from_bytes(payload).unwrap_err(),
+        unsupported(found)
     );
-}
 
-#[test]
-fn a_json_era_record_is_a_typed_version_refusal() {
     let arch = Architecture::broadwell();
     let w = swim();
     let make = || tuner(&w, &arch, FaultModel::zero(), Objective::Time);
-    let payload = json_era_record(&make().run_until(Phase::Baseline));
-    assert_version_zero(&CampaignRecord::from_bytes(&payload).unwrap_err());
-
-    let j = TempJournal(temp_journal_path("wal-json-era"));
-    Journal::create(&j.0).unwrap().append(&payload).unwrap();
+    let j = TempJournal(temp_journal_path(&format!("wal-format-{found}")));
+    Journal::create(&j.0).unwrap().append(payload).unwrap();
     match Supervisor::new(&j.0, make).run() {
-        Err(SupervisorError::Checkpoint(err)) => assert_version_zero(&err),
-        other => panic!("expected a typed Version refusal, got {other:?}"),
+        Err(SupervisorError::Checkpoint(err)) => assert_eq!(err, unsupported(found)),
+        other => panic!("format {found}: expected a typed Version refusal, got {other:?}"),
     }
 
-    let dir = temp_journal_path("wal-json-era-daemon");
+    let dir = temp_journal_path(&format!("wal-format-{found}-daemon"));
     std::fs::create_dir_all(&dir).unwrap();
     let mut journal = Journal::create(&dir.join("tenant-legacy.wal")).unwrap();
-    journal.append(&payload).unwrap();
+    journal.append(payload).unwrap();
     let mut spec = CampaignSpec::new("swim", "broadwell");
     spec.budget = 60;
     spec.focus = 8;
     spec.steps_cap = Some(5);
     let mut server = TuningServer::new(ServerConfig::new(&dir)).unwrap();
     match server.submit("legacy", spec) {
-        Err(AdmissionError::Wal(why)) => {
-            assert!(why.contains("unsupported checkpoint version 0"), "{why}")
-        }
-        other => panic!("expected a typed Wal refusal, got {other:?}"),
+        Err(AdmissionError::Wal(why)) => assert!(
+            why.contains(&format!("unsupported checkpoint version {found}")),
+            "{why}"
+        ),
+        other => panic!("format {found}: expected a typed Wal refusal, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_json_era_record_is_a_typed_version_refusal() {
+    assert_every_driver_refuses(JSON_ERA_RECORD, 0);
+}
+
+#[test]
+fn a_format_1_record_is_a_typed_version_refusal() {
+    assert_every_driver_refuses(&format_1_record(), 1);
 }
 
 #[test]
@@ -757,15 +811,14 @@ fn ftune_supervise_prints_the_version_refusal_and_exits_nonzero() {
     let dir = temp_journal_path("wal-json-era-cli");
     std::fs::create_dir_all(&dir).unwrap();
     let arch = Architecture::broadwell();
-    let w = swim();
-    let payload = json_era_record(
-        &tuner(&w, &arch, FaultModel::zero(), Objective::Time).run_until(Phase::Baseline),
-    );
     let wal = dir.join(format!(
         "swim-{}-seed7.wal",
         arch.name.replace(' ', "-").to_lowercase()
     ));
-    Journal::create(&wal).unwrap().append(&payload).unwrap();
+    Journal::create(&wal)
+        .unwrap()
+        .append(JSON_ERA_RECORD)
+        .unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ftune"))
         .args(["supervise", "swim", "--k", "20", "--x", "4", "--seed", "7"])
         .args(["--checkpoint-dir", dir.to_str().unwrap()])
