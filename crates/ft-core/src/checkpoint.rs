@@ -19,7 +19,8 @@
 //! [`crate::supervisor::RECORD_MAGIC`] for a campaign record), the
 //! one [`RECORD_FORMAT_VERSION`], the body in the canonical encoding
 //! ([`crate::canonical`]) and a trailing checksum. Every time, `+inf`
-//! rows included, survives bit for bit.
+//! rows included, survives bit for bit. A record read under the other
+//! tag is refused with [`CheckpointError::WrongTag`], naming both.
 
 use crate::algorithms::GreedyOutcome;
 use crate::canonical::{digest, write_str, write_u64, Reader};
@@ -33,6 +34,9 @@ use std::fmt;
 
 /// First four bytes of a collection checkpoint file.
 pub const COLLECTION_MAGIC: [u8; 4] = *b"FTCK";
+
+/// Every tag a record is sealed under.
+const SEALED_TAGS: [[u8; 4]; 2] = [COLLECTION_MAGIC, crate::supervisor::RECORD_MAGIC];
 
 /// Format version of every sealed record, written as a little-endian
 /// `u32` right after its tag. A payload without the tag, such as a
@@ -76,6 +80,14 @@ pub enum CheckpointError {
         /// The version this build writes and reads.
         supported: u32,
     },
+    /// The payload is a sealed record of the other kind: a WAL record
+    /// read as a collection file, or the reverse.
+    WrongTag {
+        /// The tag the reader accepts.
+        expected: [u8; 4],
+        /// The tag the payload carries.
+        found: [u8; 4],
+    },
     /// The completed-phase list is structurally invalid (unknown
     /// label, duplicate, out of canonical order, or inconsistent with
     /// the phase results actually present).
@@ -106,6 +118,12 @@ impl fmt::Display for CheckpointError {
                 "unsupported checkpoint version {found} (this build reads \
                  version {supported}; re-collect or use a matching build)"
             ),
+            CheckpointError::WrongTag { expected, found } => write!(
+                f,
+                "sealed record tagged {} where {} was expected",
+                String::from_utf8_lossy(found),
+                String::from_utf8_lossy(expected)
+            ),
             CheckpointError::Phases(m) => write!(f, "checkpoint phase list invalid: {m}"),
             CheckpointError::Record(m) => write!(f, "malformed sealed record: {m}"),
             CheckpointError::DigestMismatch { recorded, replayed } => write!(
@@ -133,9 +151,10 @@ pub(crate) fn seal(tag: [u8; 4], write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 }
 
 /// Inverse of [`seal`]. Every failure is typed, never a panic: a
-/// payload without `tag` or of another format is
-/// [`CheckpointError::Version`]; a truncated one, one that fails its
-/// checksum, or one whose body `read` does not consume whole is
+/// payload sealed under another of [`SEALED_TAGS`] is
+/// [`CheckpointError::WrongTag`]; one without any tag or of another
+/// format is [`CheckpointError::Version`]; a truncated one, one that
+/// fails its checksum, or one whose body `read` does not consume whole is
 /// [`CheckpointError::Record`]. The body is walked once dry before it
 /// is decoded, so a hostile length or count costs no memory.
 pub(crate) fn unseal<T>(
@@ -149,6 +168,15 @@ pub(crate) fn unseal<T>(
         found,
         supported: RECORD_FORMAT_VERSION,
     };
+    if let Some(&found) = SEALED_TAGS
+        .iter()
+        .find(|t| **t != tag && bytes.starts_with(&t[..]))
+    {
+        return Err(CheckpointError::WrongTag {
+            expected: tag,
+            found,
+        });
+    }
     let Some(head) = bytes.get(..8) else {
         return Err(if tag.starts_with(bytes) || bytes.starts_with(&tag) {
             truncated()
@@ -259,8 +287,9 @@ impl Checkpoint {
     }
 
     /// Decodes a collection file; every failure is a typed
-    /// [`CheckpointError::Version`] or [`CheckpointError::Record`] (see
-    /// the module docs). [`Checkpoint::restore`] checks it against a context.
+    /// [`CheckpointError::Version`], [`CheckpointError::WrongTag`] or
+    /// [`CheckpointError::Record`] (see the module docs).
+    /// [`Checkpoint::restore`] checks it against a context.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         unseal(bytes, COLLECTION_MAGIC, |r| {
             Some(Checkpoint {
@@ -587,21 +616,35 @@ mod tests {
             found,
             supported: RECORD_FORMAT_VERSION,
         };
-        // No tag: garbage, a JSON-era file, a campaign record.
+        // No tag: garbage or a JSON-era file.
         assert_eq!(
             Checkpoint::from_bytes(b"{not json").unwrap_err(),
             unsupported(0)
         );
+        // The other record kind is refused by name, both ways round.
         let ctx = ctx_for("swim", Some(3));
         let bytes = Checkpoint::capture(&ctx, collect(&ctx, 5, 7)).to_bytes();
         let wal = CampaignRecord::poisoned("x".to_string(), 1)
             .to_bytes()
             .unwrap();
-        assert_eq!(Checkpoint::from_bytes(&wal).unwrap_err(), unsupported(0));
-        // Nor does a collection file read as a campaign record.
+        let err = Checkpoint::from_bytes(&wal).unwrap_err();
+        assert_eq!(
+            err,
+            CheckpointError::WrongTag {
+                expected: *b"FTCK",
+                found: *b"FTWR"
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "sealed record tagged FTWR where FTCK was expected"
+        );
         assert_eq!(
             CampaignRecord::from_bytes(&bytes).unwrap_err(),
-            unsupported(0)
+            CheckpointError::WrongTag {
+                expected: *b"FTWR",
+                found: *b"FTCK"
+            }
         );
         for cut in [0, 3, 8, 15, bytes.len() / 2, bytes.len() - 1] {
             let err = Checkpoint::from_bytes(&bytes[..cut]).unwrap_err();

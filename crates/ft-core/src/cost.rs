@@ -53,19 +53,6 @@ pub struct TuningCost {
     /// candidate was bad.
     #[serde(default)]
     pub quarantined: u64,
-    /// Times the fault-rate circuit breaker tripped (0 when no breaker
-    /// is installed). Diagnostic only: the breaker changes *how* runs
-    /// are scheduled and charged, never their measured values.
-    ///
-    /// Schedule-dependent: the breaker counts tumbling windows over
-    /// runs in *completion* order, which parallel evaluation chunks
-    /// interleave, so the same faulted batch can report a different
-    /// count evaluated in parallel than one proposal at a time (5 vs 6
-    /// trips in one measured case). Times, runs and `canonical_bytes()`
-    /// do not move; only under a one-thread pool is the count
-    /// reproducible.
-    #[serde(default)]
-    pub breaker_trips: u64,
 }
 
 impl TuningCost {
@@ -85,7 +72,6 @@ impl TuningCost {
             timeouts: 0,
             retries: 0,
             quarantined: 0,
-            breaker_trips: 0,
         }
     }
 
@@ -106,7 +92,6 @@ impl TuningCost {
             timeouts: self.timeouts - earlier.timeouts,
             retries: self.retries - earlier.retries,
             quarantined: self.quarantined - earlier.quarantined,
-            breaker_trips: self.breaker_trips - earlier.breaker_trips,
         }
     }
 
@@ -130,7 +115,6 @@ impl TuningCost {
             timeouts: self.timeouts + other.timeouts,
             retries: self.retries + other.retries,
             quarantined: self.quarantined + other.quarantined,
-            breaker_trips: self.breaker_trips + other.breaker_trips,
         }
     }
 

@@ -1,7 +1,6 @@
 //! Evaluation context: the compile → link → execute pipeline every
 //! search algorithm measures through.
 
-use crate::breaker::CircuitBreaker;
 use crate::objective::{Objective, Score};
 use crate::search::{Candidate, Proposal};
 use crate::store::{self, ObjectStore};
@@ -240,11 +239,6 @@ pub struct EvalContext {
     faults: FaultModel,
     /// Retry/timeout policy of the resilient evaluation paths.
     resilience: ResilienceConfig,
-    /// Optional fault-rate circuit breaker (see [`crate::breaker`]).
-    /// `None` (the default) keeps the legacy behavior and ledger
-    /// bit-for-bit; installing one degrades gracefully under systemic
-    /// fault bursts without changing any measured value.
-    breaker: Option<CircuitBreaker>,
     /// Reference time (f64 bits; 0 = unset) from which timeout budgets
     /// are derived. Set once from the `-O3` baseline so budgets do not
     /// depend on the completion order of parallel batches.
@@ -307,7 +301,6 @@ impl EvalContext {
             machine_nanos: AtomicU64::new(0),
             faults: FaultModel::zero(),
             resilience: ResilienceConfig::default(),
-            breaker: None,
             timeout_ref_bits: AtomicU64::new(0),
             quarantine: FaultQuarantine::new(),
             ok_runs: AtomicU64::new(0),
@@ -350,29 +343,6 @@ impl EvalContext {
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
         self
-    }
-
-    /// Installs a fault-rate circuit breaker. While tripped, the
-    /// context disallows the batched fast path and widens its timeout
-    /// budget by the breaker's scale — both value-safe degradations
-    /// (the scalar path is bit-identical and hang outcomes are decided
-    /// by the fault model, not the budget).
-    pub fn with_breaker(mut self, config: crate::breaker::BreakerConfig) -> Self {
-        self.breaker = Some(CircuitBreaker::new(config));
-        self
-    }
-
-    /// The installed circuit breaker, if any.
-    pub fn breaker(&self) -> Option<&CircuitBreaker> {
-        self.breaker.as_ref()
-    }
-
-    /// Whether the batched evaluation fast path is currently allowed
-    /// (always, unless an installed breaker has tripped).
-    pub fn batched_allowed(&self) -> bool {
-        self.breaker
-            .as_ref()
-            .is_none_or(CircuitBreaker::allows_batched)
     }
 
     /// Binds a fresh private store bounded by `capacity`: least-
@@ -449,22 +419,11 @@ impl EvalContext {
             .store(seconds.to_bits(), Ordering::Relaxed);
     }
 
-    /// The current timeout budget in seconds, if a reference is set.
-    /// A tripped circuit breaker widens the budget by its scale — the
-    /// budget only decides what a (fault-model-decided) hang is
-    /// *charged*, so the widening changes the cost ledger, never a
-    /// measured value.
+    /// The current timeout budget in seconds, if a reference is set:
+    /// the reference time × [`ResilienceConfig::timeout_factor`].
     pub fn timeout_budget(&self) -> Option<f64> {
         let bits = self.timeout_ref_bits.load(Ordering::Relaxed);
-        if bits == 0 {
-            None
-        } else {
-            let scale = self
-                .breaker
-                .as_ref()
-                .map_or(1.0, CircuitBreaker::timeout_scale);
-            Some(f64::from_bits(bits) * self.resilience.timeout_factor * scale)
-        }
+        (bits != 0).then(|| f64::from_bits(bits) * self.resilience.timeout_factor)
     }
 
     /// Fault/recovery counters so far (local work plus, when a remote
@@ -635,8 +594,7 @@ impl EvalContext {
     /// the same compiles and link, as any other route to that build.
     ///
     /// An infallible, uninstrumented run that keeps per-module times
-    /// and charges the ledger one run. It never records to the breaker:
-    /// reporting re-measures known builds, it does not search.
+    /// and charges the ledger one run.
     pub fn measure(&self, assignment: &[Cv], noise_seed: u64) -> RunMeasurement {
         self.run_linked(&self.link_assignment(assignment), noise_seed)
     }
@@ -716,7 +674,6 @@ impl EvalContext {
             timeouts: faults.timeouts,
             retries: faults.retries,
             quarantined: faults.quarantined,
-            breaker_trips: self.breaker.as_ref().map_or(0, CircuitBreaker::trips),
         }
     }
 
@@ -846,17 +803,11 @@ impl EvalContext {
             match outcome {
                 RunOutcome::Ok(meas) => {
                     self.charge_run(meas.total_s);
-                    if let Some(b) = &self.breaker {
-                        b.record(false);
-                    }
                     return Score::new(meas.total_s, linked.weight_bytes());
                 }
                 RunOutcome::Crash { elapsed_s } => {
                     self.crashes.fetch_add(1, Ordering::Relaxed);
                     self.charge_failed(elapsed_s);
-                    if let Some(b) = &self.breaker {
-                        b.record(true);
-                    }
                     if attempt < self.resilience.max_retries {
                         self.retries.fetch_add(1, Ordering::Relaxed);
                     }
@@ -864,9 +815,6 @@ impl EvalContext {
                 RunOutcome::Timeout { budget_s } => {
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                     self.charge_failed(budget_s);
-                    if let Some(b) = &self.breaker {
-                        b.record(true);
-                    }
                     self.quarantine.ban_program(fp);
                     return Score::faulted();
                 }
@@ -883,20 +831,18 @@ impl EvalContext {
     /// plane's workers (which is what makes a worker's bits identical
     /// to a serial run by construction). Scores align with `proposals`.
     ///
-    /// The route follows observable state, not a setting. An
-    /// infallible context whose breaker (if any) allows it links every
-    /// proposal, then runs W-wide lane chunks through the memoized
-    /// [`BatchPlan`]. Otherwise each proposal takes the per-candidate
-    /// resilient funnel: compile gates, retries and quarantine are
-    /// per-candidate control flow the lane kernel deliberately
-    /// excludes, and isolating each fault is a tripped breaker's whole
-    /// point. The routes are bit-identical (the `eval_equivalence`
-    /// suite), so the choice only moves throughput. Candidates are pure
-    /// functions of their (digests, noise seed) inputs and the ledger
-    /// counters are atomic, so both routes are observationally
-    /// identical to a sequential loop.
+    /// The fault model alone picks the route. An infallible context
+    /// links every proposal, then runs W-wide lane chunks through the
+    /// memoized [`BatchPlan`]. A faulted one sends each proposal
+    /// through the per-candidate resilient funnel: compile gates,
+    /// retries and quarantine are per-candidate control flow the lane
+    /// kernel deliberately excludes. The routes are bit-identical (the
+    /// `eval_equivalence` suite), so the choice only moves throughput.
+    /// Candidates are pure functions of their (digests, noise seed)
+    /// inputs and the ledger counters are atomic, so both routes are
+    /// observationally identical to a sequential loop.
     pub fn evaluate(&self, pool: &CvPool, proposals: &[Proposal]) -> Vec<Score> {
-        if !self.faults.is_zero() || !self.batched_allowed() {
+        if !self.faults.is_zero() {
             return proposals
                 .par_iter()
                 .map(|p| self.eval_candidate(pool, &p.candidate, p.noise_seed, None))
@@ -972,9 +918,6 @@ impl EvalContext {
         )
         .total_s;
         self.charge_run(total_s);
-        if let Some(b) = &self.breaker {
-            b.record(false);
-        }
         total_s
     }
 

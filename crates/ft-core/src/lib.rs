@@ -30,7 +30,6 @@
 //! used by the examples and the experiment harness.
 
 pub mod algorithms;
-pub mod breaker;
 pub mod canonical;
 pub mod checkpoint;
 pub mod collection;
@@ -55,7 +54,6 @@ pub mod supervisor;
 pub mod variance;
 
 pub use algorithms::{cfr, fr_search, greedy, random_search, GreedyOutcome};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use checkpoint::{CampaignCheckpoint, Checkpoint, CheckpointError, RECORD_FORMAT_VERSION};
 pub use collection::{collect, collect_candidates, CollectionData, MixedCollection};
 pub use convergence::Convergence;

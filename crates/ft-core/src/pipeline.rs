@@ -49,8 +49,8 @@
 //!
 //! The context recipe (`Tuner::prepare`: instantiate, step cap,
 //! outline, and the context with its fault model, retry policy and
-//! objective) is shared too: the coordinator adds its caches, breaker
-//! and worker plane on top, and every worker, in-process or a child
+//! objective) is shared too: the coordinator adds its caches and
+//! worker plane on top, and every worker, in-process or a child
 //! process, rebuilds its context through [`HelloSpec::context`].
 //!
 //! Each search phase is a [`crate::search::SearchStrategy`] run by the
@@ -59,7 +59,6 @@
 //! materialization live in the driver (DESIGN.md §11).
 
 use crate::algorithms::{cfr, fr_search, greedy, random_search, GreedyOutcome};
-use crate::breaker::BreakerConfig;
 use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
 use crate::collection::{collect, CollectionData};
 use crate::cost::TuningCost;
@@ -303,7 +302,6 @@ pub struct Tuner<'a> {
     interleave: Option<u64>,
     cache_capacity: CacheCapacity,
     store: Option<Arc<ObjectStore>>,
-    breaker: Option<BreakerConfig>,
     workers: usize,
     worker_exe: Option<std::path::PathBuf>,
     worker_chaos: ChaosPolicy,
@@ -327,7 +325,6 @@ impl<'a> Tuner<'a> {
             interleave: None,
             cache_capacity: CacheCapacity::Unbounded,
             store: None,
-            breaker: None,
             workers: 0,
             worker_exe: None,
             worker_chaos: ChaosPolicy::Off,
@@ -425,17 +422,6 @@ impl<'a> Tuner<'a> {
     /// compile/link functions); the fault quarantine stays private.
     pub fn shared_store(mut self, store: Arc<ObjectStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Installs a fault-rate circuit breaker on the campaign's
-    /// evaluation context (see [`crate::breaker`]). Value-safe: the
-    /// breaker only reroutes evaluation (batched → per-candidate) and
-    /// widens timeout charging while tripped, so canonical digests are
-    /// unchanged whether or not it fires. Not part of the checkpoint
-    /// identity, for the same reason cache capacity is not.
-    pub fn breaker(mut self, config: BreakerConfig) -> Self {
-        self.breaker = Some(config);
         self
     }
 
@@ -619,8 +605,8 @@ impl<'a> Tuner<'a> {
     /// from, the coordinator's and each worker's (through
     /// [`HelloSpec::context`]): instantiate the tuning input under the
     /// step cap, outline it, and build the context with the fault
-    /// model, retry policy and objective. Caches, the breaker and the
-    /// worker plane belong to the coordinator alone.
+    /// model, retry policy and objective. Caches and the worker plane
+    /// belong to the coordinator alone.
     pub(crate) fn prepare(&self) -> Prepared {
         let mut input = self.workload.tuning_input(self.arch.name).clone();
         if let Some(cap) = self.steps_cap {
@@ -655,7 +641,7 @@ impl<'a> Tuner<'a> {
     }
 
     /// Adds the coordinator's layers to a prepared context: its cache
-    /// capacity or shared store, the breaker, and the worker plane.
+    /// capacity or shared store, and the worker plane.
     /// Every worker rebuilds the prepared context from one hello spec.
     /// Caches and quarantines are per-worker; they memoize pure
     /// functions, so they cannot change a bit.
@@ -663,9 +649,6 @@ impl<'a> Tuner<'a> {
         let mut ctx = ctx.with_cache_capacity(self.cache_capacity);
         if let Some(store) = &self.store {
             ctx = ctx.with_shared_store(store.clone());
-        }
-        if let Some(config) = self.breaker {
-            ctx = ctx.with_breaker(config);
         }
         if self.workers > 0 {
             let spec = HelloSpec {

@@ -65,7 +65,9 @@ use crate::TuningCost;
 use ft_compiler::FaultModel;
 use ft_machine::Architecture;
 use ft_workloads::{workload_by_name, Workload};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -570,12 +572,13 @@ struct TenantState {
 
 impl TenantState {
     /// Records `event` in the tenant's report and streams it to the
-    /// callback.
+    /// callback. Recording comes first, so the report keeps the event
+    /// even when the callback panics.
     fn emit(&mut self, callback: &Option<EventCallback>, event: ProgressEvent) {
-        if let Some(cb) = callback {
-            cb(&self.name, &event);
-        }
         self.events.push(event);
+        if let Some(cb) = callback {
+            cb(&self.name, self.events.last().expect("just pushed"));
+        }
     }
 
     /// Adds one step's ledger to the tenant's bill.
@@ -785,7 +788,7 @@ impl TuningServer {
                             g = cv.wait(g).unwrap();
                         }
                     };
-                    let advance = life.advance(&mut tenants[idx].lock().unwrap());
+                    let advance = life.advance_or_poison(&mut tenants[idx].lock().unwrap());
                     let mut g = sched.lock().unwrap();
                     match advance {
                         Advance::Continue => {
@@ -796,7 +799,12 @@ impl TuningServer {
                             g.remaining -= 1;
                             if let Some(next) = g.waiting.pop_front() {
                                 let mut promoted = tenants[next].lock().unwrap();
-                                promoted.emit(&life.callback, ProgressEvent::Promoted);
+                                // A panicking callback must not take the
+                                // scheduler lock down with it; the tenant
+                                // meets the callback again in its own step.
+                                let _ = catch_unwind(AssertUnwindSafe(|| {
+                                    promoted.emit(&life.callback, ProgressEvent::Promoted)
+                                }));
                                 drop(promoted);
                                 g.ready.push_back(next);
                                 cv.notify_one();
@@ -882,6 +890,32 @@ impl Life {
         clock.dead
     }
 
+    /// [`Life::advance`] with a panic anywhere in the step (the tuner,
+    /// the WAL or an event callback) quarantining the tenant the way a
+    /// step error does. Without this, the panic would end the executor
+    /// thread before `remaining` counts the tenant, and the daemon
+    /// would wait for it forever.
+    fn advance_or_poison(&self, tenant: &mut TenantState) -> Advance {
+        catch_unwind(AssertUnwindSafe(|| self.advance(tenant)))
+            .unwrap_or_else(|payload| self.poison(tenant, panic_message(payload.as_ref())))
+    }
+
+    /// Quarantines a tenant with a durable poison record, best effort:
+    /// a failing WAL cannot take it, but the outcome and diagnostic
+    /// survive into the report either way. The record write and the
+    /// callback may be the code that just panicked, so each runs under
+    /// its own guard and a second panic only loses that one effect.
+    fn poison(&self, tenant: &mut TenantState, diagnostic: String) -> Advance {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            tenant.log.poison(diagnostic.clone(), self.generation)
+        }));
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            tenant.emit(&self.callback, ProgressEvent::Poisoned)
+        }));
+        tenant.outcome = Some(TenantOutcome::Poisoned { diagnostic });
+        Advance::Terminal
+    }
+
     /// One executor task: gate the tenant on its run cap, else advance
     /// it by one executor step, bill the step, and say what to do next.
     fn advance(&self, tenant: &mut TenantState) -> Advance {
@@ -947,17 +981,20 @@ impl Life {
                 tenant.outcome = Some(TenantOutcome::Done { run, digest });
                 Advance::Terminal
             }
-            // Quarantine with a durable poison record, best effort: a
-            // failing WAL cannot take it, but the outcome and diagnostic
-            // survive into the report either way.
-            Err(e) => {
-                let diagnostic = e.to_string();
-                let _ = tenant.log.poison(diagnostic.clone(), self.generation);
-                tenant.emit(&self.callback, ProgressEvent::Poisoned);
-                tenant.outcome = Some(TenantOutcome::Poisoned { diagnostic });
-                Advance::Terminal
-            }
+            Err(e) => self.poison(tenant, e.to_string()),
         }
+    }
+}
+
+/// The message a panic was raised with (`panic!` carries a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => (*msg).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "panic with a non-string payload".to_string()),
     }
 }
 

@@ -26,8 +26,9 @@
 //!   [`crate::checkpoint`]): the canonical encoding
 //!   ([`crate::canonical`]) behind a format tag ([`RECORD_MAGIC`],
 //!   [`crate::checkpoint::RECORD_FORMAT_VERSION`]) and ahead of a
-//!   checksum, the one on-disk form of a checkpoint; a record of any
-//!   other format is a typed [`CheckpointError::Version`] refusal.
+//!   checksum, the one on-disk form of a checkpoint; a collection file
+//!   is a typed [`CheckpointError::WrongTag`] refusal and a record of
+//!   any other format a typed [`CheckpointError::Version`] one.
 //! * **Chaos kill-points.** Every step calls its driver's kill hook at
 //!   the record boundary, just before the record is appended. A kill
 //!   drops the step's work with every other in-memory structure and
@@ -166,8 +167,9 @@ impl CampaignRecord {
 
     /// Decodes a journal payload. Every failure is typed, never a
     /// panic and never a silent fresh start: besides the seal's own
-    /// refusals ([`crate::checkpoint`]: no `FTWR` tag or another
-    /// format is [`CheckpointError::Version`], a truncated, tampered or
+    /// refusals ([`crate::checkpoint`]: an `FTCK` tag is
+    /// [`CheckpointError::WrongTag`], no tag or another format
+    /// [`CheckpointError::Version`], a truncated, tampered or
     /// undecodable record [`CheckpointError::Record`]), a record whose
     /// `kind` is unknown, or whose checkpoint or done record lacks its
     /// checkpoint (or a done record its digest) is

@@ -1,19 +1,17 @@
 //! Equivalence of the routes behind `EvalContext::evaluate`.
 //!
-//! `evaluate` picks its route from state it can observe: a zero-fault
+//! `evaluate` picks its route from the fault model alone: a zero-fault
 //! context runs the lane-oriented batch executor, while a faulted
-//! context or a tripped breaker takes the per-candidate resilient
-//! funnel. Each route is pinned here to an independent reference on a
+//! context takes the per-candidate resilient funnel. Each route is pinned here to an independent reference on a
 //! fresh context: the batched route to `measure(..).total_s` per
 //! proposal, the funnel to evaluating every proposal on its own. Both
 //! must agree bit for bit on every candidate time, on the winner, on
-//! the ledger's run count and on breaker trips. The strategy-pinning
+//! the ledger's run count. The strategy-pinning
 //! goldens hold the routes to the pre-batch constants on top of this.
 
 use ft_compiler::{Compiler, FaultModel};
 use ft_core::{
-    argmin_finite, BreakerConfig, Candidate, EvalContext, History, Proposal, SearchDriver,
-    SearchStrategy,
+    argmin_finite, Candidate, EvalContext, History, Proposal, SearchDriver, SearchStrategy,
 };
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvPool};
@@ -96,13 +94,12 @@ impl SearchStrategy for MixedRounds {
 }
 
 /// What a run exposes for comparison: every candidate time, the
-/// winner, and the ledger's runs and breaker trips.
+/// winner, and the ledger's runs.
 #[derive(Debug)]
 struct Outcome {
     times: Vec<f64>,
     winner: (usize, u64),
     runs: u64,
-    trips: u64,
 }
 
 /// Drives [`MixedRounds`] through the search driver (one `evaluate`
@@ -115,12 +112,10 @@ fn driven(ctx: &EvalContext) -> (Outcome, Vec<Recorded>) {
     };
     let result = SearchDriver::new(ctx).run(&mut strategy);
     let times: Vec<f64> = result.scores.iter().map(|s| s.time).collect();
-    let cost = ctx.cost();
     let outcome = Outcome {
         times,
         winner: (result.best_index, result.best_time.to_bits()),
-        runs: cost.runs,
-        trips: cost.breaker_trips,
+        runs: ctx.cost().runs,
     };
     (outcome, strategy.recorded)
 }
@@ -136,12 +131,10 @@ fn reference(
     let times: Vec<f64> = recorded.iter().map(|r| time_of(ctx, r)).collect();
     let _ = ctx.baseline_time(10);
     let (i, t) = argmin_finite(&times);
-    let cost = ctx.cost();
     Outcome {
         times,
         winner: (i, t.to_bits()),
-        runs: cost.runs,
-        trips: cost.breaker_trips,
+        runs: ctx.cost().runs,
     }
 }
 
@@ -167,13 +160,12 @@ fn assert_same(driven: &Outcome, reference: &Outcome, label: &str) {
     }
     assert_eq!(driven.winner, reference.winner, "{label}: winner");
     assert_eq!(driven.runs, reference.runs, "{label}: charged runs");
-    assert_eq!(driven.trips, reference.trips, "{label}: breaker trips");
 }
 
 #[test]
 fn batched_route_matches_measure_per_proposal() {
     let batched = ctx(None);
-    assert!(batched.faults().is_zero() && batched.batched_allowed());
+    assert!(batched.faults().is_zero());
     let (got, recorded) = driven(&batched);
     assert_eq!(recorded.len(), 210);
     let want = reference(&ctx(None), &recorded, |c, r| {
@@ -195,41 +187,4 @@ fn faulted_context_matches_per_proposal_evaluation() {
     );
     let want = reference(&ctx(Some(faults)), &recorded, evaluate_alone);
     assert_same(&got, &want, "faulted");
-}
-
-#[test]
-fn breaker_tripped_context_matches_per_proposal_evaluation() {
-    // Faults heavy enough to trip an aggressive breaker mid-campaign.
-    // A tripped breaker widens timeouts, which feeds back into hang
-    // charging, so a route that tripped at a different run index would
-    // silently diverge: the trips themselves — not just the times —
-    // must match, and `breaker_trips` must surface in the ledger.
-    let faults = FaultModel::with_rates(0x10AD, 0.02, 0.30, 0.20, 0.02);
-    let breaker = BreakerConfig {
-        window: 16,
-        trip_threshold: 0.25,
-        cooldown: 24,
-        probe: 8,
-        timeout_scale: 2.0,
-    };
-    let faulted = || ctx(Some(faults)).with_breaker(breaker);
-    // The breaker sees runs in completion order, which parallel chunks
-    // interleave; a one-thread pool fixes it to proposal order, so the
-    // trip count becomes a pure function of the proposals.
-    let one_thread = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool");
-    let (got, recorded) = one_thread.install(|| driven(&faulted()));
-    assert!(got.trips > 0, "fixture must actually trip the breaker");
-    let want = reference(&faulted(), &recorded, evaluate_alone);
-    assert_same(&got, &want, "breaker");
-    // In parallel only the trip count may move: no budget is set before
-    // the baseline, so the breaker cannot touch a time or a charge.
-    let (parallel, _) = driven(&faulted());
-    let parallel = Outcome {
-        trips: want.trips,
-        ..parallel
-    };
-    assert_same(&parallel, &want, "breaker, parallel");
 }

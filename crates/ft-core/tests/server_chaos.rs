@@ -17,8 +17,12 @@
 //! 5. A tenant WAL whose checkpoint chain was tampered with (a record
 //!    dropped, swapped, duplicated or spliced in from another seed) is
 //!    a typed `Wal` refusal at admission.
+//! 6. A panic inside one tenant's segment poisons that tenant with the
+//!    panic message, a panic on another's promotion is survived, and
+//!    the daemon still settles every other tenant on its solo digest.
 
 use ft_compiler::FaultModel;
+use ft_core::server::EventCallback;
 use ft_core::supervisor::{
     default_segments, CampaignRecord, RECORD_CHECKPOINT, RECORD_DONE, RECORD_POISONED,
 };
@@ -361,4 +365,80 @@ fn a_tampered_checkpoint_chain_is_a_typed_admission_refusal() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_panicking_segment_poisons_its_tenant_and_the_daemon_still_settles() {
+    const BLAST: &str = "event observer failed on the doomed tenant";
+    let tenants = [
+        ("calm-a", spec(42, 60)),
+        ("doomed", spec(99, 40)),
+        ("calm-b", spec(7, 60)),
+    ];
+    let solos: Vec<u64> = tenants
+        .iter()
+        .map(|(_, s)| solo(s).canonical_digest())
+        .collect();
+    // The doomed tenant's panic fires after its segment's checkpoint is
+    // durable, on the executor thread that committed it. `calm-b` waits
+    // for a slot, and the observer of its promotion panics too, under
+    // the scheduler's lock.
+    let callback: EventCallback =
+        Arc::new(
+            |tenant: &str, event: &ProgressEvent| match (tenant, event) {
+                ("doomed", ProgressEvent::SegmentCommitted { .. }) => panic!("{BLAST}"),
+                ("calm-b", ProgressEvent::Promoted) => panic!("promotion observer failed"),
+                _ => {}
+            },
+        );
+    for threads in [1, 4] {
+        let dir = temp_dir(&format!("server-panic-{threads}"));
+        let config = ServerConfig::new(&dir).threads(threads).max_in_flight(2);
+        let mut server = TuningServer::new(config)
+            .expect("dir")
+            .on_event(callback.clone());
+        for (name, spec) in &tenants {
+            server.submit(*name, spec.clone()).expect("admission");
+        }
+        let report = server.run();
+        assert!(report.all_settled(), "threads {threads}: a tenant was left");
+
+        let doomed = report.tenant("doomed").expect("reported");
+        match &doomed.outcome {
+            TenantOutcome::Poisoned { diagnostic } => assert_eq!(diagnostic, BLAST),
+            other => panic!("threads {threads}: expected Poisoned, got {other:?}"),
+        }
+        assert_eq!(doomed.segments_run, 1, "threads {threads}");
+        assert_eq!(
+            doomed.events.last(),
+            Some(&ProgressEvent::Poisoned),
+            "threads {threads}"
+        );
+        let records = Journal::recover(&dir.join("tenant-doomed.wal"))
+            .expect("wal")
+            .records;
+        let last = CampaignRecord::from_bytes(records.last().expect("records")).expect("parses");
+        assert_eq!(last.kind, RECORD_POISONED, "threads {threads}: not durable");
+        assert_eq!(last.diagnostic.as_deref(), Some(BLAST));
+        let promoted = report.tenant("calm-b").expect("reported");
+        assert!(
+            promoted.events.contains(&ProgressEvent::Promoted),
+            "threads {threads}: {:?}",
+            promoted.events
+        );
+
+        for ((name, _), want) in tenants.iter().zip(&solos) {
+            if *name == "doomed" {
+                continue;
+            }
+            match &report.tenant(name).expect("reported").outcome {
+                TenantOutcome::Done { digest, .. } => assert_eq!(
+                    digest, want,
+                    "threads {threads}: tenant {name} diverged from its solo run"
+                ),
+                other => panic!("threads {threads}: tenant {name}: expected Done, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

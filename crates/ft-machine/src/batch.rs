@@ -749,24 +749,3 @@ pub fn execute_batch_total(plan: &BatchPlan, lanes: &[(&LinkedProgram, u64)]) ->
     }
     totals
 }
-
-/// [`execute_batch_total`] with a lane mask: `None` lanes (quarantined
-/// or already-faulted candidates) are skipped and score `+inf` — the
-/// same value a failed [`crate::exec::RunOutcome`] contributes to an
-/// argmin. Live lanes are compacted, evaluated, and scattered back, so
-/// each live lane's time is bit-identical to its unmasked value.
-pub fn execute_batch_total_masked(
-    plan: &BatchPlan,
-    lanes: &[Option<(&LinkedProgram, u64)>],
-) -> Vec<f64> {
-    let live: Vec<(&LinkedProgram, u64)> = lanes.iter().flatten().copied().collect();
-    let live_totals = execute_batch_total(plan, &live);
-    let mut out = vec![f64::INFINITY; lanes.len()];
-    let mut next = live_totals.into_iter();
-    for (slot, lane) in out.iter_mut().zip(lanes) {
-        if lane.is_some() {
-            *slot = next.next().expect("one live total per live lane");
-        }
-    }
-    out
-}

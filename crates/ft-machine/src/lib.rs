@@ -30,7 +30,7 @@ pub mod noise;
 pub mod roofline;
 
 pub use arch::Architecture;
-pub use batch::{execute_batch_total, execute_batch_total_masked, BatchPlan, ExecShape};
+pub use batch::{execute_batch_total, BatchPlan, ExecShape};
 pub use exec::{
     breakdown, execute, execute_profiled, execute_total, program_fingerprint, try_execute,
     try_execute_profiled, ExecOptions, FaultQuarantine, LoopCost, RunMeasurement, RunOutcome,

@@ -12,8 +12,8 @@ use ft_compiler::{Compiler, LoopFeatures, Module, ProgramIr};
 use ft_flags::rng::rng_for;
 use ft_flags::Cv;
 use ft_machine::{
-    execute_batch_total, execute_batch_total_masked, execute_total, link, Architecture, BatchPlan,
-    ExecOptions, ExecShape, LinkedProgram,
+    execute_batch_total, execute_total, link, Architecture, BatchPlan, ExecOptions, ExecShape,
+    LinkedProgram,
 };
 
 fn program(n_loops: usize, seed: u64) -> ProgramIr {
@@ -116,48 +116,11 @@ fn duplicate_candidates_under_different_seeds_differ_only_by_noise() {
 }
 
 #[test]
-fn masked_lanes_score_infinity_and_live_lanes_stay_bit_exact() {
-    let arch = Architecture::broadwell();
-    let ir = program(4, 21);
-    let linked = candidates(&ir, &arch, 6, 22);
-    let plan = BatchPlan::new(&ir, &arch, ExecShape::of(&ExecOptions::new(7, 0)));
-    let full: Vec<(&LinkedProgram, u64)> = linked
-        .iter()
-        .enumerate()
-        .map(|(k, l)| (l, k as u64))
-        .collect();
-    let unmasked = execute_batch_total(&plan, &full);
-    let masked_input: Vec<Option<(&LinkedProgram, u64)>> = full
-        .iter()
-        .enumerate()
-        .map(|(k, lane)| if k % 3 == 1 { None } else { Some(*lane) })
-        .collect();
-    let masked = execute_batch_total_masked(&plan, &masked_input);
-    assert_eq!(masked.len(), full.len());
-    for (k, m) in masked.iter().enumerate() {
-        if k % 3 == 1 {
-            assert_eq!(*m, f64::INFINITY, "masked lane {k} must score +inf");
-        } else {
-            assert_eq!(
-                m.to_bits(),
-                unmasked[k].to_bits(),
-                "masking other lanes must not perturb lane {k}"
-            );
-        }
-    }
-}
-
-#[test]
 fn empty_batch_is_empty() {
     let arch = Architecture::broadwell();
     let ir = program(2, 1);
     let plan = BatchPlan::new(&ir, &arch, ExecShape::of(&ExecOptions::new(3, 0)));
     assert!(execute_batch_total(&plan, &[]).is_empty());
-    let all_masked: Vec<Option<(&LinkedProgram, u64)>> = vec![None, None];
-    assert_eq!(
-        execute_batch_total_masked(&plan, &all_masked),
-        vec![f64::INFINITY; 2]
-    );
 }
 
 #[test]

@@ -1,19 +1,18 @@
 //! Cross-crate property test: the lane-oriented batch executor is
 //! bit-identical to the scalar path over random `(program, arch,
-//! steps, noise seed, sigma, fault-mask)` tuples.
+//! steps, noise seed, sigma)` tuples.
 //!
 //! The grid suite in `ft-machine` pins the equivalence over a fixed
 //! sweep; this fuzzes the same claim end-to-end through the real
 //! toolchain — outlined workload programs as well as synthetic ones,
-//! every architecture model, arbitrary run shapes, and arbitrary lane
-//! masks.
+//! every architecture model and arbitrary run shapes.
 
 use funcytuner::compiler::{Compiler, LoopFeatures, Module, ProgramIr};
 use funcytuner::flags::rng::rng_for;
 use funcytuner::flags::Cv;
 use funcytuner::machine::{
-    execute_batch_total, execute_batch_total_masked, execute_total, link, Architecture, BatchPlan,
-    ExecOptions, ExecShape, LinkedProgram,
+    execute, execute_batch_total, execute_total, link, Architecture, BatchPlan, ExecOptions,
+    ExecShape, LinkedProgram,
 };
 use funcytuner::outline::outline_with_defaults;
 use funcytuner::workloads::workload_by_name;
@@ -52,8 +51,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Per-lane `to_bits` equality between `execute_batch_total` and W
-    /// scalar `execute_total` runs, and `+inf`/bit-equal behaviour of
-    /// the masked variant, over random tuples.
+    /// scalar `execute_total` runs, and between `execute(..).total_s`
+    /// and `execute_total` instrumented and plain, over random tuples.
     #[test]
     fn batch_path_is_bit_identical_to_scalar(
         seed in any::<u64>(),
@@ -65,7 +64,6 @@ proptest! {
         sigma_sel in 0u8..3,
         instrumented in any::<bool>(),
         use_workload in any::<bool>(),
-        mask in any::<u16>(),
     ) {
         let arch = arch_for(arch_sel);
         let ir = if use_workload {
@@ -113,19 +111,17 @@ proptest! {
             );
         }
 
-        // Fault-mask: knocked-out lanes score +inf, survivors keep
-        // their exact unmasked bits.
-        let masked_input: Vec<Option<(&LinkedProgram, u64)>> = lanes
-            .iter()
-            .enumerate()
-            .map(|(k, lane)| if mask & (1 << (k % 16)) != 0 { None } else { Some(*lane) })
-            .collect();
-        let masked = execute_batch_total_masked(&plan, &masked_input);
-        for k in 0..w {
-            if masked_input[k].is_none() {
-                prop_assert_eq!(masked[k], f64::INFINITY);
-            } else {
-                prop_assert_eq!(masked[k].to_bits(), batch[k].to_bits());
+        // `execute` sums its per-module vector; `execute_total` keeps a
+        // running sum in the same order, so the totals share every bit.
+        for (l, s) in &lanes {
+            for instrumented in [false, true] {
+                let opts = ExecShape { instrumented, ..shape }.options(*s);
+                prop_assert_eq!(
+                    execute(l, &arch, &opts).total_s.to_bits(),
+                    execute_total(l, &arch, &opts).to_bits(),
+                    "lane seed {}: execute vs execute_total (instrumented {})",
+                    s, instrumented
+                );
             }
         }
     }

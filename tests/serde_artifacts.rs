@@ -190,6 +190,6 @@ fn hostile_files_are_typed_refusals_not_aborts() {
         "search",
         "wal-record",
         &record,
-        "unsupported checkpoint version 0",
+        "sealed record tagged FTWR where FTCK was expected",
     );
 }

@@ -1,7 +1,6 @@
 //! End-to-end crash-safety workflows through the facade crate — the
 //! compositions `ftune supervise` drives: a supervised campaign under
-//! a seeded kill storm, replay of a finished journal, and the breaker
-//! degrading a faulty campaign without moving its canonical bytes.
+//! a seeded kill storm and replay of a finished journal.
 
 use funcytuner::compiler::FaultModel;
 use funcytuner::prelude::*;
@@ -65,36 +64,4 @@ fn supervised_kill_storm_matches_the_plain_run_through_the_prelude() {
     );
     assert_eq!(again.report.checkpoints_written, 0);
     assert!(again.run.ctx.cost().runs <= 10, "replay redid searches");
-}
-
-#[test]
-fn breaker_degradation_never_moves_the_canonical_bytes() {
-    let arch = Architecture::broadwell();
-    let w = workload_by_name("swim").expect("swim in suite");
-    let reference = tuner(&w, &arch).run();
-
-    // A hair-trigger breaker: every completed window trips, so the
-    // campaign spends most of its life degraded (scalar path, widened
-    // timeout budgets) — and must still produce identical bytes,
-    // because everything the breaker changes is value-safe.
-    let degraded = tuner(&w, &arch)
-        .breaker(BreakerConfig {
-            window: 8,
-            trip_threshold: 0.0,
-            cooldown: 16,
-            probe: 4,
-            timeout_scale: 4.0,
-        })
-        .run();
-    assert_eq!(
-        reference.canonical_bytes(),
-        degraded.canonical_bytes(),
-        "breaker changed observable results"
-    );
-    let cost = degraded.ctx.cost();
-    assert!(
-        cost.breaker_trips >= 1,
-        "hair-trigger never tripped: {cost:?}"
-    );
-    assert_eq!(cost.runs, degraded.ctx.fault_stats().charged_runs());
 }
