@@ -47,7 +47,13 @@ fn legacy_assignment_batch(
         .par_iter()
         .enumerate()
         .map(|(k, a)| {
-            let objects = cache.compile_assignment(&ctx.compiler, &ctx.ir.modules, a);
+            let objects: Vec<_> = ctx
+                .ir
+                .modules
+                .iter()
+                .zip(a)
+                .map(|(m, cv)| cache.compile_arc(&ctx.compiler, m, cv))
+                .collect();
             let linked = link(objects, &ctx.ir, &ctx.arch);
             let opts = ExecOptions::new(
                 ctx.steps,
@@ -67,7 +73,7 @@ fn legacy_uniform_batch(ctx: &EvalContext, cache: &ObjectCache, cvs: &[Cv]) -> V
                 .ir
                 .modules
                 .iter()
-                .map(|m| cache.compile(&ctx.compiler, m, cv))
+                .map(|m| cache.compile_arc(&ctx.compiler, m, cv))
                 .collect();
             let linked = link(objects, &ctx.ir, &ctx.arch);
             let opts = ExecOptions::new(ctx.steps, derive_seed_idx(ctx.noise_root, k as u64));
@@ -190,7 +196,7 @@ fn exec_total_benches(c: &mut Criterion) {
         .ir
         .modules
         .iter()
-        .map(|m| cache.compile(&ctx.compiler, m, &base))
+        .map(|m| cache.compile_arc(&ctx.compiler, m, &base))
         .collect();
     let linked = link(objects, &ctx.ir, &ctx.arch);
     let opts = ExecOptions::new(ctx.steps, 99);

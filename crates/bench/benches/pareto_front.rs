@@ -6,7 +6,8 @@
 //! `Objective::Time` every comparison routes through the same
 //! time-scalar `argmin_finite`, the canonical encoding is unchanged,
 //! and the only addition is carrying `code_bytes` alongside each time
-//! — a value the link cache already computes as its `CacheWeight`.
+//! — a value every linked program already carries as its modeled
+//! `code_bytes()`.
 //! The bench gates on byte-identity of the implicit-default and
 //! explicit-`Time` campaigns before timing anything, then times:
 //!

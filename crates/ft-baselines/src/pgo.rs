@@ -2,7 +2,6 @@
 //! (§4.2.1): `-prof-gen` instrumented build → profiling run on the
 //! tuning input → `-O3 -prof-use` recompilation.
 
-use ft_compiler::lru::CacheWeight;
 use ft_compiler::{CompiledModule, PgoError, PgoProfile};
 use ft_core::result::TuningResult;
 use ft_core::{Candidate, EvalContext, Proposal};
@@ -113,7 +112,7 @@ pub fn pgo_tune(ctx: &EvalContext, seed: u64) -> PgoOutcome {
                         history: vec![t],
                         evaluations: 2,
                         objective: ctx.objective(),
-                        best_code_bytes: linked.weight_bytes(),
+                        best_code_bytes: linked.code_bytes(),
                         scores: Vec::new(),
                         front: Vec::new(),
                     },

@@ -222,14 +222,6 @@ impl CompiledModule {
     }
 }
 
-impl crate::lru::CacheWeight for CompiledModule {
-    /// Modeled object-file size: the generated machine code dominates
-    /// the resident footprint of a cached object.
-    fn weight_bytes(&self) -> f64 {
-        self.decisions.code_bytes.max(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,17 +5,20 @@
 //! links, and the standalone [`crate::ObjectCache`] are thin wrappers
 //! over this one structure. Three properties matter:
 //!
-//! * **Bounded residency.** Each shard keeps a recency index
-//!   (`BTreeMap<tick, key>`) next to its hash map — a doubly-indexed
-//!   LRU — and evicts oldest-first whenever a configured
-//!   [`CacheCapacity`] (entry count or modeled object bytes) is
-//!   exceeded. Long campaigns stay O(working set), not O(history).
-//! * **Single-flight.** A miss installs a per-key slot and computes the
-//!   value while holding only that slot's lock; concurrent lookups of
-//!   the same key block on the slot instead of racing duplicate
+//! * **Bounded residency.** Under [`CacheCapacity::Entries`] each shard
+//!   keeps a recency index (`BTreeMap<tick, key>`) next to its hash
+//!   map and evicts the least recently used entry whenever the budget
+//!   is exceeded, so long campaigns stay O(working set), not
+//!   O(history). [`CacheCapacity::Unbounded`] never evicts and keeps
+//!   no recency index at all.
+//! * **Single-flight.** Each entry is one `OnceLock`, installed under a
+//!   single acquisition of its shard lock. The first lookup computes
+//!   the value inside the cell's initializer; concurrent lookups of the
+//!   same key block on the cell instead of racing duplicate
 //!   computations. This makes the counter ledger exact:
 //!   `computes == misses` and `hits + misses == lookups`, even from
-//!   rayon worker threads.
+//!   rayon worker threads. A compute that panics leaves its cell empty,
+//!   and the next lookup of that key computes it again.
 //! * **Result invariance.** Every cached value is a pure function of
 //!   its key (compilation and linking are deterministic), so an
 //!   eviction can only force a bit-identical recomputation. Capacity
@@ -23,57 +26,29 @@
 //!   `cache_equivalence` suite locks against the golden digests.
 
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{self, DefaultHasher};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of independent lock stripes. A small power of two well above
 /// the worker-thread count keeps the collision probability (two busy
 /// keys sharing a lock) low without bloating the struct.
 pub const SHARDS: usize = 16;
 
-/// How much a cache may keep resident.
+/// How many entries a cache may keep resident.
 ///
-/// Budgets are global to the cache and split evenly across its
+/// An entry budget is global to the cache and split evenly across its
 /// [`SHARDS`] stripes; every stripe always retains at least its most
 /// recently inserted entry, so the worst-case residency of an
 /// `Entries(n)` cache is `max(n, SHARDS)` entries.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheCapacity {
     /// Never evict (the historical behaviour).
     Unbounded,
     /// Keep at most this many entries across all shards.
     Entries(usize),
-    /// Keep at most this many modeled object bytes across all shards
-    /// (per-value weight from [`CacheWeight`]).
-    ModeledBytes(f64),
-}
-
-impl CacheCapacity {
-    fn per_shard(self) -> ShardBudget {
-        match self {
-            CacheCapacity::Unbounded => ShardBudget::Unbounded,
-            CacheCapacity::Entries(n) => ShardBudget::Entries((n / SHARDS).max(1)),
-            CacheCapacity::ModeledBytes(b) => ShardBudget::Bytes((b / SHARDS as f64).max(1.0)),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum ShardBudget {
-    Unbounded,
-    Entries(usize),
-    Bytes(f64),
-}
-
-/// Modeled size of a cached value, in bytes, for
-/// [`CacheCapacity::ModeledBytes`] budgets.
-pub trait CacheWeight {
-    /// Modeled resident size in bytes; implementations should return a
-    /// positive value.
-    fn weight_bytes(&self) -> f64;
 }
 
 /// Counter snapshot of a [`ShardedLru`].
@@ -94,43 +69,30 @@ pub struct LruStats {
     pub evictions: u64,
 }
 
-/// Single-flight slot: the creator holds the lock while computing, so
-/// waiters block here instead of duplicating work. Waiters keep their
-/// own `Arc` to the slot, which makes evicting an in-flight entry safe.
-struct Slot<V> {
-    value: Mutex<Option<Arc<V>>>,
-}
+/// A single-flight cell: filled once by whichever lookup initializes
+/// it first. Lookups keep their own `Arc` to it, which makes evicting
+/// an in-flight entry safe.
+type Cell<V> = Arc<OnceLock<Arc<V>>>;
 
 struct Entry<V> {
-    slot: Arc<Slot<V>>,
+    cell: Cell<V>,
+    /// Recency tick; stays 0 when the cache keeps no recency index.
     tick: u64,
-    weight: f64,
 }
 
-struct ShardInner<K, V> {
+struct Shard<K, V> {
     map: HashMap<K, Entry<V>>,
-    /// Recency index: insertion tick -> key, oldest first.
+    /// Recency index under an entry budget: tick -> key, oldest first.
     order: BTreeMap<u64, K>,
     tick: u64,
-    weight: f64,
-}
-
-impl<K, V> ShardInner<K, V> {
-    fn new() -> Self {
-        ShardInner {
-            map: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-            weight: 0.0,
-        }
-    }
 }
 
 /// A lock-striped, capacity-bounded, single-flight memoization cache.
 pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<ShardInner<K, V>>>,
-    budget: ShardBudget,
+    shards: Vec<Mutex<Shard<K, V>>>,
     capacity: CacheCapacity,
+    /// Entries each shard may keep; `None` when unbounded.
+    per_shard: Option<usize>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -140,13 +102,21 @@ pub struct ShardedLru<K, V> {
     peak_resident: AtomicU64,
 }
 
-impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
+impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     /// An empty cache with the given capacity.
     pub fn new(capacity: CacheCapacity) -> Self {
+        let shard = || Shard {
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            tick: 0,
+        };
         ShardedLru {
-            shards: (0..SHARDS).map(|_| Mutex::new(ShardInner::new())).collect(),
-            budget: capacity.per_shard(),
+            shards: (0..SHARDS).map(|_| Mutex::new(shard())).collect(),
             capacity,
+            per_shard: match capacity {
+                CacheCapacity::Unbounded => None,
+                CacheCapacity::Entries(n) => Some((n / SHARDS).max(1)),
+            },
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -171,122 +141,68 @@ impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
         (h.finish() as usize) % SHARDS
     }
 
-    fn over_budget(&self, inner: &ShardInner<K, V>) -> bool {
-        match self.budget {
-            ShardBudget::Unbounded => false,
-            ShardBudget::Entries(n) => inner.map.len() > n,
-            ShardBudget::Bytes(b) => inner.weight > b,
-        }
-    }
-
-    /// Evicts oldest-first until the shard is within budget, always
-    /// retaining the newest entry (which holds the maximal tick and is
-    /// therefore never the `order` minimum while `len > 1`).
-    fn enforce(&self, inner: &mut ShardInner<K, V>) {
-        while self.over_budget(inner) && inner.map.len() > 1 {
-            let (&oldest, _) = inner.order.iter().next().expect("order tracks map");
-            let key = inner.order.remove(&oldest).expect("key just seen");
-            let entry = inner.map.remove(&key).expect("map tracks order");
-            inner.weight -= entry.weight;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.resident.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
     /// Looks up `key`, running `compute` under single-flight on a miss.
     /// Returns the shared value and whether the lookup was a hit.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (Arc<V>, bool) {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.route(&key)];
-
-        let slot = {
-            let mut inner = shard.lock();
-            if let Some(entry) = inner.map.get(&key) {
-                // Hit (possibly on an in-flight entry): bump recency
-                // and fall through to the slot outside the shard lock.
-                let old_tick = entry.tick;
-                let slot = entry.slot.clone();
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.map.get_mut(&key).expect("just found").tick = tick;
-                let k = inner.order.remove(&old_tick).expect("order tracks map");
-                inner.order.insert(tick, k);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot)
-            } else {
-                None
-            }
-        };
-        if let Some(slot) = slot {
-            // Blocks until the creator fills the slot. The creator
-            // never takes this shard's lock while holding the slot
-            // lock for a *contended* acquisition, so no deadlock.
-            let mut guard = slot.value.lock();
-            if let Some(v) = guard.as_ref() {
-                return (v.clone(), true);
-            }
-            // Unreachable unless the creator panicked mid-compute:
-            // recompute in place so waiters still converge.
+        let (cell, hit) = self.cell(key);
+        // Blocks while another lookup is initializing the cell. A hit
+        // on a cell whose creator panicked initializes it here.
+        let value = cell.get_or_init(|| {
             self.computes.fetch_add(1, Ordering::Relaxed);
-            let v = Arc::new(compute());
-            *guard = Some(v.clone());
-            return (v, true);
-        }
-
-        // Miss: install an in-flight slot, then compute while holding
-        // only the slot lock so other shards/keys stay unblocked.
-        let slot = Arc::new(Slot {
-            value: Mutex::new(None),
+            Arc::new(compute())
         });
-        // Uncontended by construction — nobody else has this Arc yet.
-        let mut slot_guard = slot.value.lock();
-        {
-            let mut inner = shard.lock();
-            if inner.map.contains_key(&key) {
-                // Lost a race: another thread installed the key while
-                // we were off the shard lock. Retry as a hit path.
-                drop(slot_guard);
-                drop(inner);
-                self.lookups.fetch_sub(1, Ordering::Relaxed);
-                return self.get_or_compute(key, compute);
-            }
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.order.insert(tick, key.clone());
-            inner.map.insert(
-                key.clone(),
-                Entry {
-                    slot: slot.clone(),
-                    tick,
-                    weight: 0.0,
-                },
-            );
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.resident.fetch_add(1, Ordering::Relaxed);
-            self.enforce(&mut inner);
-            self.peak_resident
-                .fetch_max(self.resident.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+        (value.clone(), hit)
+    }
 
-        self.computes.fetch_add(1, Ordering::Relaxed);
-        let v = Arc::new(compute());
-        *slot_guard = Some(v.clone());
-
-        // Now the modeled weight is known; charge it and re-enforce a
-        // byte budget. Skipped entirely for entry budgets.
-        if matches!(self.budget, ShardBudget::Bytes(_)) {
-            let w = v.weight_bytes().max(0.0);
-            let mut inner = shard.lock();
-            if let Some(entry) = inner.map.get_mut(&key) {
-                if Arc::ptr_eq(&entry.slot, &slot) {
-                    entry.weight = w;
-                    inner.weight += w;
-                    self.enforce(&mut inner);
+    /// Finds `key`'s cell, or installs an empty one, under one
+    /// acquisition of its shard lock. Returns the cell and whether it
+    /// was already there.
+    fn cell(&self, key: K) -> (Cell<V>, bool) {
+        let mut guard = self.shards[self.route(&key)].lock();
+        let shard = &mut *guard;
+        // Only an entry budget keeps recency: a tick per lookup.
+        let tick = self.per_shard.map(|_| {
+            shard.tick += 1;
+            shard.tick
+        });
+        match shard.map.entry(key) {
+            hash_map::Entry::Occupied(mut e) => {
+                // Hit (possibly on an in-flight entry): bump recency.
+                let entry = e.get_mut();
+                if let Some(tick) = tick {
+                    let key = shard.order.remove(&entry.tick).expect("order tracks map");
+                    shard.order.insert(tick, key);
+                    entry.tick = tick;
                 }
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                (entry.cell.clone(), true)
+            }
+            hash_map::Entry::Vacant(e) => {
+                if let Some(tick) = tick {
+                    shard.order.insert(tick, e.key().clone());
+                }
+                let entry = Entry {
+                    cell: Cell::default(),
+                    tick: tick.unwrap_or(0),
+                };
+                let cell = e.insert(entry).cell.clone();
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                // The shard was within budget before this insert, so
+                // one eviction restores it. The newest entry holds the
+                // maximal tick and the budget is at least 1, so it is
+                // never the one evicted.
+                if self.per_shard.is_some_and(|limit| shard.map.len() > limit) {
+                    let (_, oldest) = shard.order.pop_first().expect("order tracks map");
+                    shard.map.remove(&oldest).expect("map tracks order");
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    let resident = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.peak_resident.fetch_max(resident, Ordering::Relaxed);
+                }
+                (cell, false)
             }
         }
-        drop(slot_guard);
-        (v, false)
     }
 
     /// Counter snapshot.
@@ -301,40 +217,13 @@ impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
     }
 
     /// Current resident entries.
-    pub fn len(&self) -> usize {
+    pub fn resident(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().map.is_empty())
     }
 
     /// High-water mark of resident entries over the cache's lifetime.
     pub fn peak_resident(&self) -> u64 {
         self.peak_resident.load(Ordering::Relaxed)
-    }
-
-    /// Resident entries per shard (diagnostics / spread tests).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().map.len()).collect()
-    }
-
-    /// Drops all entries and resets every counter.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut inner = s.lock();
-            inner.map.clear();
-            inner.order.clear();
-            inner.weight = 0.0;
-        }
-        self.lookups.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.computes.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.resident.store(0, Ordering::Relaxed);
-        self.peak_resident.store(0, Ordering::Relaxed);
     }
 }
 
@@ -344,14 +233,13 @@ mod tests {
 
     #[derive(Debug, PartialEq)]
     struct Obj(u64);
-    impl CacheWeight for Obj {
-        fn weight_bytes(&self) -> f64 {
-            100.0
-        }
-    }
 
     fn value_of(k: u64) -> Obj {
         Obj(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    fn shard_lens<K, V>(lru: &ShardedLru<K, V>) -> Vec<usize> {
+        lru.shards.iter().map(|s| s.lock().map.len()).collect()
     }
 
     #[test]
@@ -360,12 +248,17 @@ mod tests {
         for k in 0..200 {
             lru.get_or_compute(k, || value_of(k));
         }
-        assert_eq!(lru.len(), 200);
+        assert_eq!(lru.resident(), 200);
+        assert_eq!(lru.peak_resident(), 200);
         let s = lru.stats();
         assert_eq!(s.evictions, 0);
         assert_eq!(s.misses, 200);
         assert_eq!(s.computes, 200);
         assert_eq!(s.lookups, 200);
+        assert!(
+            lru.shards.iter().all(|s| s.lock().order.is_empty()),
+            "an unbounded cache keeps no recency index"
+        );
     }
 
     #[test]
@@ -374,10 +267,10 @@ mod tests {
         for k in 0..500 {
             lru.get_or_compute(k, || value_of(k));
         }
-        assert!(lru.len() <= 32, "resident {} over budget", lru.len());
+        let resident = lru.resident();
+        assert!(resident <= 32, "resident {resident} over budget");
         assert!(lru.peak_resident() <= 32);
-        let s = lru.stats();
-        assert_eq!(s.evictions as usize, 500 - lru.len());
+        assert_eq!(lru.stats().evictions as usize, 500 - resident);
     }
 
     #[test]
@@ -386,35 +279,71 @@ mod tests {
         for k in 0..100 {
             lru.get_or_compute(k, || value_of(k));
         }
-        assert!(lru.len() <= SHARDS);
-        assert!(lru.shard_lens().iter().all(|&l| l <= 1));
+        assert!(lru.resident() <= SHARDS);
+        assert!(shard_lens(&lru).iter().all(|&l| l <= 1));
     }
 
     #[test]
-    fn byte_budget_bounds_weight_but_keeps_newest() {
-        // 100 bytes per value, 400-byte global budget => 25 bytes per
-        // shard: every shard still retains its newest entry.
-        let lru: ShardedLru<u64, Obj> = ShardedLru::new(CacheCapacity::ModeledBytes(400.0));
-        for k in 0..100 {
-            lru.get_or_compute(k, || value_of(k));
+    fn entries_spread_across_shards() {
+        // Many `(module id, CV digest)`-shaped keys must not all land
+        // in one stripe.
+        let lru: ShardedLru<(usize, u64), Obj> = ShardedLru::new(CacheCapacity::Unbounded);
+        for id in 0..64u64 {
+            let digest = value_of(id).0;
+            lru.get_or_compute((id as usize, digest), || value_of(digest));
         }
-        assert!(lru.len() <= SHARDS);
-        assert!(lru.stats().evictions > 0);
+        let occupied = shard_lens(&lru).iter().filter(|&&l| l > 0).count();
+        assert!(
+            occupied > SHARDS / 2,
+            "only {occupied}/{SHARDS} shards used"
+        );
+        assert_eq!(lru.resident(), 64);
     }
 
     #[test]
     fn eviction_is_lru_ordered() {
-        // One shard's worth: use keys that map anywhere but a budget
-        // of Entries(SHARDS) giving 1 per shard; touching a key keeps
-        // it alive over an untouched sibling in the same shard.
+        // Three keys in one shard under a two-per-shard budget: the
+        // entry evicted is the least recently *used*, not inserted.
         let lru: ShardedLru<u64, Obj> = ShardedLru::new(CacheCapacity::Entries(2 * SHARDS));
-        for k in 0..8 {
-            lru.get_or_compute(k, || value_of(k));
+        let shard = lru.route(&0);
+        let mut same = (1..).filter(|k| lru.route(k) == shard);
+        let (a, b, c) = (0, same.next().unwrap(), same.next().unwrap());
+        let lookup = |k: u64| lru.get_or_compute(k, || value_of(k)).1;
+        assert!(!lookup(a) && !lookup(b));
+        assert!(lookup(a), "a is resident");
+        assert!(!lookup(c));
+        assert_eq!(lru.stats().evictions, 1, "c displaced exactly one entry");
+        assert!(lookup(a), "a was touched after b, so b went");
+        assert!(!lookup(b), "b was the least recently used");
+        // b's return displaced the least recently used again: c.
+        assert!(lookup(a));
+        assert!(!lookup(c));
+        assert_eq!(lru.stats().evictions, 3);
+    }
+
+    #[test]
+    fn a_panicking_compute_leaves_its_key_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for capacity in [CacheCapacity::Unbounded, CacheCapacity::Entries(1)] {
+            let lru: ShardedLru<u64, Obj> = ShardedLru::new(capacity);
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                lru.get_or_compute(9, || panic!("compute failed"))
+            }));
+            assert!(panicked.is_err());
+            let (v, _) = lru.get_or_compute(9, || value_of(9));
+            assert_eq!(*v, value_of(9), "{capacity:?}: the next lookup computes");
+            let (again, hit) = lru.get_or_compute(9, || unreachable!("9 is resident"));
+            assert!(
+                hit && Arc::ptr_eq(&v, &again),
+                "{capacity:?}: a later one hits"
+            );
+            let s = lru.stats();
+            assert_eq!(
+                (s.lookups, s.hits, s.misses, s.computes),
+                (3, 2, 1, 2),
+                "{capacity:?}"
+            );
         }
-        // Touch key 0 so it is the most recent everywhere it lives.
-        let (v, hit) = lru.get_or_compute(0, || unreachable!("0 is resident"));
-        assert!(hit);
-        assert_eq!(*v, value_of(0));
     }
 
     #[test]
@@ -466,17 +395,5 @@ mod tests {
         assert_eq!(s.lookups, 1600);
         assert_eq!(s.hits + s.misses, s.lookups);
         assert_eq!(s.computes, s.misses);
-    }
-
-    #[test]
-    fn clear_resets_counters_and_entries() {
-        let lru: ShardedLru<u64, Obj> = ShardedLru::new(CacheCapacity::Entries(8));
-        for k in 0..50 {
-            lru.get_or_compute(k, || value_of(k));
-        }
-        lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!(lru.stats(), LruStats::default());
-        assert_eq!(lru.peak_resident(), 0);
     }
 }

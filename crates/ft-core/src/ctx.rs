@@ -5,7 +5,7 @@ use crate::objective::{Objective, Score};
 use crate::search::{Candidate, Proposal};
 use crate::store::{self, ObjectStore};
 use ft_caliper::Caliper;
-use ft_compiler::lru::{CacheCapacity, CacheWeight};
+use ft_compiler::lru::CacheCapacity;
 use ft_compiler::{CompiledModule, Compiler, FaultModel, Module, ProgramIr};
 use ft_flags::rng::derive_seed_idx;
 use ft_flags::{Cv, CvId, CvPool, FlagSpace};
@@ -731,7 +731,7 @@ impl EvalContext {
     /// the per-candidate route of [`EvalContext::evaluate`] and the
     /// faulted collection probe. A successful run pairs its end-to-end time
     /// with the linked executable's modeled size
-    /// ([`LinkedProgram::weight_bytes`], a pure function of the digest
+    /// ([`LinkedProgram::code_bytes`], a pure function of the digest
     /// assignment); an unusable candidate (ICE, persistent crash, hang)
     /// is [`Score::faulted`] (both coordinates `+inf`), so it loses
     /// under every objective.
@@ -803,7 +803,7 @@ impl EvalContext {
             match outcome {
                 RunOutcome::Ok(meas) => {
                     self.charge_run(meas.total_s);
-                    return Score::new(meas.total_s, linked.weight_bytes());
+                    return Score::new(meas.total_s, linked.code_bytes());
                 }
                 RunOutcome::Crash { elapsed_s } => {
                     self.crashes.fetch_add(1, Ordering::Relaxed);
@@ -883,7 +883,7 @@ impl EvalContext {
             .into_iter()
             .flatten()
             .zip(&linked)
-            .map(|(t, l)| Score::new(t, l.weight_bytes()))
+            .map(|(t, l)| Score::new(t, l.code_bytes()))
             .collect()
     }
 
@@ -924,7 +924,7 @@ impl EvalContext {
     /// Modeled executable size of an owned assignment, linked through
     /// the caches without running it (greedy's fallback build).
     pub(crate) fn code_bytes(&self, assignment: &[Cv]) -> f64 {
-        self.link_assignment(assignment).weight_bytes()
+        self.link_assignment(assignment).code_bytes()
     }
 }
 

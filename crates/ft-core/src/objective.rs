@@ -7,9 +7,10 @@
 //! into a first-class value:
 //!
 //! * a [`Score`] is what one candidate evaluation measures — wall time
-//!   *and* the modeled executable size (`code_bytes`, the same number
-//!   [`CacheWeight`](ft_compiler::lru::CacheWeight) charges the link
-//!   cache) — encoded canonically by exact bit pattern;
+//!   *and* the modeled executable size
+//!   ([`LinkedProgram::code_bytes`](ft_machine::LinkedProgram::code_bytes)
+//!   of the linked candidate) — encoded canonically by exact bit
+//!   pattern;
 //! * an [`Objective`] owns comparison ([`Objective::improves`]), winner
 //!   selection ([`Objective::select`]), and Pareto dominance
 //!   ([`pareto_front`]).
@@ -50,8 +51,8 @@ pub const WEIGHTED_BYTES_PER_SECOND: f64 = 1e6;
 pub struct Score {
     /// End-to-end wall time, seconds.
     pub time: f64,
-    /// Modeled executable size, bytes (the link cache's
-    /// `CacheWeight`).
+    /// Modeled executable size, bytes
+    /// (`LinkedProgram::code_bytes`).
     pub code_bytes: f64,
 }
 

@@ -20,7 +20,10 @@
 //!   fingerprint hashes the whole `ProgramIr`, the architecture, and
 //!   the compiler fingerprint, since `link` reads all three.
 //!
-//! Compilation and linking are pure functions of those keys, so
+//! Both layers are [`ShardedLru`]s under one [`CacheCapacity`]:
+//! `Unbounded` by default, which never evicts and keeps no recency
+//! index, or an `Entries` budget that evicts least recently used
+//! first. Compilation and linking are pure functions of those keys, so
 //! sharing (like eviction) is result-invariant: a store hit returns a
 //! value bit-identical to what the borrowing context would have
 //! computed itself. Only the *fault quarantine* stays per-context —
@@ -69,7 +72,7 @@ pub fn link_fingerprint(ir: &ProgramIr, arch: &Architecture, compiler_fp: u64) -
     mix(hash_label(&ir_json) ^ hash_label(&arch_json).rotate_left(17) ^ compiler_fp)
 }
 
-/// A capacity-bounded compile/link store, private to one
+/// A compile/link store, optionally entry-bounded, private to one
 /// [`crate::EvalContext`] or shared by many (see module docs).
 pub struct ObjectStore {
     objects: ShardedLru<(u64, u64), CompiledModule>,
@@ -139,23 +142,12 @@ impl ObjectStore {
 
     /// Resident entries `(objects, links)`.
     pub fn len(&self) -> (usize, usize) {
-        (self.objects.len(), self.links.len())
-    }
-
-    /// True when nothing is resident in either layer.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty() && self.links.is_empty()
+        (self.objects.resident(), self.links.resident())
     }
 
     /// High-water marks `(objects, links)` of resident entries.
     pub fn peak_resident(&self) -> (u64, u64) {
         (self.objects.peak_resident(), self.links.peak_resident())
-    }
-
-    /// Drops everything and resets all counters.
-    pub fn clear(&self) {
-        self.objects.clear();
-        self.links.clear();
     }
 }
 
@@ -318,9 +310,6 @@ mod tests {
             "distinct assignments, distinct entries"
         );
         assert_eq!(store.link_stats().hits, 0);
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.link_stats(), LruStats::default());
     }
 
     #[test]

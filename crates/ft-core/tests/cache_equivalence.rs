@@ -4,9 +4,9 @@
 //! eviction and cross-context sharing may only move the cost
 //! counters, never the results. For a matrix of (seed, budget, fault
 //! model, schedule mode), campaigns under unbounded caches,
-//! capacity-1 caches, adversarially tiny per-shard capacities,
-//! modeled-byte budgets, and a shared cross-context object store must
-//! all produce byte-identical `TuningRun::canonical_bytes()`.
+//! capacity-1 caches, adversarially tiny per-shard capacities, and a
+//! shared cross-context object store must all produce byte-identical
+//! `TuningRun::canonical_bytes()`.
 //!
 //! The CI `cache` suite row re-runs this suite with
 //! `FT_CACHE_CAPACITY` set to `1`, `7`, and `unbounded` to pin each
@@ -45,10 +45,6 @@ fn capacities_under_test() -> Vec<(String, CacheCapacity)> {
         ("entries-1".to_string(), CacheCapacity::Entries(1)),
         ("entries-7".to_string(), CacheCapacity::Entries(7)),
         ("entries-33".to_string(), CacheCapacity::Entries(33)),
-        (
-            "bytes-4096".to_string(),
-            CacheCapacity::ModeledBytes(4096.0),
-        ),
         ("unbounded".to_string(), CacheCapacity::Unbounded),
     ];
     match std::env::var("FT_CACHE_CAPACITY") {

@@ -189,7 +189,6 @@ fn bounded_caches_pin_the_same_canonical_digest() {
     for capacity in [
         ft_compiler::CacheCapacity::Entries(1),
         ft_compiler::CacheCapacity::Entries(7),
-        ft_compiler::CacheCapacity::ModeledBytes(4096.0),
     ] {
         let run = Tuner::new(&w, &arch)
             .budget(60)

@@ -23,7 +23,6 @@
 
 use crate::arch::Architecture;
 use ft_compiler::decisions::{CompiledModule, VecWidth};
-use ft_compiler::lru::CacheWeight;
 use ft_compiler::response::{jitter, unit};
 use ft_compiler::{ModuleId, ProgramIr};
 use ft_flags::rng::{hash_label, mix};
@@ -69,6 +68,16 @@ pub struct LinkedProgram {
 }
 
 impl LinkedProgram {
+    /// Modeled executable size in bytes: the per-module machine code
+    /// (at least one byte per module) plus the interference
+    /// bookkeeping, which is negligible next to it.
+    pub fn code_bytes(&self) -> f64 {
+        self.modules
+            .iter()
+            .map(|m| m.decisions.code_bytes.max(1.0))
+            .sum()
+    }
+
     /// True when the linker changed module `m`'s decisions.
     pub fn was_overridden(&self, m: ModuleId) -> bool {
         self.overrides.iter().any(|o| o.module == m)
@@ -323,17 +332,6 @@ pub fn link<M: Into<Arc<CompiledModule>>>(
         overrides,
         heterogeneity,
         combo_seed: combo,
-    }
-}
-
-impl CacheWeight for LinkedProgram {
-    /// Modeled executable size: the per-module machine code plus the
-    /// interference bookkeeping, which is negligible next to it.
-    fn weight_bytes(&self) -> f64 {
-        self.modules
-            .iter()
-            .map(|m| m.decisions.code_bytes.max(1.0))
-            .sum()
     }
 }
 

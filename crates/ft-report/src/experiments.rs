@@ -965,7 +965,7 @@ fn overhead(cfg: &ReproConfig) -> Artifact {
             "paper §4.3: ~1.5 days Random/G, 2 days OpenTuner, 3 days CFR, 1 week COBAYN per benchmark".into(),
             "CFR costs ~2x Random (collection + re-sampling) but per-loop objects are heavily reused".into(),
             "links/link reuses: whole-program links performed vs duplicate assignments served from the link cache (xild analogue)".into(),
-            "winner code B: the modeled executable size of each approach's winning assignment (the link cache's CacheWeight)".into(),
+            "winner code B: the modeled executable size of each approach's winning assignment (the linked program's modeled code bytes)".into(),
             "fault columns (cfails/crashes/timeouts/retries/quarantined) are all zero unless --fault-* rates are set".into(),
             "--cfr-iterative adds the multi-round extension rows; CFR-iter-recollect's extra runs are its per-round incumbent-substitution probes".into(),
             "obj evict/link evict: LRU cache evictions; nonzero only under --cache-capacity, and result-invariant either way".into(),
