@@ -9,10 +9,18 @@
 //! * **Appends are framed.** Every record is `[u32 len][u32 crc][payload]`
 //!   (both integers little-endian, CRC-32/IEEE over the payload), written
 //!   in one `write_all` and fsynced before `append` returns.
-//! * **Creation is atomic.** A new journal (and any compaction) is
-//!   written to a temp file in the same directory, fsynced, and
-//!   `rename`d over the final path, so no reader ever observes a
-//!   half-written header.
+//! * **A fresh journal costs no fsync.** [`Journal::open_or_create`]
+//!   writes the 8-byte header of a missing or empty file in place and
+//!   does not sync it: the header carries no data, and the first
+//!   `append` fsyncs the same file, header included. A file shorter
+//!   than the header whose bytes are a prefix of it (a header torn
+//!   before the first append) reads as fresh too; any other header is
+//!   a typed error. Neither path syncs the directory, so a crash can
+//!   also lose the file's name, which likewise reads as fresh.
+//! * **Replacement is atomic.** [`Journal::create`] and
+//!   [`Journal::compact`] replace existing content, so they write a
+//!   temp file in the same directory, fsync it, and `rename` it over
+//!   the final path: no reader ever observes a half-replaced journal.
 //! * **Recovery is prefix-valid.** [`Journal::recover`] scans frames
 //!   until the first one that fails its length or CRC check and returns
 //!   every record before it plus a typed [`Tail`] describing what
@@ -181,33 +189,44 @@ impl Journal {
     /// Opens the journal for appending, creating it if missing and
     /// truncating any torn tail found by recovery. Returns the open
     /// journal plus the records that survived.
+    ///
+    /// A file shorter than [`MAGIC`] whose bytes are a prefix of it
+    /// (missing, empty, or a header torn before the first append) is a
+    /// fresh journal: its header is rewritten in place, unsynced, since
+    /// the first [`Journal::append`] fsyncs it with the first record.
+    /// Any other header is [`JournalError::BadHeader`].
     pub fn open_or_create(path: &Path) -> Result<(Journal, Recovery), JournalError> {
-        if !path.exists() {
-            let journal = Journal::create(path)?;
-            let recovery = Recovery {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(|e| io_err("open for append", e))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| io_err("read for recovery", e))?;
+        let recovery = if bytes.len() < MAGIC.len() && MAGIC.starts_with(&bytes) {
+            file.set_len(0)
+                .map_err(|e| io_err("truncate torn header", e))?;
+            file.write_all(&MAGIC)
+                .map_err(|e| io_err("write header", e))?;
+            Recovery {
                 records: Vec::new(),
                 valid_len: MAGIC.len() as u64,
                 tail: Tail::Clean,
-            };
-            return Ok((journal, recovery));
-        }
-        let recovery = Journal::recover(path)?;
-        if matches!(recovery.tail, Tail::Torn { .. }) {
-            // Repair: drop the torn tail so the next frame starts on a
-            // valid boundary. set_len is the standard WAL repair — the
-            // prefix it keeps was fsynced record by record.
-            let f = OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| io_err("open for repair", e))?;
-            f.set_len(recovery.valid_len)
-                .map_err(|e| io_err("truncate torn tail", e))?;
-            f.sync_all().map_err(|e| io_err("sync repair", e))?;
-        }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err("open for append", e))?;
+            }
+        } else {
+            let recovery = scan(path, &bytes)?;
+            if matches!(recovery.tail, Tail::Torn { .. }) {
+                // Repair: drop the torn tail so the next frame starts on
+                // a valid boundary. set_len is the standard WAL repair —
+                // the prefix it keeps was fsynced record by record.
+                file.set_len(recovery.valid_len)
+                    .map_err(|e| io_err("truncate torn tail", e))?;
+                file.sync_all().map_err(|e| io_err("sync repair", e))?;
+            }
+            recovery
+        };
         let journal = Journal {
             path: path.to_path_buf(),
             file,
@@ -427,6 +446,43 @@ mod tests {
         // Short files too.
         std::fs::write(&p.0, b"FT").unwrap();
         assert!(Journal::recover(&p.0).is_err());
+    }
+
+    #[test]
+    fn a_missing_file_or_torn_header_opens_as_a_fresh_journal() {
+        // A missing file, and every proper prefix of the header (the
+        // empty file included): what a crash before the first append
+        // can leave behind.
+        let left_behind = std::iter::once(None).chain((0..MAGIC.len()).map(Some));
+        for cut in left_behind {
+            let p = tmp("torn-header");
+            if let Some(cut) = cut {
+                std::fs::write(&p.0, &MAGIC[..cut]).unwrap();
+            }
+            let (mut j, rec) = Journal::open_or_create(&p.0).unwrap();
+            assert!(rec.records.is_empty(), "cut {cut:?}");
+            assert_eq!(rec.valid_len, MAGIC.len() as u64, "cut {cut:?}");
+            assert_eq!(rec.tail, Tail::Clean, "cut {cut:?}");
+            assert_eq!(std::fs::read(&p.0).unwrap(), MAGIC, "cut {cut:?}");
+            j.append(b"first").unwrap();
+            drop(j);
+            let (j, rec) = Journal::open_or_create(&p.0).unwrap();
+            assert_eq!(rec.records, vec![b"first".to_vec()], "cut {cut:?}");
+            assert_eq!(rec.tail, Tail::Clean, "cut {cut:?}");
+            assert_eq!(j.record_count(), 1, "cut {cut:?}");
+        }
+    }
+
+    #[test]
+    fn a_foreign_header_is_refused_by_open_or_create() {
+        for found in [&[0u8; 8][..], b"not a journal"] {
+            let p = tmp("foreign");
+            std::fs::write(&p.0, found).unwrap();
+            let err = Journal::open_or_create(&p.0).err().expect("refused");
+            assert!(matches!(err, JournalError::BadHeader { .. }), "{err}");
+            // The refused file is left as it was.
+            assert_eq!(std::fs::read(&p.0).unwrap(), found);
+        }
     }
 
     #[test]

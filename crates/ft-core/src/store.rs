@@ -13,12 +13,17 @@
 //!
 //! * objects by `(object scope, CV digest)` — the scope folds the
 //!   compiler fingerprint and a module fingerprint that hashes the
-//!   module's serialized content (features, idiosyncrasy seed, shared
-//!   structs), not just its slot index, because different workloads
-//!   and inputs reuse slot ids;
+//!   module's content (features, idiosyncrasy seed, shared structs),
+//!   not just its slot index, because different workloads and inputs
+//!   reuse slot ids;
 //! * links by `(link fingerprint, per-module CV digests)` — the link
 //!   fingerprint hashes the whole `ProgramIr`, the architecture, and
 //!   the compiler fingerprint, since `link` reads all three.
+//!
+//! Fingerprints hash values field by field, in declaration order (see
+//! `FieldHasher`): no text encoding is built. Each struct is
+//! destructured without `..`, so a field added to any of them fails to
+//! compile here until it is hashed.
 //!
 //! Both layers are [`ShardedLru`]s under one [`CacheCapacity`]:
 //! `Unbounded` by default, which never evicts and keeps no recency
@@ -32,8 +37,12 @@
 //! `cache_equivalence` suite against the golden canonical digests.
 
 use ft_compiler::lru::{CacheCapacity, LruStats, ShardedLru};
-use ft_compiler::{CompiledModule, Compiler, Module, ProgramIr};
-use ft_flags::rng::{hash_label, mix};
+use ft_compiler::{
+    CallEdge, CompiledModule, Compiler, LoopFeatures, MemStride, Module, ModuleKind, Personality,
+    ProgramIr, Target,
+};
+use ft_flags::rng::mix;
+use ft_flags::{FlagDomain, FlagSpace, FlagSpec, FlagValue};
 use ft_machine::{Architecture, LinkedProgram};
 use std::sync::Arc;
 
@@ -41,18 +50,25 @@ use std::sync::Arc;
 /// flag space. Two compilers with equal fingerprints generate
 /// identical code for any `(module, CV)` pair.
 pub fn compiler_fingerprint(compiler: &Compiler) -> u64 {
-    let target = serde_json::to_string(&compiler.target()).expect("Target serializes");
-    let personality =
-        serde_json::to_string(&compiler.personality()).expect("Personality serializes");
-    let space = serde_json::to_string(compiler.space()).expect("FlagSpace serializes");
-    mix(hash_label(&personality) ^ hash_label(&target).rotate_left(21) ^ hash_label(&space))
+    config_fingerprint(compiler.personality(), compiler.target(), compiler.space())
+}
+
+/// [`compiler_fingerprint`] of the parts a [`Compiler`] is built from.
+fn config_fingerprint(personality: Personality, target: Target, space: &FlagSpace) -> u64 {
+    let mut h = FieldHasher::default();
+    h.personality(personality);
+    h.target(target);
+    h.space(space);
+    h.finish()
 }
 
 /// Content fingerprint of one module: everything `compile_module`
 /// reads (slot id, name, kind, features, idiosyncrasy, shared
-/// structs), via its canonical serde encoding.
+/// structs).
 pub fn module_fingerprint(module: &Module) -> u64 {
-    hash_label(&serde_json::to_string(module).expect("Module serializes"))
+    let mut h = FieldHasher::default();
+    h.module(module);
+    h.finish()
 }
 
 /// Object-layer scope of one module under one compiler: the two
@@ -67,9 +83,271 @@ pub fn object_scope(compiler_fp: u64, module_fp: u64) -> u64 {
 /// the architecture, and the compiler. `link` is a pure function of
 /// these plus the per-module CV digests.
 pub fn link_fingerprint(ir: &ProgramIr, arch: &Architecture, compiler_fp: u64) -> u64 {
-    let ir_json = serde_json::to_string(ir).expect("ProgramIr serializes");
-    let arch_json = serde_json::to_string(arch).expect("Architecture serializes");
-    mix(hash_label(&ir_json) ^ hash_label(&arch_json).rotate_left(17) ^ compiler_fp)
+    let mut h = FieldHasher::default();
+    h.program(ir);
+    h.architecture(arch);
+    h.word(compiler_fp);
+    h.finish()
+}
+
+/// The field-order hasher behind the fingerprints. Every word folds
+/// through [`mix`] (a bijection, so two equal-length word sequences
+/// that differ anywhere end in different states); an `f64` is hashed
+/// by its bits; every string and list is prefixed by its length, and
+/// every enum variant by an explicit tag, so no two values share an
+/// encoding.
+#[derive(Default)]
+struct FieldHasher(u64);
+
+impl FieldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = mix(self.0 ^ w);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.word(u64::from(v));
+    }
+
+    fn len(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        for chunk in s.as_bytes().chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn personality(&mut self, p: Personality) {
+        self.word(match p {
+            Personality::IccLike => 0,
+            Personality::GccLike => 1,
+        });
+    }
+
+    fn target(&mut self, t: Target) {
+        let Target {
+            name,
+            max_vector_bits,
+            fma,
+            proc_flag,
+        } = t;
+        self.str(name);
+        self.word(u64::from(max_vector_bits));
+        self.bool(fma);
+        self.str(proc_flag);
+    }
+
+    fn space(&mut self, space: &FlagSpace) {
+        self.str(space.name());
+        self.len(space.flags().len());
+        for flag in space.flags() {
+            self.flag(flag);
+        }
+        self.len(space.fixed_flags().len());
+        for fixed in space.fixed_flags() {
+            self.str(fixed);
+        }
+    }
+
+    fn flag(&mut self, flag: &FlagSpec) {
+        let FlagSpec {
+            name,
+            domain,
+            values,
+            help,
+        } = flag;
+        self.str(name);
+        self.word(match domain {
+            FlagDomain::OptLevel => 0,
+            FlagDomain::Vectorization => 1,
+            FlagDomain::Unrolling => 2,
+            FlagDomain::Ipo => 3,
+            FlagDomain::Inlining => 4,
+            FlagDomain::StreamingStores => 5,
+            FlagDomain::Aliasing => 6,
+            FlagDomain::Prefetch => 7,
+            FlagDomain::Layout => 8,
+            FlagDomain::LoopRestructure => 9,
+            FlagDomain::Codegen => 10,
+            FlagDomain::Scalar => 11,
+        });
+        self.len(values.len());
+        for value in values {
+            match value {
+                FlagValue::Default => self.word(0),
+                FlagValue::On => self.word(1),
+                FlagValue::Off => self.word(2),
+                FlagValue::Int(v) => {
+                    self.word(3);
+                    self.word(i64::from(*v) as u64);
+                }
+                FlagValue::Named(s) => {
+                    self.word(4);
+                    self.str(s);
+                }
+            }
+        }
+        self.str(help);
+    }
+
+    fn module(&mut self, module: &Module) {
+        let Module {
+            id,
+            name,
+            kind,
+            shared_structs,
+        } = module;
+        self.len(*id);
+        self.str(name);
+        match kind {
+            ModuleKind::HotLoop(features) => {
+                self.word(0);
+                self.features(features);
+            }
+            ModuleKind::NonLoop {
+                seconds_per_step,
+                code_bytes,
+            } => {
+                self.word(1);
+                self.f64(*seconds_per_step);
+                self.f64(*code_bytes);
+            }
+        }
+        self.len(shared_structs.len());
+        for s in shared_structs {
+            self.word(u64::from(*s));
+        }
+    }
+
+    fn features(&mut self, f: &LoopFeatures) {
+        let LoopFeatures {
+            trip_count,
+            invocations_per_step,
+            ops_per_iter,
+            fp_fraction,
+            bytes_per_iter,
+            write_fraction,
+            stride,
+            divergence,
+            ilp,
+            carried_dependence,
+            reduction,
+            working_set_mb,
+            streaming,
+            calls_out,
+            base_code_bytes,
+            parallel_fraction,
+            response_seed,
+        } = f;
+        self.f64(*trip_count);
+        self.f64(*invocations_per_step);
+        self.f64(*ops_per_iter);
+        self.f64(*fp_fraction);
+        self.f64(*bytes_per_iter);
+        self.f64(*write_fraction);
+        match stride {
+            MemStride::Unit => self.word(0),
+            MemStride::Strided(k) => {
+                self.word(1);
+                self.word(u64::from(*k));
+            }
+            MemStride::Indirect => self.word(2),
+        }
+        self.f64(*divergence);
+        self.f64(*ilp);
+        self.bool(*carried_dependence);
+        self.bool(*reduction);
+        self.f64(*working_set_mb);
+        self.f64(*streaming);
+        self.f64(*calls_out);
+        self.f64(*base_code_bytes);
+        self.f64(*parallel_fraction);
+        self.word(*response_seed);
+    }
+
+    fn program(&mut self, ir: &ProgramIr) {
+        let ProgramIr {
+            name,
+            modules,
+            call_edges,
+            pgo_hostile,
+        } = ir;
+        self.str(name);
+        self.len(modules.len());
+        for module in modules {
+            self.module(module);
+        }
+        self.len(call_edges.len());
+        for edge in call_edges {
+            let CallEdge {
+                from,
+                to,
+                calls_per_step,
+            } = edge;
+            self.len(*from);
+            self.len(*to);
+            self.f64(*calls_per_step);
+        }
+        self.bool(*pgo_hostile);
+    }
+
+    fn architecture(&mut self, arch: &Architecture) {
+        let Architecture {
+            name,
+            processor,
+            target,
+            sockets,
+            numa_nodes,
+            cores_per_socket,
+            threads_per_core,
+            freq_ghz,
+            issue_width,
+            simd_eff_128,
+            simd_eff_256,
+            simd_eff_512,
+            avx512_freq_factor,
+            icache_kb,
+            llc_mb,
+            mem_bw_gbs,
+            memory_gb,
+            omp_threads,
+            scalar_speed,
+        } = arch;
+        self.str(name);
+        self.str(processor);
+        self.target(*target);
+        for count in [sockets, numa_nodes, cores_per_socket, threads_per_core] {
+            self.word(u64::from(*count));
+        }
+        for v in [
+            freq_ghz,
+            issue_width,
+            simd_eff_128,
+            simd_eff_256,
+            simd_eff_512,
+            avx512_freq_factor,
+            icache_kb,
+            llc_mb,
+            mem_bw_gbs,
+            memory_gb,
+        ] {
+            self.f64(*v);
+        }
+        self.word(u64::from(*omp_threads));
+        self.f64(*scalar_speed);
+    }
 }
 
 /// A compile/link store, optionally entry-bounded, private to one
@@ -164,7 +442,6 @@ impl std::fmt::Debug for ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_compiler::{CallEdge, LoopFeatures, Target};
     use ft_flags::rng::rng_for;
     use ft_flags::Cv;
     use ft_machine::link;
@@ -212,6 +489,243 @@ mod tests {
         assert_eq!(module_fingerprint(&a), module_fingerprint(&same));
         assert_ne!(module_fingerprint(&a), module_fingerprint(&other_features));
         assert_ne!(module_fingerprint(&a), module_fingerprint(&other_slot));
+    }
+
+    /// One named single-field edit of a fingerprinted value.
+    type Edit<T> = (&'static str, fn(&mut T));
+
+    /// Asserts that each edit of `base` moves its fingerprint, and that
+    /// an independently built equal value keeps it.
+    fn assert_each_edit_moves<T: Clone>(
+        base: &T,
+        same: &T,
+        fp: impl Fn(&T) -> u64,
+        edits: &[Edit<T>],
+    ) {
+        let reference = fp(base);
+        assert_eq!(fp(same), reference, "equal values must fingerprint equal");
+        for (field, edit) in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(
+                fp(&edited),
+                reference,
+                "editing {field} must move the fingerprint"
+            );
+        }
+    }
+
+    /// `FlagSpace::icc()` with one edit made to its JSON text: the
+    /// space's fields are private, so a variant is built through serde.
+    fn edited_icc(from: &str, to: &str) -> FlagSpace {
+        let json = serde_json::to_string(&FlagSpace::icc()).unwrap();
+        assert!(json.contains(from), "`{from}` not in {json}");
+        serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+    }
+
+    #[test]
+    fn compiler_fingerprint_covers_every_field() {
+        let target = Target::avx2_256();
+        let icc = compiler_fingerprint(&Compiler::icc(target));
+        let fp = |t: &Target| config_fingerprint(Personality::IccLike, *t, &FlagSpace::icc());
+        assert_eq!(fp(&target), icc);
+        assert_each_edit_moves(
+            &target,
+            &Target::avx2_256(),
+            fp,
+            &[
+                ("Target::name", |t| t.name = "avx2-other"),
+                ("Target::max_vector_bits", |t| t.max_vector_bits += 1),
+                ("Target::fma", |t| t.fma = !t.fma),
+                ("Target::proc_flag", |t| t.proc_flag = "-xHost"),
+            ],
+        );
+        assert_ne!(
+            config_fingerprint(Personality::GccLike, target, &FlagSpace::icc()),
+            icc,
+            "Personality"
+        );
+        let space_fp = |space: &FlagSpace| config_fingerprint(Personality::IccLike, target, space);
+        assert_eq!(space_fp(&edited_icc("icc", "icc")), icc);
+        for (field, from, to) in [
+            ("FlagSpace::name", r#""name":"icc""#, r#""name":"icx""#),
+            ("FlagSpec::name", r#""name":"vec""#, r#""name":"vex""#),
+            ("FlagSpec::domain", r#""OptLevel""#, r#""Codegen""#),
+            ("FlagSpec::values (Int)", r#"{"Int":100}"#, r#"{"Int":101}"#),
+            ("FlagSpec::values (Named)", r#""256"}"#, r#""512"}"#),
+            (
+                "FlagSpec::values (order)",
+                r#"["On","Off"]"#,
+                r#"["Off","On"]"#,
+            ),
+            (
+                "FlagSpec::values (Default)",
+                r#"["Default","On"]"#,
+                r#"["On","On"]"#,
+            ),
+            (
+                "FlagSpec::values (variant)",
+                r#"{"Named":"3"}"#,
+                r#"{"Int":3}"#,
+            ),
+            ("FlagSpec::values (length)", r#",{"Int":75}]"#, "]"),
+            ("FlagSpec::help", "optimization level", "optimisation level"),
+            (
+                "fixed flags",
+                r#""-fp-model source""#,
+                r#""-fp-model fast""#,
+            ),
+            ("fixed flags (length)", r#","-fp-model source"]"#, "]"),
+        ] {
+            assert_ne!(space_fp(&edited_icc(from, to)), icc, "editing {field}");
+        }
+    }
+
+    fn features(m: &mut Module) -> &mut LoopFeatures {
+        match &mut m.kind {
+            ModuleKind::HotLoop(f) => f,
+            ModuleKind::NonLoop { .. } => unreachable!("a hot-loop fixture"),
+        }
+    }
+
+    #[test]
+    fn module_fingerprint_covers_every_field() {
+        let build = || Module::hot_loop(3, "k", LoopFeatures::synthetic(5), &[1, 2]);
+        assert_each_edit_moves(
+            &build(),
+            &build(),
+            module_fingerprint,
+            &[
+                ("Module::id", |m| m.id += 1),
+                ("Module::name", |m| m.name.push('x')),
+                // Packs to the same words as "k"; only the length differs.
+                ("Module::name (length)", |m| m.name.push('\0')),
+                ("Module::kind", |m| {
+                    m.kind = Module::non_loop(3, 0.3, 5.0e4).kind
+                }),
+                ("Module::shared_structs (value)", |m| {
+                    m.shared_structs[1] = 7
+                }),
+                ("Module::shared_structs (length)", |m| {
+                    m.shared_structs.push(9)
+                }),
+                ("trip_count", |m| features(m).trip_count += 1.0),
+                ("invocations_per_step", |m| {
+                    features(m).invocations_per_step += 1.0
+                }),
+                ("ops_per_iter", |m| features(m).ops_per_iter += 1.0),
+                ("fp_fraction", |m| features(m).fp_fraction += 0.1),
+                ("bytes_per_iter", |m| features(m).bytes_per_iter += 1.0),
+                ("write_fraction", |m| features(m).write_fraction += 0.1),
+                ("stride (Strided)", |m| {
+                    features(m).stride = MemStride::Strided(2)
+                }),
+                ("stride (Indirect)", |m| {
+                    features(m).stride = MemStride::Indirect
+                }),
+                ("divergence", |m| features(m).divergence += 0.1),
+                ("ilp", |m| features(m).ilp += 1.0),
+                ("carried_dependence", |m| {
+                    features(m).carried_dependence = !features(m).carried_dependence
+                }),
+                ("reduction", |m| {
+                    features(m).reduction = !features(m).reduction
+                }),
+                ("working_set_mb", |m| features(m).working_set_mb += 1.0),
+                ("streaming", |m| features(m).streaming += 0.1),
+                ("calls_out", |m| features(m).calls_out += 1.0),
+                ("base_code_bytes", |m| features(m).base_code_bytes += 1.0),
+                ("parallel_fraction", |m| {
+                    features(m).parallel_fraction -= 0.1
+                }),
+                ("response_seed", |m| features(m).response_seed += 1),
+            ],
+        );
+        let strided = |k| {
+            let mut m = build();
+            features(&mut m).stride = MemStride::Strided(k);
+            module_fingerprint(&m)
+        };
+        assert_ne!(strided(2), strided(3), "MemStride::Strided's stride");
+        let non_loop = || Module::non_loop(3, 0.3, 5.0e4);
+        assert_each_edit_moves(
+            &non_loop(),
+            &non_loop(),
+            module_fingerprint,
+            &[
+                ("NonLoop::seconds_per_step", |m| {
+                    m.kind = Module::non_loop(3, 0.4, 5.0e4).kind
+                }),
+                ("NonLoop::code_bytes", |m| {
+                    m.kind = Module::non_loop(3, 0.3, 6.0e4).kind
+                }),
+            ],
+        );
+    }
+
+    #[test]
+    fn link_fingerprint_covers_every_field() {
+        let compiler_fp = compiler_fingerprint(&Compiler::icc(Target::avx2_256()));
+        let arch = Architecture::broadwell();
+        assert_each_edit_moves(
+            &program(4),
+            &program(4),
+            |ir| link_fingerprint(ir, &arch, compiler_fp),
+            &[
+                ("ProgramIr::name", |ir| ir.name.push('x')),
+                ("ProgramIr::modules", |ir| {
+                    features(&mut ir.modules[1]).ilp += 1.0
+                }),
+                ("ProgramIr::modules (length)", |ir| {
+                    ir.modules.pop();
+                }),
+                ("CallEdge::from", |ir| ir.call_edges[0].from = 2),
+                ("CallEdge::to", |ir| ir.call_edges[0].to = 2),
+                ("CallEdge::calls_per_step", |ir| {
+                    ir.call_edges[0].calls_per_step += 1.0
+                }),
+                ("ProgramIr::call_edges (length)", |ir| ir.call_edges.clear()),
+                ("ProgramIr::pgo_hostile", |ir| {
+                    ir.pgo_hostile = !ir.pgo_hostile
+                }),
+            ],
+        );
+        let ir = program(4);
+        assert_each_edit_moves(
+            &arch,
+            &Architecture::broadwell(),
+            |a| link_fingerprint(&ir, a, compiler_fp),
+            &[
+                ("name", |a| a.name = "Broadwell-other"),
+                ("processor", |a| a.processor = "other"),
+                ("target", |a| a.target.fma = !a.target.fma),
+                ("sockets", |a| a.sockets += 1),
+                ("numa_nodes", |a| a.numa_nodes += 1),
+                ("cores_per_socket", |a| a.cores_per_socket += 1),
+                ("threads_per_core", |a| a.threads_per_core += 1),
+                ("freq_ghz", |a| a.freq_ghz += 0.1),
+                ("issue_width", |a| a.issue_width += 0.1),
+                ("simd_eff_128", |a| a.simd_eff_128 += 0.01),
+                ("simd_eff_256", |a| a.simd_eff_256 += 0.01),
+                ("simd_eff_512", |a| a.simd_eff_512 += 0.01),
+                ("avx512_freq_factor", |a| a.avx512_freq_factor -= 0.1),
+                ("icache_kb", |a| a.icache_kb += 1.0),
+                ("llc_mb", |a| a.llc_mb += 1.0),
+                ("mem_bw_gbs", |a| a.mem_bw_gbs += 1.0),
+                ("memory_gb", |a| a.memory_gb += 1.0),
+                ("omp_threads", |a| a.omp_threads += 1),
+                ("scalar_speed", |a| a.scalar_speed += 0.01),
+            ],
+        );
+        assert_ne!(
+            link_fingerprint(&ir, &arch, compiler_fp),
+            link_fingerprint(
+                &ir,
+                &arch,
+                compiler_fingerprint(&Compiler::gcc(Target::avx2_256()))
+            ),
+            "the compiler fingerprint"
+        );
     }
 
     #[test]

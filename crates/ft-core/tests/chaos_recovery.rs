@@ -18,6 +18,9 @@
 //! 4. A CRC-valid but malformed record, or a done record whose digest
 //!    its checkpoint does not replay to, is a typed refusal — never a
 //!    silent restart and never a returned run.
+//! 5. A journal left empty or with a torn header by a crash between
+//!    its creation and its first append starts fresh and finishes on
+//!    the golden digest.
 //!
 //! Kills are simulated in-process by aborting the attempt: all
 //! in-memory campaign state is dropped and only the journal file
@@ -194,6 +197,40 @@ fn recovery_from_a_torn_journal_tail_still_converges() {
         .expect("recovery from torn tail");
     assert_eq!(supervised.report.resumed_from, vec![2]);
     assert_bytes_equal(&reference, &supervised.run, "torn-tail recovery");
+}
+
+/// The canonical digest `golden_determinism.rs` pins for this file's
+/// zero-fault campaign (swim/Broadwell, K=60, X=8, seed 42, 5 steps).
+const GOLDEN_CANONICAL_DIGEST: u64 = 0xEC2662A181C112F2;
+
+#[test]
+fn a_crash_between_creating_a_journal_and_its_first_append_starts_fresh() {
+    // A fresh journal's header is not fsynced until the first append,
+    // so a crash in between can leave an empty file or a torn header.
+    // Either must read as a fresh journal and finish on the golden
+    // digest.
+    let arch = Architecture::broadwell();
+    let w = swim();
+    for (label, left_behind) in [("empty", &b""[..]), ("torn-header", b"FTWA")] {
+        let j = journal(&format!("unborn-{label}"));
+        std::fs::write(&j.0, left_behind).unwrap();
+        let supervised = Supervisor::new(&j.0, || {
+            tuner(&w, &arch, FaultModel::zero(), ScheduleMode::Serial)
+        })
+        .run()
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(supervised.report.attempts, 1, "{label}");
+        assert_eq!(supervised.report.resumed_from, vec![0], "{label}");
+        assert_eq!(
+            supervised.run.canonical_digest(),
+            GOLDEN_CANONICAL_DIGEST,
+            "{label}"
+        );
+        let rec = Journal::recover(&j.0).unwrap();
+        assert_eq!(rec.tail, Tail::Clean, "{label}");
+        let last = CampaignRecord::from_bytes(rec.records.last().unwrap()).unwrap();
+        assert_eq!(last.kind, RECORD_DONE, "{label}");
+    }
 }
 
 #[test]

@@ -20,6 +20,9 @@
 //! 6. A panic inside one tenant's segment poisons that tenant with the
 //!    panic message, a panic on another's promotion is survived, and
 //!    the daemon still settles every other tenant on its solo digest.
+//! 7. A tenant WAL left empty or with a torn header by a crash before
+//!    its first append is admitted as fresh and finishes on its solo
+//!    bytes.
 
 use ft_compiler::FaultModel;
 use ft_core::server::EventCallback;
@@ -189,6 +192,43 @@ fn a_poisoned_wal_is_refused_with_its_diagnostic_and_stays_refused() {
             report.tenant("healthy").expect("reported").outcome,
             TenantOutcome::Done { .. }
         ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tenant_wal_left_empty_or_with_a_torn_header_starts_fresh() {
+    // A crash between a WAL's creation and its first append: the
+    // unsynced header may be missing or torn. Admission must read it
+    // as a fresh journal, and the tenant must finish on its solo bytes.
+    let mut spec = CampaignSpec::new("swim", "broadwell");
+    spec.budget = 60;
+    spec.focus = 8;
+    spec.seed = 42;
+    spec.steps_cap = Some(5);
+    let reference = solo(&spec);
+    // The canonical digest `golden_determinism.rs` pins for this spec.
+    assert_eq!(reference.canonical_digest(), 0xEC2662A181C112F2);
+    let dir = temp_dir("server-unborn");
+    std::fs::create_dir_all(&dir).expect("dir");
+    let tenants = [("empty", &b""[..]), ("torn-header", b"FTWA")];
+    for (name, left_behind) in tenants {
+        std::fs::write(dir.join(format!("tenant-{name}.wal")), left_behind).expect("wal");
+    }
+    let mut server = TuningServer::new(ServerConfig::new(&dir)).expect("dir");
+    for (name, _) in tenants {
+        server.submit(name, spec.clone()).expect("admission");
+    }
+    let report = server.run();
+    for (name, _) in tenants {
+        match &report.tenant(name).expect("reported").outcome {
+            TenantOutcome::Done { run, .. } => assert_eq!(
+                reference.canonical_bytes(),
+                run.canonical_bytes(),
+                "tenant {name}"
+            ),
+            other => panic!("tenant {name}: expected Done, got {other:?}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
