@@ -3,7 +3,8 @@
 use crate::decisions::{vector_efficiency, CodegenDecisions, CompiledModule, IselChoice, VecWidth};
 use crate::ir::{LoopFeatures, Module, ModuleKind, ProgramIr};
 use crate::pgo::PgoProfile;
-use crate::response::jitter;
+use crate::response::{jitter_hashed, unit_hashed};
+use ft_flags::rng::hash_label;
 use ft_flags::{Cv, FlagId, FlagSpace};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -20,11 +21,43 @@ pub enum Personality {
 }
 
 impl Personality {
-    fn salt(self) -> &'static str {
+    /// Row of this personality in the per-personality label tables.
+    fn index(self) -> usize {
         match self {
-            Personality::IccLike => "icc",
-            Personality::GccLike => "gcc",
+            Personality::IccLike => 0,
+            Personality::GccLike => 1,
         }
+    }
+}
+
+/// `hash_label(&format!("misest-vec-{bits}-{salt}"))`, the axis of the
+/// vectorizer's per-width profitability misestimate, by
+/// [`Personality::index`] (`salt` is `icc`, then `gcc`) and then by
+/// vector width (128, 256, 512 bits; scalar code is never estimated).
+const MISEST_VEC: [[u64; 3]; 2] = [
+    [
+        hash_label("misest-vec-128-icc"),
+        hash_label("misest-vec-256-icc"),
+        hash_label("misest-vec-512-icc"),
+    ],
+    [
+        hash_label("misest-vec-128-gcc"),
+        hash_label("misest-vec-256-gcc"),
+        hash_label("misest-vec-512-gcc"),
+    ],
+];
+
+/// `hash_label(&format!("u-heur-{salt}"))`, the axis of the `-O3`
+/// unroll heuristic, by [`Personality::index`].
+const U_HEUR: [u64; 2] = [hash_label("u-heur-icc"), hash_label("u-heur-gcc")];
+
+/// Column of a vector width in [`MISEST_VEC`].
+fn misest_column(w: VecWidth) -> usize {
+    match w {
+        VecWidth::W128 => 0,
+        VecWidth::W256 => 1,
+        VecWidth::W512 => 2,
+        VecWidth::Scalar => unreachable!("scalar code has no vectorization estimate"),
     }
 }
 
@@ -608,14 +641,14 @@ impl Compiler {
         profile: Option<&PgoProfile>,
     ) -> CodegenDecisions {
         let seed = f.response_seed;
-        let salt = self.personality.salt();
+        let personality = self.personality.index();
 
         // --- Trip-count knowledge -------------------------------------
         // Statically the compiler only guesses the trip count; PGO
         // replaces the guess with the measured value.
         let trip_est = match profile {
             Some(_) => f.trip_count,
-            None => f.trip_count * jitter(seed, "trip-est", 0.25, 3.0),
+            None => f.trip_count * jitter_hashed(seed, const { hash_label("trip-est") }, 0.25, 3.0),
         };
 
         // --- Vectorization --------------------------------------------
@@ -626,9 +659,8 @@ impl Compiler {
             1.0
         };
         let est = |w: VecWidth| {
-            vector_efficiency(f, w)
-                * jitter(seed, &format!("misest-vec-{}-{salt}", w.bits()), 0.65, 1.45)
-                * gcc_consv
+            let axis = MISEST_VEC[personality][misest_column(w)];
+            vector_efficiency(f, w) * jitter_hashed(seed, axis, 0.65, 1.45) * gcc_consv
         };
         let width = if !sem.vec_enabled || !legal {
             VecWidth::Scalar
@@ -642,14 +674,13 @@ impl Compiler {
             // profitability threshold (threshold 100 = must beat scalar).
             let mut best = VecWidth::Scalar;
             let mut best_gain = sem.vec_threshold / 100.0;
-            let mut candidates = vec![VecWidth::W128];
-            if self.target.max_vector_bits >= 256 {
-                candidates.push(VecWidth::W256);
-            }
-            if self.target.max_vector_bits >= 512 {
-                candidates.push(VecWidth::W512);
-            }
+            // 128-bit is always a candidate; wider ones when the target
+            // has them.
+            let candidates = [VecWidth::W128, VecWidth::W256, VecWidth::W512];
             for w in candidates {
+                if w != VecWidth::W128 && self.target.max_vector_bits < w.bits() {
+                    continue;
+                }
                 let g = est(w);
                 if g >= best_gain {
                     best_gain = g;
@@ -668,7 +699,7 @@ impl Compiler {
                 if small_body && trip_est > 128.0 {
                     // O3 heuristic: unroll small hot loops 2-4x,
                     // loop-specifically.
-                    2 + (crate::response::unit(seed, &format!("u-heur-{salt}")) * 2.2) as u8
+                    2 + (unit_hashed(seed, U_HEUR[personality]) * 2.2) as u8
                 } else {
                     1
                 }
@@ -687,7 +718,7 @@ impl Compiler {
             * (1.0 + 0.35 * (f64::from(unroll)).ln().max(0.0))
             * (1.0 + 0.4 * (lanes - 1.0) / 3.0)
             * (if sem.swp { 1.15 } else { 1.0 })
-            * jitter(seed, "pressure", 0.8, 1.25);
+            * jitter_hashed(seed, const { hash_label("pressure") }, 0.8, 1.25);
         let capacity = if sem.regalloc_aggressive { 7.5 } else { 6.5 };
         let register_spill = ((pressure / capacity) - 1.0).max(0.0) * 0.35;
 
@@ -696,7 +727,8 @@ impl Compiler {
             StreamReq::Always => true,
             StreamReq::Never => false,
             StreamReq::Auto => {
-                f.streaming > jitter(seed, "nt-thresh", 0.55, 0.75) && f.write_fraction > 0.35
+                f.streaming > jitter_hashed(seed, const { hash_label("nt-thresh") }, 0.55, 0.75)
+                    && f.write_fraction > 0.35
             }
         };
 
@@ -706,9 +738,25 @@ impl Compiler {
         // the jitter ranges straddle zero so *disabling* a pass is
         // sometimes the winning move for a specific loop.
         let mut q: f64 = 1.0;
-        let mut apply = |on: bool, default_on: bool, name: &str, scale: f64, lo: f64, hi: f64| {
-            let gain = scale * jitter(seed, name, lo, hi);
+        // Each pass: (enabled, on by default, gain axis, scale, lo, hi).
+        #[rustfmt::skip]
+        let passes = [
+            (sem.licm, true, const { hash_label("licm") }, 0.16, 0.2, 1.6),
+            (sem.gcse, true, const { hash_label("gcse") }, 0.105, -0.4, 1.5),
+            (sem.scalar_rep, true, const { hash_label("srep") }, 0.13, -0.3, 1.5),
+            (sem.hoist, true, const { hash_label("hoist") }, 0.08, -0.6, 1.4),
+            (sem.branch_comb, true, const { hash_label("bcomb") }, 0.07, -0.5, 1.4),
+            (sem.jump_tables, true, const { hash_label("jt") }, 0.022, -1.0, 1.5),
+            (sem.fuse, true, const { hash_label("fuse") }, 0.08, -0.8, 1.4),
+            (sem.isched_aggressive, false, const { hash_label("isched") }, 0.15, -1.4, 1.4),
+            (sem.tail_dup, false, const { hash_label("taildup") }, 0.10, -1.4, 1.4),
+            (sem.collapse, false, const { hash_label("collapse") }, 0.08, -1.4, 1.4),
+            (sem.distribute, false, const { hash_label("dist") }, 0.13, -1.4, 1.4),
+            (sem.matmul, false, const { hash_label("matmul") }, 0.045, -1.4, 1.4),
+        ];
+        for (on, default_on, axis, scale, lo, hi) in passes {
             if on != default_on {
+                let gain = scale * jitter_hashed(seed, axis, lo, hi);
                 // Deviating from the default applies (or removes) the
                 // pass effect relative to the O3 baseline.
                 if default_on {
@@ -717,65 +765,64 @@ impl Compiler {
                     q *= 1.0 + gain;
                 }
             }
-        };
-        apply(sem.licm, true, "licm", 0.16, 0.2, 1.6);
-        apply(sem.gcse, true, "gcse", 0.105, -0.4, 1.5);
-        apply(sem.scalar_rep, true, "srep", 0.13, -0.3, 1.5);
-        apply(sem.hoist, true, "hoist", 0.08, -0.6, 1.4);
-        apply(sem.branch_comb, true, "bcomb", 0.07, -0.5, 1.4);
-        apply(sem.jump_tables, true, "jt", 0.022, -1.0, 1.5);
-        apply(sem.fuse, true, "fuse", 0.08, -0.8, 1.4);
-        apply(sem.isched_aggressive, false, "isched", 0.15, -1.4, 1.4);
-        apply(sem.tail_dup, false, "taildup", 0.10, -1.4, 1.4);
-        apply(sem.collapse, false, "collapse", 0.08, -1.4, 1.4);
-        apply(sem.distribute, false, "dist", 0.13, -1.4, 1.4);
-        apply(sem.matmul, false, "matmul", 0.045, -1.4, 1.4);
+        }
         // Software pipelining: pays off on regular high-ILP bodies,
         // hurts divergent ones.
         let swp_gain = 0.13
             * (f.ilp / 4.0).min(1.5)
             * (1.0 - 1.8 * f.divergence)
-            * jitter(seed, "swp", 0.5, 1.5);
+            * jitter_hashed(seed, const { hash_label("swp") }, 0.5, 1.5);
         if sem.swp {
             q *= 1.0 + swp_gain.max(-0.12);
         }
         // Instruction selection.
         match sem.isel {
             IselChoice::Default => {}
-            IselChoice::Speed => q *= 1.0 + 0.15 * jitter(seed, "isel-speed", -1.3, 1.4),
-            IselChoice::Size => q *= 1.0 + 0.09 * jitter(seed, "isel-size", -1.8, 0.8),
+            IselChoice::Speed => {
+                q *= 1.0 + 0.15 * jitter_hashed(seed, const { hash_label("isel-speed") }, -1.3, 1.4)
+            }
+            IselChoice::Size => {
+                q *= 1.0 + 0.09 * jitter_hashed(seed, const { hash_label("isel-size") }, -1.8, 0.8)
+            }
         }
         // Loop alignment: small, loop-specific.
         if sem.align_loops >= 32 {
-            q *= 1.0 + 0.06 * jitter(seed, "align", -1.2, 1.3);
+            q *= 1.0 + 0.06 * jitter_hashed(seed, const { hash_label("align") }, -1.2, 1.3);
         }
         // Aggressive if-conversion trades branches for predication.
         if sem.if_convert == TriState::Aggressive {
-            q *= 1.0 + 0.20 * (f.divergence - 0.35) * jitter(seed, "ifcvt", 0.4, 1.6);
+            q *= 1.0
+                + 0.20
+                    * (f.divergence - 0.35)
+                    * jitter_hashed(seed, const { hash_label("ifcvt") }, 0.4, 1.6);
         } else if sem.if_convert == TriState::Off && f.divergence > 0.4 {
-            q *= 1.0 - 0.02 * jitter(seed, "ifcvt-off", 0.0, 1.0);
+            q *= 1.0 - 0.02 * jitter_hashed(seed, const { hash_label("ifcvt-off") }, 0.0, 1.0);
         }
         // Strict aliasing unlocks reordering on most loops but the
         // assumption occasionally back-fires (the paper's case study
         // finds -no-ansi-alias among critical flags).
-        let alias_gain = 0.15 * jitter(seed, "alias", -1.2, 1.3);
+        let alias_gain = 0.15 * jitter_hashed(seed, const { hash_label("alias") }, -1.2, 1.3);
         if !sem.ansi_alias {
             q /= 1.0 + alias_gain;
         }
         // O2 loses a little codegen quality across the board.
         if sem.opt_level == 2 {
-            q *= 1.0 - 0.025 * jitter(seed, "o2", 0.4, 1.6);
+            q *= 1.0 - 0.025 * jitter_hashed(seed, const { hash_label("o2") }, 0.4, 1.6);
         }
         // Multi-versioning costs dispatch overhead unless it enables a
         // better specialized body for this loop.
         match sem.multiversion {
-            TriState::Aggressive => q *= 1.0 + 0.105 * jitter(seed, "mv", -1.4, 1.4),
-            TriState::Off => q *= 1.0 + 0.03 * jitter(seed, "mv-off", -1.0, 1.2),
+            TriState::Aggressive => {
+                q *= 1.0 + 0.105 * jitter_hashed(seed, const { hash_label("mv") }, -1.4, 1.4)
+            }
+            TriState::Off => {
+                q *= 1.0 + 0.03 * jitter_hashed(seed, const { hash_label("mv-off") }, -1.0, 1.2)
+            }
             TriState::Default => {}
         }
         // PGO sharpens block layout and branch hints a touch.
         if profile.is_some() {
-            q *= 1.0 + 0.012 * jitter(seed, "pgo-layout", 0.2, 1.4);
+            q *= 1.0 + 0.012 * jitter_hashed(seed, const { hash_label("pgo-layout") }, 0.2, 1.4);
         }
 
         // --- Inlining ---------------------------------------------------
@@ -843,7 +890,7 @@ impl Compiler {
         sem: &FlagSemantics,
         module: &Module,
     ) -> CodegenDecisions {
-        let seed = ft_flags::rng::hash_label(&module.name) ^ 0x5eed;
+        let seed = hash_label(&module.name) ^ 0x5eed;
         let mut d = CodegenDecisions::o3_default(code_bytes);
         d.opt_level = sem.opt_level;
         d.ipo = sem.ipo;
@@ -868,7 +915,7 @@ impl Compiler {
         if !sem.gcse {
             q *= 0.997;
         }
-        q *= 1.0 + 0.004 * jitter(seed, "nl-jitter", -1.0, 1.0);
+        q *= 1.0 + 0.004 * jitter_hashed(seed, const { hash_label("nl-jitter") }, -1.0, 1.0);
         d.backend_quality = q;
         d.code_bytes = code_bytes
             * (1.0 + 0.15 * f64::from(sem.inline_level) * sem.inline_factor / 2.0)
@@ -1097,5 +1144,19 @@ mod tests {
             }
         }
         assert!(diff, "personalities never disagreed");
+    }
+
+    #[test]
+    fn label_tables_match_their_formatted_labels() {
+        for (p, salt) in [(Personality::IccLike, "icc"), (Personality::GccLike, "gcc")] {
+            for w in [VecWidth::W128, VecWidth::W256, VecWidth::W512] {
+                assert_eq!(
+                    MISEST_VEC[p.index()][misest_column(w)],
+                    hash_label(&format!("misest-vec-{}-{salt}", w.bits())),
+                    "{p:?} {w:?}"
+                );
+            }
+            assert_eq!(U_HEUR[p.index()], hash_label(&format!("u-heur-{salt}")));
+        }
     }
 }

@@ -199,6 +199,63 @@ pub struct CallEdge {
     pub calls_per_step: f64,
 }
 
+/// Why [`ProgramIr::validate`] refused a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IrError {
+    /// Module `slot` carries id `id`; ids must equal positions.
+    SparseIds {
+        /// Position of the offending module.
+        slot: usize,
+        /// Its name.
+        name: String,
+        /// The id it carries.
+        id: ModuleId,
+    },
+    /// Two modules share a name.
+    DuplicateName {
+        /// The shared name.
+        name: String,
+        /// Position of the first module with it.
+        first: usize,
+        /// Position of the second.
+        second: usize,
+    },
+    /// A call edge names a module past the end of the program.
+    EdgeOutOfRange {
+        /// Calling module.
+        from: ModuleId,
+        /// Called module.
+        to: ModuleId,
+        /// Modules in the program.
+        modules: usize,
+    },
+}
+
+impl std::fmt::Display for IrError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IrError::SparseIds { slot, name, id } => write!(
+                f,
+                "module ids must be dense and ordered: module {slot} (`{name}`) has id {id}"
+            ),
+            IrError::DuplicateName {
+                name,
+                first,
+                second,
+            } => write!(
+                f,
+                "duplicate module name `{name}`: modules {first} and {second}"
+            ),
+            IrError::EdgeOutOfRange { from, to, modules } => write!(
+                f,
+                "call edge out of range: {from} -> {to} in a program of {modules} modules"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IrError {}
+
 /// A whole program after outlining: the unit the tuner operates on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProgramIr {
@@ -231,21 +288,36 @@ impl ProgramIr {
 
     /// Checks what [`ProgramIr::new`] guarantees and deserialization
     /// does not: module ids are dense and ordered (module `i` has id
-    /// `i`; evaluation keys a module's objects by that position) and
-    /// every call edge names an existing module.
-    pub fn validate(&self) -> Result<(), String> {
+    /// `i`; evaluation keys a module's objects by that position),
+    /// module names are unique (per-loop profiles key a loop's time by
+    /// its name) and every call edge names an existing module.
+    pub fn validate(&self) -> Result<(), IrError> {
         if let Some((i, m)) = self.modules.iter().enumerate().find(|(i, m)| m.id != *i) {
-            return Err(format!(
-                "module ids must be dense and ordered: module {i} (`{}`) has id {}",
-                m.name, m.id
-            ));
+            return Err(IrError::SparseIds {
+                slot: i,
+                name: m.name.clone(),
+                id: m.id,
+            });
+        }
+        // Programs have tens of modules: a pairwise scan costs less than
+        // hashing every name, and `ProgramIr::new` runs this on every
+        // in-tree program it builds.
+        for (i, m) in self.modules.iter().enumerate() {
+            if let Some(first) = self.modules[..i].iter().position(|p| p.name == m.name) {
+                return Err(IrError::DuplicateName {
+                    name: m.name.clone(),
+                    first,
+                    second: i,
+                });
+            }
         }
         let n = self.modules.len();
         if let Some(e) = self.call_edges.iter().find(|e| e.from >= n || e.to >= n) {
-            return Err(format!(
-                "call edge out of range: {} -> {} in a program of {n} modules",
-                e.from, e.to
-            ));
+            return Err(IrError::EdgeOutOfRange {
+                from: e.from,
+                to: e.to,
+                modules: n,
+            });
         }
         Ok(())
     }
@@ -353,6 +425,24 @@ mod tests {
                 to: 3,
                 calls_per_step: 1.0,
             }],
+        );
+    }
+
+    #[test]
+    fn duplicate_names_rejected() {
+        let mut p = tiny_program();
+        p.modules[1].name = p.modules[0].name.clone();
+        assert_eq!(
+            p.validate(),
+            Err(IrError::DuplicateName {
+                name: "k0".to_string(),
+                first: 0,
+                second: 1,
+            })
+        );
+        assert_eq!(
+            p.validate().unwrap_err().to_string(),
+            "duplicate module name `k0`: modules 0 and 1"
         );
     }
 

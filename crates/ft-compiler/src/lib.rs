@@ -41,7 +41,7 @@ pub use cache::ObjectCache;
 pub use compiler::{Compiler, Personality, Target};
 pub use decisions::{CodegenDecisions, CompiledModule, VecWidth};
 pub use fault::FaultModel;
-pub use ir::{CallEdge, LoopFeatures, MemStride, Module, ModuleId, ModuleKind, ProgramIr};
+pub use ir::{CallEdge, IrError, LoopFeatures, MemStride, Module, ModuleId, ModuleKind, ProgramIr};
 pub use lru::{CacheCapacity, LruStats, ShardedLru};
 pub use optreport::{report_module, report_program};
 pub use pgo::{PgoError, PgoProfile};

@@ -10,8 +10,8 @@ use ft_compiler::{CompiledModule, Compiler, FaultModel, Module, ProgramIr};
 use ft_flags::rng::derive_seed_idx;
 use ft_flags::{Cv, CvId, CvPool, FlagSpace};
 use ft_machine::{
-    execute, execute_batch_total, execute_profiled, link, try_execute, try_execute_profiled,
-    Architecture, BatchPlan, ExecOptions, ExecShape, FaultQuarantine, LinkedProgram,
+    execute, execute_batch, execute_batch_total, try_execute, try_execute_profiled, Architecture,
+    BatchPlan, BatchTimes, ExecOptions, ExecShape, FaultQuarantine, LinkPlan, LinkedProgram,
     RunMeasurement, RunOutcome,
 };
 use rayon::prelude::*;
@@ -230,6 +230,12 @@ pub struct EvalContext {
     /// run-shape)` triple: every candidate of the zero-fault batched
     /// evaluation path shares it.
     batch_plan: OnceLock<BatchPlan>,
+    /// The instrumented twin of `batch_plan`: every zero-fault
+    /// collection probe shares it.
+    profile_plan: OnceLock<BatchPlan>,
+    /// Memoized [`LinkPlan`] for this context's `(program, arch)` pair:
+    /// every link this context performs goes through it.
+    link_plan: OnceLock<LinkPlan>,
     /// Number of executions performed through this context.
     runs: AtomicU64,
     /// Simulated machine time spent in those executions, nanoseconds.
@@ -297,6 +303,8 @@ impl EvalContext {
             descriptors,
             baseline_memo: OnceLock::new(),
             batch_plan: OnceLock::new(),
+            profile_plan: OnceLock::new(),
+            link_plan: OnceLock::new(),
             runs: AtomicU64::new(0),
             machine_nanos: AtomicU64::new(0),
             faults: FaultModel::zero(),
@@ -481,7 +489,10 @@ impl EvalContext {
             "one digest per module"
         );
         self.store.link(digests, || {
-            let linked = link(objects(), &self.ir, &self.arch);
+            let linked = self
+                .link_plan
+                .get_or_init(|| LinkPlan::new(&self.ir, &self.arch))
+                .link(objects());
             debug_assert!(
                 linked
                     .modules
@@ -574,6 +585,16 @@ impl EvalContext {
     pub fn batch_plan(&self) -> &BatchPlan {
         self.batch_plan.get_or_init(|| {
             let shape = ExecShape::of(&ExecOptions::new(self.steps, 0));
+            BatchPlan::new(&self.ir, &self.arch, shape)
+        })
+    }
+
+    /// The instrumented twin of [`EvalContext::batch_plan`], built once
+    /// on first use: shape `ExecOptions::instrumented(self.steps, _)`,
+    /// what zero-fault collection probes run under.
+    fn profile_plan(&self) -> &BatchPlan {
+        self.profile_plan.get_or_init(|| {
+            let shape = ExecShape::of(&ExecOptions::instrumented(self.steps, 0));
             BatchPlan::new(&self.ir, &self.arch, shape)
         })
     }
@@ -848,52 +869,115 @@ impl EvalContext {
                 .map(|p| self.eval_candidate(pool, &p.candidate, p.noise_seed, None))
                 .collect();
         }
-        // Link phase: compile + link every proposal through the caches
-        // (deduplicated, single-flight), in parallel.
-        let linked: Vec<Arc<LinkedProgram>> = proposals
-            .par_iter()
-            .map(|p| {
-                let ids = self.module_ids(&p.candidate);
-                self.link_ids(pool, &ids, &pool.digests(&ids))
-            })
-            .collect();
-        let lanes: Vec<(&LinkedProgram, u64)> = linked
-            .iter()
-            .zip(proposals)
-            .map(|(l, p)| (l.as_ref(), p.noise_seed))
-            .collect();
-        // Execute phase: W-wide lanes per chunk, chunks in parallel
-        // (by index range — a slice-level parallel chunk iterator is
-        // not needed for a read-only split). Per lane, the time is
-        // bit-identical to `execute_total` under the proposal's seed.
-        let n_chunks = lanes.len().div_ceil(BATCH_CHUNK);
-        let chunked: Vec<Vec<f64>> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * BATCH_CHUNK;
-                let hi = (lo + BATCH_CHUNK).min(lanes.len());
-                let totals = execute_batch_total(self.batch_plan(), &lanes[lo..hi]);
-                for t in &totals {
-                    self.charge_run(*t);
-                }
-                totals
-            })
-            .collect();
-        chunked
+        let linked = self.link_all(pool, proposals, |p| &p.candidate);
+        let seeds = proposals.iter().map(|p| p.noise_seed);
+        self.run_lanes(self.batch_plan(), &linked, seeds, false)
+            .totals
             .into_iter()
-            .flatten()
             .zip(&linked)
             .map(|(t, l)| Score::new(t, l.code_bytes()))
             .collect()
     }
 
-    /// The Figure-4 collection probe: one fault-aware instrumented run
-    /// of `candidate` that records per-module times into `caliper` only
-    /// when an attempt succeeds. Keyed through the same digest space as
+    /// The link pass of the zero-fault lane route: compiles and links
+    /// every candidate through the store (deduplicated, single-flight),
+    /// in parallel, returned in candidate order.
+    fn link_all<T: Sync>(
+        &self,
+        pool: &CvPool,
+        items: &[T],
+        candidate: impl Fn(&T) -> &Candidate + Sync,
+    ) -> Vec<Arc<LinkedProgram>> {
+        items
+            .par_iter()
+            .map(|item| {
+                let ids = self.module_ids(candidate(item));
+                self.link_ids(pool, &ids, &pool.digests(&ids))
+            })
+            .collect()
+    }
+
+    /// The lane runner of the zero-fault route: runs `linked[k]` under
+    /// `seeds[k]` through `plan`, in W-wide chunks spread over the
+    /// rayon pool, and charges each lane one run. Per lane the times
+    /// are bit-identical to `execute` under the same options; the
+    /// per-module rows are kept only when `per_module` is set (else
+    /// `per_module` is empty).
+    fn run_lanes(
+        &self,
+        plan: &BatchPlan,
+        linked: &[Arc<LinkedProgram>],
+        seeds: impl Iterator<Item = u64>,
+        per_module: bool,
+    ) -> BatchTimes {
+        let lanes: Vec<(&LinkedProgram, u64)> =
+            linked.iter().map(|l| l.as_ref()).zip(seeds).collect();
+        assert_eq!(lanes.len(), linked.len(), "one noise seed per lane");
+        let n_chunks = lanes.len().div_ceil(BATCH_CHUNK);
+        let chunks: Vec<BatchTimes> = (0..n_chunks)
+            .into_par_iter()
+            .map(|c| {
+                let lo = c * BATCH_CHUNK;
+                let chunk = &lanes[lo..(lo + BATCH_CHUNK).min(lanes.len())];
+                let times = if per_module {
+                    execute_batch(plan, chunk)
+                } else {
+                    BatchTimes {
+                        totals: execute_batch_total(plan, chunk),
+                        per_module: Vec::new(),
+                    }
+                };
+                for t in &times.totals {
+                    self.charge_run(*t);
+                }
+                times
+            })
+            .collect();
+        let rows = if per_module { plan.module_count() } else { 0 };
+        let mut all = BatchTimes {
+            totals: Vec::with_capacity(lanes.len()),
+            per_module: vec![Vec::with_capacity(lanes.len()); rows],
+        };
+        for chunk in chunks {
+            all.totals.extend(chunk.totals);
+            for (row, part) in all.per_module.iter_mut().zip(chunk.per_module) {
+                row.extend(part);
+            }
+        }
+        all
+    }
+
+    /// The zero-fault collection probes: every candidate linked as in
+    /// [`EvalContext::evaluate`], then run instrumented on the lanes of
+    /// the memoized instrumented plan, candidate `k` under
+    /// `noise_seeds[k]`. Per candidate, `totals` and the `per_module`
+    /// rows have the bits of the instrumented `execute` (and so of what
+    /// a Caliper session records for it); each probe is charged one run.
+    pub(crate) fn profile_lanes(
+        &self,
+        pool: &CvPool,
+        candidates: &[Candidate],
+        noise_seeds: &[u64],
+    ) -> BatchTimes {
+        let linked = self.link_all(pool, candidates, |c| c);
+        self.run_lanes(
+            self.profile_plan(),
+            &linked,
+            noise_seeds.iter().copied(),
+            true,
+        )
+    }
+
+    /// The faulted Figure-4 collection probe: the resilient funnel
+    /// with `caliper` attached, so an attempt that succeeds runs
+    /// instrumented and records its per-module times into it (a failed
+    /// one records nothing). Keyed through the same digest space as
     /// [`EvalContext::evaluate`], so a probe that shares `J - 1`
     /// modules with an already-evaluated assignment reuses those
     /// objects (and its link, when identical) from the caches. Returns
-    /// the end-to-end time (`+inf` for an unusable candidate).
+    /// the end-to-end time (`+inf` for an unusable candidate). A
+    /// zero-fault context probes on the lanes instead
+    /// ([`EvalContext::profile_lanes`]).
     pub(crate) fn profile(
         &self,
         pool: &CvPool,
@@ -901,24 +985,9 @@ impl EvalContext {
         noise_seed: u64,
         caliper: &Caliper,
     ) -> f64 {
-        if !self.faults.is_zero() {
-            return self
-                .eval_candidate(pool, candidate, noise_seed, Some(caliper))
-                .time;
-        }
-        // Infallible: no gate can fire and no attempt can fail, so skip
-        // the funnel's quarantine lookups and fingerprinting.
-        let ids = self.module_ids(candidate);
-        let linked = self.link_ids(pool, &ids, &pool.digests(&ids));
-        let total_s = execute_profiled(
-            &linked,
-            &self.arch,
-            &ExecOptions::instrumented(self.steps, noise_seed),
-            caliper,
-        )
-        .total_s;
-        self.charge_run(total_s);
-        total_s
+        debug_assert!(!self.faults.is_zero(), "zero-fault probes run on the lanes");
+        self.eval_candidate(pool, candidate, noise_seed, Some(caliper))
+            .time
     }
 
     /// Modeled executable size of an owned assignment, linked through

@@ -1,8 +1,10 @@
 //! Mixed-assignment collection equivalence and ledger invariants.
 //!
 //! The Figure-4 collection now runs through `collect_candidates` on
-//! interned handles. This suite proves (1) the uniform path is
-//! byte-for-byte the pre-pool implementation, probe by probe; (2) a
+//! interned handles, and on a zero-fault context as instrumented lanes.
+//! This suite proves (1) the uniform and mixed per-loop paths are
+//! byte-for-byte the bare compile → link → Caliper-profiled run, probe
+//! by probe and across lane-chunk boundaries, with the same ledger; (2) a
 //! uniform probe and its degenerate per-loop probe are the same
 //! measurement; and (3) under compile-failure, crash, and hang fault
 //! models the `+inf` column discipline and the cost-ledger counters
@@ -12,7 +14,7 @@ use ft_caliper::Caliper;
 use ft_compiler::{Compiler, FaultModel};
 use ft_core::{collect, collect_candidates, Candidate, EvalContext, MixedCollection, TuningCost};
 use ft_flags::rng::{derive_seed_idx, rng_for};
-use ft_flags::CvPool;
+use ft_flags::{Cv, CvPool};
 use ft_machine::{execute_profiled, link, Architecture, ExecOptions};
 use ft_outline::outline_with_defaults;
 use ft_workloads::workload_by_name;
@@ -58,62 +60,161 @@ fn assert_column_discipline(data: &MixedCollection) {
     }
 }
 
-#[test]
-fn uniform_collection_is_byte_identical_to_the_prepool_path() {
-    let seed = 7u64;
-    let k = 12;
+/// The bare reference collection: compile every module with its
+/// assigned CV, link, and run one instrumented, Caliper-recorded probe
+/// per assignment, sequentially, on the collection's seed schedule — no
+/// caches, no pool, no lanes. Returns `per_module`, the end-to-end
+/// times, and the machine nanoseconds the ledger must charge.
+fn reference_collection(
+    ctx: &EvalContext,
+    assignments: &[Vec<Cv>],
+    seed: u64,
+) -> (Vec<Vec<f64>>, Vec<f64>, u64) {
+    let k = assignments.len();
+    let j_total = ctx.modules();
+    let hot: Vec<usize> = ctx.ir.hot_loop_ids();
+    let mut per_module = vec![vec![0.0; k]; j_total];
+    let mut e2e = Vec::with_capacity(k);
+    let mut nanos = 0u64;
+    for (kk, assignment) in assignments.iter().enumerate() {
+        let caliper = Caliper::real_time();
+        let noise = derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
+        let objects = ctx.compiler.compile_mixed(&ctx.ir, assignment);
+        let linked = link(objects, &ctx.ir, &ctx.arch);
+        let opts = ExecOptions::instrumented(ctx.steps, noise);
+        let total = execute_profiled(&linked, &ctx.arch, &opts, &caliper).total_s;
+        let snap = caliper.snapshot();
+        let mut hot_sum = 0.0;
+        for &j in &hot {
+            let t = snap.inclusive(&ctx.ir.modules[j].name);
+            per_module[j][kk] = t;
+            hot_sum += t;
+        }
+        per_module[j_total - 1][kk] = (total - hot_sum).max(0.0);
+        e2e.push(total);
+        nanos += (total * 1e9) as u64;
+    }
+    (per_module, e2e, nanos)
+}
+
+/// Holds a shipped collection to the bare reference bit for bit, and
+/// its ledger delta to one charged run per probe with the reference's
+/// machine time.
+fn assert_matches_reference(
+    spent: &TuningCost,
+    per_module: &[Vec<f64>],
+    end_to_end: &[f64],
+    reference: &(Vec<Vec<f64>>, Vec<f64>, u64),
+) {
+    let (ref_per_module, ref_e2e, ref_nanos) = reference;
+    assert_eq!(end_to_end.len(), ref_e2e.len());
+    for (kk, (got, want)) in end_to_end.iter().zip(ref_e2e).enumerate() {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "end-to-end diverged at k={kk}"
+        );
+    }
+    assert_eq!(per_module.len(), ref_per_module.len());
+    for (j, (row, ref_row)) in per_module.iter().zip(ref_per_module).enumerate() {
+        for (kk, (got, want)) in row.iter().zip(ref_row).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "per-module time diverged at j={j} k={kk}"
+            );
+        }
+    }
+    assert_eq!(
+        spent.runs,
+        ref_e2e.len() as u64,
+        "one charged run per probe"
+    );
+    assert_eq!(
+        spent.machine_seconds.to_bits(),
+        (*ref_nanos as f64 * 1e-9).to_bits(),
+        "machine time charged"
+    );
+}
+
+/// Collects `k` uniform probes through `collect` and holds them to the
+/// bare reference.
+fn assert_uniform_collection_matches(k: usize, seed: u64) {
     let cvs = {
         let ctx = mk_ctx();
         ctx.space()
             .sample_many(k, &mut rng_for(seed, "collection-cvs"))
     };
-
-    // Reference: the pre-pool implementation rebuilt on the bare
-    // toolchain — no caches, no pool: compile every module, link, and
-    // run one instrumented probe per sampled CV, sequentially, on the
-    // same seed schedule.
     let ctx_ref = mk_ctx();
-    let j_total = ctx_ref.modules();
-    let hot: Vec<usize> = ctx_ref.ir.hot_loop_ids();
-    let mut ref_per_module = vec![vec![0.0; k]; j_total];
-    let mut ref_e2e = Vec::with_capacity(k);
-    for (kk, cv) in cvs.iter().enumerate() {
-        let caliper = Caliper::real_time();
-        let noise = derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
-        let objects = ctx_ref.compiler.compile_program(&ctx_ref.ir, cv);
-        let linked = link(objects, &ctx_ref.ir, &ctx_ref.arch);
-        let opts = ExecOptions::instrumented(ctx_ref.steps, noise);
-        let total = execute_profiled(&linked, &ctx_ref.arch, &opts, &caliper).total_s;
-        let snap = caliper.snapshot();
-        let mut hot_sum = 0.0;
-        for &j in &hot {
-            let t = snap.inclusive(&ctx_ref.ir.modules[j].name);
-            ref_per_module[j][kk] = t;
-            hot_sum += t;
-        }
-        ref_per_module[j_total - 1][kk] = (total - hot_sum).max(0.0);
-        ref_e2e.push(total);
-    }
+    let assignments: Vec<Vec<Cv>> = cvs
+        .iter()
+        .map(|cv| vec![cv.clone(); ctx_ref.modules()])
+        .collect();
+    let reference = reference_collection(&ctx_ref, &assignments, seed);
 
     // Shipped: `collect` samples the same CVs and probes them through
     // `collect_candidates` on interned handles, in parallel.
     let ctx = mk_ctx();
+    let before = ctx.cost();
     let data = collect(&ctx, k, seed);
     assert_eq!(data.cvs, cvs);
-    for kk in 0..k {
-        assert_eq!(
-            data.end_to_end[kk].to_bits(),
-            ref_e2e[kk].to_bits(),
-            "end-to-end diverged at k={kk}"
-        );
-        for (j, row) in ref_per_module.iter().enumerate() {
-            assert_eq!(
-                data.per_module[j][kk].to_bits(),
-                row[kk].to_bits(),
-                "per-module time diverged at j={j} k={kk}"
-            );
+    assert_matches_reference(
+        &ctx.cost().since(&before),
+        &data.per_module,
+        &data.end_to_end,
+        &reference,
+    );
+}
+
+#[test]
+fn uniform_collection_is_byte_identical_to_the_prepool_path() {
+    assert_uniform_collection_matches(12, 7);
+}
+
+#[test]
+fn collection_across_lane_chunk_boundaries_matches_the_bare_path() {
+    // 130 probes run as lane chunks of 64 + 64 + 2.
+    assert_uniform_collection_matches(130, 19);
+}
+
+#[test]
+fn mixed_perloop_probes_match_the_bare_path() {
+    // The recollect shape: per-loop candidates assembled from a small
+    // interned CV sample, with repeats, across a chunk boundary.
+    let seed = 23u64;
+    let ctx = mk_ctx();
+    let pool = CvPool::new();
+    let cvs = ctx.space().sample_many(9, &mut rng_for(seed, "mixed-cvs"));
+    let ids = pool.intern_all(&cvs);
+    let mut rng = rng_for(seed, "mixed-assign");
+    let mut candidates = Vec::new();
+    let mut assignments = Vec::new();
+    for kk in 0..70 {
+        let picks: Vec<usize> = (0..ctx.modules())
+            .map(|_| rng.gen_range(0..ids.len()))
+            .collect();
+        assignments.push(picks.iter().map(|&i| cvs[i].clone()).collect::<Vec<Cv>>());
+        candidates.push(if kk % 10 == 0 {
+            Candidate::Uniform(ids[picks[0]])
+        } else {
+            Candidate::PerLoop(picks.iter().map(|&i| ids[i]).collect())
+        });
+    }
+    for (a, c) in assignments.iter_mut().zip(&candidates) {
+        if let Candidate::Uniform(_) = c {
+            let first = a[0].clone();
+            a.iter_mut().for_each(|cv| *cv = first.clone());
         }
     }
+    let reference = reference_collection(&mk_ctx(), &assignments, seed);
+    let before = ctx.cost();
+    let data = collect_candidates(&ctx, &pool, &candidates, seed);
+    assert_matches_reference(
+        &ctx.cost().since(&before),
+        &data.per_module,
+        &data.end_to_end,
+        &reference,
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 /// SplitMix64 is a tiny, statistically solid mixing function; we use it
 /// both as a stream splitter and as a cheap deterministic hash.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub const fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -23,18 +23,25 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Mixes a single value through SplitMix64 (stateless convenience).
 #[inline]
-pub fn mix(v: u64) -> u64 {
+pub const fn mix(v: u64) -> u64 {
     let mut s = v;
     splitmix64(&mut s)
 }
 
 /// Deterministically hashes a label (e.g. an experiment id or a loop
 /// name) to a `u64` using FNV-1a followed by a SplitMix64 finalizer.
-pub fn hash_label(label: &str) -> u64 {
+///
+/// A `const fn`, so a fixed label can be hashed at compile time:
+/// `const { hash_label("axis") }` is the same value a runtime call
+/// returns.
+pub const fn hash_label(label: &str) -> u64 {
+    let bytes = label.as_bytes();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
+        i += 1;
     }
     mix(h)
 }
@@ -106,6 +113,12 @@ mod tests {
         let x: u64 = rng_for(1, "a").gen();
         let y: u64 = rng_for(1, "a").gen();
         assert_eq!(x, y);
+    }
+
+    #[test]
+    fn hash_label_is_the_same_at_compile_time() {
+        const LOOP0: u64 = hash_label("loop0");
+        assert_eq!(LOOP0, hash_label(&format!("loop{}", 0)));
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! linked candidates simultaneously in structure-of-arrays form —
 //! per-module W-wide lanes of pre-selected `f64` scalars fed through a
 //! branch-free arithmetic kernel that the compiler can auto-vectorize.
+//! [`execute_batch`] runs the same kernel body and also keeps every
+//! module's time, the per-loop view an instrumented collection run
+//! records.
 //!
 //! Bit-exactness is structural, not approximate: the scalar path
 //! (`exec::loop_cost_per_step` / `exec::non_loop_time_per_step`) is a
@@ -684,6 +687,16 @@ impl LaneSoa {
     }
 }
 
+/// Per-lane end-to-end and per-module times of one batch (see
+/// [`execute_batch`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchTimes {
+    /// Lane `k`'s end-to-end time.
+    pub totals: Vec<f64>,
+    /// `per_module[i][k]`: module `i`'s time in lane `k`.
+    pub per_module: Vec<Vec<f64>>,
+}
+
 /// Evaluates W candidates of the plan's program at once, each with its
 /// own noise seed, returning each lane's end-to-end time.
 ///
@@ -693,11 +706,30 @@ impl LaneSoa {
 /// same f64 accumulation. The lanes are laid out structure-of-arrays
 /// so the arithmetic pass over W is branch-free and auto-vectorizable.
 pub fn execute_batch_total(plan: &BatchPlan, lanes: &[(&LinkedProgram, u64)]) -> Vec<f64> {
+    run_batch(plan, lanes, |_| {})
+}
+
+/// [`execute_batch_total`] that also keeps every module's time: per
+/// lane, `totals[k]` has the bits of `execute_total` and
+/// `per_module[i][k]` those of `execute(..).per_module_s[i]` under the
+/// lane's seed.
+pub fn execute_batch(plan: &BatchPlan, lanes: &[(&LinkedProgram, u64)]) -> BatchTimes {
+    let mut per_module = Vec::with_capacity(plan.modules.len());
+    let totals = run_batch(plan, lanes, |times| per_module.push(times.to_vec()));
+    BatchTimes { totals, per_module }
+}
+
+/// The one batch kernel body. Per module, in `execute`'s module order,
+/// it fills every lane's time (instrumentation and noise multipliers
+/// applied), hands the lanes to `module_out`, then adds them
+/// into each lane's running total.
+fn run_batch(
+    plan: &BatchPlan,
+    lanes: &[(&LinkedProgram, u64)],
+    mut module_out: impl FnMut(&[f64]),
+) -> Vec<f64> {
     let w = lanes.len();
     let mut totals = vec![0.0f64; w];
-    if w == 0 {
-        return totals;
-    }
     for (linked, _) in lanes {
         assert_eq!(
             linked.modules.len(),
@@ -742,6 +774,7 @@ pub fn execute_batch_total(plan: &BatchPlan, lanes: &[(&LinkedProgram, u64)]) ->
                 *t *= noise::factor_hashed(seed, name_hash, plan.shape.sigma);
             }
         }
+        module_out(&per_lane);
         // Per-lane accumulation in exactly `execute`'s module order.
         for (total, t) in totals.iter_mut().zip(&per_lane) {
             *total += *t;

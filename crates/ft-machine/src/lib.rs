@@ -4,10 +4,12 @@
 //! This crate is the "hardware + linker" half of the simulated
 //! toolchain. Given modules compiled by `ft-compiler`, it:
 //!
-//! 1. **links** them ([`link::link`]) — computing instruction-cache
-//!    pressure from the aggregate hot code size, layout/aliasing
-//!    conflicts between modules that share data structures, vector-ABI
-//!    transition costs on cross-module calls, and (crucially)
+//! 1. **links** them ([`link::LinkPlan`], built once per program and
+//!    architecture, or the one-off [`link::link`]) — computing
+//!    instruction-cache pressure from the aggregate hot code size,
+//!    layout/aliasing conflicts between modules that share data
+//!    structures, vector-ABI transition costs on cross-module calls,
+//!    and (crucially)
 //!    *link-time-optimization overrides*: when an executable mixes
 //!    heterogeneous compilation vectors, the IPO linker may re-derive
 //!    codegen decisions for a module, invalidating the per-module
@@ -30,11 +32,11 @@ pub mod noise;
 pub mod roofline;
 
 pub use arch::Architecture;
-pub use batch::{execute_batch_total, BatchPlan, ExecShape};
+pub use batch::{execute_batch, execute_batch_total, BatchPlan, BatchTimes, ExecShape};
 pub use exec::{
     breakdown, execute, execute_profiled, execute_total, program_fingerprint, try_execute,
     try_execute_profiled, ExecOptions, FaultQuarantine, LoopCost, RunMeasurement, RunOutcome,
     DEFAULT_HANG_CHARGE_FACTOR,
 };
-pub use link::{link, LinkedProgram, LtoOverride};
+pub use link::{link, LinkPlan, LinkedProgram, LtoOverride};
 pub use roofline::{analyze as roofline_analyze, Bound, LoopRoofline};

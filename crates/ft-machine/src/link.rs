@@ -23,8 +23,8 @@
 
 use crate::arch::Architecture;
 use ft_compiler::decisions::{CompiledModule, VecWidth};
-use ft_compiler::response::{jitter, unit};
-use ft_compiler::{ModuleId, ProgramIr};
+use ft_compiler::response::{jitter_hashed, unit_hashed};
+use ft_compiler::{CallEdge, ModuleId, ProgramIr};
 use ft_flags::rng::{hash_label, mix};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -134,142 +134,72 @@ impl LinkedProgram {
     }
 }
 
-/// Mixing hash over all CV digests, order-sensitive: the linker sees
-/// the exact combination of object files.
-fn combination_seed(modules: &[Arc<CompiledModule>], arch: &Architecture) -> u64 {
-    let mut h = hash_label(arch.name);
-    for m in modules {
-        h = mix(h ^ m.cv_digest.rotate_left((m.module.id % 63) as u32));
-    }
-    h
+/// A pair of modules that share a data structure, with the penalty
+/// each kind of disagreement between them costs.
+#[derive(Debug, Clone, Copy)]
+struct SharingPair {
+    i: ModuleId,
+    j: ModuleId,
+    /// `0.004 * jitter(pair, "layout-pen", 0.0, 1.6)`.
+    layout_pen: f64,
+    /// `0.003 * jitter(pair, "alias-pen", 0.0, 1.5)`.
+    alias_pen: f64,
 }
 
-/// Links compiled modules into an executable against `ir`'s structure.
-/// Object `i` must be module `i`'s. Owned objects and shared ones (the
-/// `Arc`s a cache holds) link alike; a shared object is copied only if
-/// an LTO override rewrites it.
-pub fn link<M: Into<Arc<CompiledModule>>>(
-    modules: Vec<M>,
-    ir: &ProgramIr,
-    arch: &Architecture,
-) -> LinkedProgram {
-    assert_eq!(modules.len(), ir.modules.len(), "one object per module");
-    let modules: Vec<Arc<CompiledModule>> = modules.into_iter().map(Into::into).collect();
-    // Overrides and the combination seed key on module ids, the
-    // conflict and call-edge passes on slots: they must agree.
-    for (i, m) in modules.iter().enumerate() {
-        assert_eq!(
-            m.module.id, i,
-            "object {i} compiles module {}, not {i}",
-            m.module.id
-        );
-    }
-    let n = modules.len();
+/// Everything about linking one program on one architecture that does
+/// not depend on the objects: the linker's view of the program's
+/// structure, computed once and shared by every link of it.
+///
+/// [`LinkPlan::link`] is the one link body; the free [`link`] builds a
+/// plan per call. Every hoisted value is a pure function of the
+/// program, the architecture or a literal label, so a linked program is
+/// bit-identical whichever way it was produced.
+#[derive(Debug, Clone)]
+pub struct LinkPlan {
+    /// `hash_label(name)` per module, in `ir.modules` order.
+    name_hashes: Vec<u64>,
+    /// `hash_label(arch.name)`: the start of the combination seed.
+    arch_hash: u64,
+    /// Struct-sharing module pairs, in `(i, j)` order with `i < j`.
+    sharing: Vec<SharingPair>,
+    /// Hot-loop module ids.
+    hot: Vec<ModuleId>,
+    /// Median and spread of the whole-program IPO damage, from the
+    /// fraction of hot-loop pairs that share a data structure.
+    ipo_median: f64,
+    ipo_sd: f64,
+    /// The program's cross-module call edges.
+    call_edges: Vec<CallEdge>,
+    /// The width an LTO re-vectorization picks: the target's widest.
+    lto_width: VecWidth,
+    /// Per-core instruction-cache budget, bytes.
+    icache_budget: f64,
+}
 
-    // --- Heterogeneity -----------------------------------------------
-    let mut digests: Vec<u64> = modules.iter().map(|m| m.cv_digest).collect();
-    digests.sort_unstable();
-    digests.dedup();
-    let heterogeneity = if n > 1 {
-        (digests.len() - 1) as f64 / (n - 1) as f64
-    } else {
-        0.0
-    };
-
-    let combo = combination_seed(&modules, arch);
-    let ipo_frac = modules.iter().filter(|m| m.decisions.ipo).count() as f64 / n.max(1) as f64;
-
-    // --- LTO overrides ------------------------------------------------
-    let mut out = modules;
-    let mut overrides = Vec::new();
-    if heterogeneity > 0.0 {
-        for m in out.iter_mut() {
-            let module = Arc::clone(&m.module);
-            let Some(f) = module.features() else {
-                continue;
-            };
-            let bloat =
-                ((m.decisions.code_bytes / f.base_code_bytes.max(1.0)) - 1.0).clamp(0.0, 1.0);
-            let p = heterogeneity * (0.07 + 0.10 * bloat + 0.08 * ipo_frac);
-            let h = mix(combo ^ m.cv_digest ^ hash_label(&m.module.name));
-            if unit(h, "lto-fire") >= p.min(0.65) {
-                continue;
+impl LinkPlan {
+    /// Precomputes the plan for `ir` on `arch`.
+    pub fn new(ir: &ProgramIr, arch: &Architecture) -> Self {
+        let n = ir.modules.len();
+        let name_hashes: Vec<u64> = ir.modules.iter().map(|m| hash_label(&m.name)).collect();
+        let mut sharing = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if !ir.share_structs(i, j) {
+                    continue;
+                }
+                // Coupling strength is pair-specific and deterministic.
+                let pair = mix(name_hashes[i] ^ name_hashes[j]);
+                sharing.push(SharingPair {
+                    i,
+                    j,
+                    layout_pen: 0.004
+                        * jitter_hashed(pair, const { hash_label("layout-pen") }, 0.0, 1.6),
+                    alias_pen: 0.003
+                        * jitter_hashed(pair, const { hash_label("alias-pen") }, 0.0, 1.5),
+                });
             }
-            // The linker re-derives decisions from whole-program
-            // heuristics, ignoring the module's own CV. Only the
-            // rewritten module is copied out of a shared object.
-            let d = &mut Arc::make_mut(m).decisions;
-            let before_w = d.width;
-            let before_u = d.unroll;
-            let roll = unit(h, "lto-kind");
-            if roll < 0.45 && !f.carried_dependence {
-                // Re-vectorize at the target's widest SIMD.
-                d.width = arch.target.clamp(VecWidth::W512);
-            } else if roll < 0.70 {
-                d.unroll = (d.unroll.max(1) * 2).min(16);
-                d.register_spill += 0.04;
-            } else {
-                // Cross-module inlining reshuffles the block layout.
-                d.inline_depth = 2;
-            }
-            let q = jitter(h, "lto-quality", 0.72, 1.02);
-            d.backend_quality *= q;
-            d.code_bytes *= 1.12;
-            overrides.push(LtoOverride {
-                module: module.id,
-                width: (before_w, d.width),
-                unroll: (before_u, d.unroll),
-                quality_factor: q,
-            });
         }
-    }
-
-    // --- Layout / aliasing conflicts -----------------------------------
-    let mut conflict_factor = vec![1.0f64; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if !ir.share_structs(i, j) {
-                continue;
-            }
-            let di = &out[i].decisions;
-            let dj = &out[j].decisions;
-            let layout_clash = di.layout_version != dj.layout_version;
-            let alias_clash = di.alias_optimistic != dj.alias_optimistic;
-            if !(layout_clash || alias_clash) {
-                continue;
-            }
-            // Coupling strength is pair-specific and deterministic.
-            let pair = mix(hash_label(&ir.modules[i].name) ^ hash_label(&ir.modules[j].name));
-            let mut pen = 0.0;
-            if layout_clash {
-                pen += 0.004 * jitter(pair, "layout-pen", 0.0, 1.6);
-            }
-            if alias_clash {
-                pen += 0.003 * jitter(pair, "alias-pen", 0.0, 1.5);
-            }
-            conflict_factor[i] *= 1.0 + pen;
-            conflict_factor[j] *= 1.0 + pen;
-        }
-    }
-    // Disagreeing with many partners is not much worse than with one:
-    // cap the per-module conflict tax.
-    for f in conflict_factor.iter_mut() {
-        *f = f.min(1.03);
-    }
-
-    // --- Whole-program IPO compatibility -------------------------------
-    // Beyond pairwise clashes, the link-time optimizer's global
-    // decisions (code layout, cross-module scheduling) depend
-    // chaotically on the exact combination of heterogeneous objects.
-    // The damage distribution is centred well above zero — combining
-    // modules compiled differently is *usually* somewhat harmful, and
-    // the more tightly the modules share data (coupling), the worse —
-    // but its tail is wide: a few combinations compose almost freely.
-    // Greedy assembly draws once and eats the expectation; CFR's 1000
-    // end-to-end measurements find the benign tail. This is the
-    // quantitative heart of the paper's G.realized ≪ G.Independent gap.
-    if heterogeneity > 0.0 {
-        let hot: Vec<ModuleId> = ir.hot_loop_ids();
+        let hot = ir.hot_loop_ids();
         let mut pairs = 0usize;
         let mut coupled = 0usize;
         for (a, &i) in hot.iter().enumerate() {
@@ -285,54 +215,214 @@ pub fn link<M: Into<Arc<CompiledModule>>>(
         } else {
             coupled as f64 / pairs as f64
         };
-        let median = 0.05 + 0.20 * coupling;
-        let sd = 0.05 + 0.13 * coupling;
-        // Approximate normal from three uniforms (Irwin-Hall).
-        let z = (unit(combo, "ipo-z1") + unit(combo, "ipo-z2") + unit(combo, "ipo-z3") - 1.5) * 2.0;
-        let damage = (median + sd * z).max(0.0) * heterogeneity;
-        for &i in &hot {
-            conflict_factor[i] *= 1.0 + damage;
+        LinkPlan {
+            name_hashes,
+            arch_hash: hash_label(arch.name),
+            sharing,
+            hot,
+            ipo_median: 0.05 + 0.20 * coupling,
+            ipo_sd: 0.05 + 0.13 * coupling,
+            call_edges: ir.call_edges.clone(),
+            lto_width: arch.target.clamp(VecWidth::W512),
+            icache_budget: arch.icache_kb * 1024.0,
         }
     }
 
-    // --- I-cache pressure ----------------------------------------------
-    let hot_code: f64 = out
-        .iter()
-        .filter(|m| m.module.features().is_some())
-        .map(|m| m.decisions.code_bytes)
-        .sum();
-    let budget = arch.icache_kb * 1024.0;
-    let ratio = hot_code / budget;
-    let icache_factor = 1.0 + 0.03 * (ratio - 1.0).clamp(0.0, 2.5);
+    /// Mixing hash over all CV digests, order-sensitive: the linker
+    /// sees the exact combination of object files.
+    fn combination_seed(&self, modules: &[Arc<CompiledModule>]) -> u64 {
+        let mut h = self.arch_hash;
+        for m in modules {
+            h = mix(h ^ m.cv_digest.rotate_left((m.module.id % 63) as u32));
+        }
+        h
+    }
 
-    // --- Vector-ABI transitions on cross-module calls -------------------
-    let mut call_cost_s = 0.0;
-    for e in &ir.call_edges {
-        let wf = out[e.from].decisions.width;
-        let wt = out[e.to].decisions.width;
-        let base = 25e-9; // call + spill/restore
-        let abi = if wf != wt && (wf == VecWidth::W256 || wt == VecWidth::W256) {
-            // SSE<->AVX transition stalls.
-            3.0
-        } else if wf != wt {
-            1.5
+    /// Links compiled modules into an executable of the planned
+    /// program. Object `i` must be module `i`'s. Owned objects and
+    /// shared ones (the `Arc`s a cache holds) link alike; a shared
+    /// object is copied only if an LTO override rewrites it.
+    pub fn link<M: Into<Arc<CompiledModule>>>(&self, modules: Vec<M>) -> LinkedProgram {
+        assert_eq!(
+            modules.len(),
+            self.name_hashes.len(),
+            "one object per module"
+        );
+        let modules: Vec<Arc<CompiledModule>> = modules.into_iter().map(Into::into).collect();
+        // Overrides and the combination seed key on module ids, the
+        // conflict and call-edge passes on slots: they must agree.
+        for (i, m) in modules.iter().enumerate() {
+            assert_eq!(
+                m.module.id, i,
+                "object {i} compiles module {}, not {i}",
+                m.module.id
+            );
+            debug_assert_eq!(
+                hash_label(&m.module.name),
+                self.name_hashes[i],
+                "object {i} compiles `{}`, not a module of the planned program",
+                m.module.name
+            );
+        }
+        let n = modules.len();
+
+        // --- Heterogeneity -----------------------------------------------
+        let mut digests: Vec<u64> = modules.iter().map(|m| m.cv_digest).collect();
+        digests.sort_unstable();
+        digests.dedup();
+        let heterogeneity = if n > 1 {
+            (digests.len() - 1) as f64 / (n - 1) as f64
         } else {
-            1.0
+            0.0
         };
-        let inline_discount =
-            1.0 - 0.3 * f64::from(out[e.from].decisions.inline_depth.min(2)) / 2.0;
-        call_cost_s += e.calls_per_step * base * abi * inline_discount;
-    }
 
-    LinkedProgram {
-        modules: out,
-        conflict_factor,
-        icache_factor,
-        call_cost_s,
-        overrides,
-        heterogeneity,
-        combo_seed: combo,
+        let combo = self.combination_seed(&modules);
+        let ipo_frac = modules.iter().filter(|m| m.decisions.ipo).count() as f64 / n.max(1) as f64;
+
+        // --- LTO overrides ------------------------------------------------
+        let mut out = modules;
+        let mut overrides = Vec::new();
+        if heterogeneity > 0.0 {
+            for (m, name_hash) in out.iter_mut().zip(&self.name_hashes) {
+                let module = Arc::clone(&m.module);
+                let Some(f) = module.features() else {
+                    continue;
+                };
+                let bloat =
+                    ((m.decisions.code_bytes / f.base_code_bytes.max(1.0)) - 1.0).clamp(0.0, 1.0);
+                let p = heterogeneity * (0.07 + 0.10 * bloat + 0.08 * ipo_frac);
+                let h = mix(combo ^ m.cv_digest ^ name_hash);
+                if unit_hashed(h, const { hash_label("lto-fire") }) >= p.min(0.65) {
+                    continue;
+                }
+                // The linker re-derives decisions from whole-program
+                // heuristics, ignoring the module's own CV. Only the
+                // rewritten module is copied out of a shared object.
+                let d = &mut Arc::make_mut(m).decisions;
+                let before_w = d.width;
+                let before_u = d.unroll;
+                let roll = unit_hashed(h, const { hash_label("lto-kind") });
+                if roll < 0.45 && !f.carried_dependence {
+                    // Re-vectorize at the target's widest SIMD.
+                    d.width = self.lto_width;
+                } else if roll < 0.70 {
+                    d.unroll = (d.unroll.max(1) * 2).min(16);
+                    d.register_spill += 0.04;
+                } else {
+                    // Cross-module inlining reshuffles the block layout.
+                    d.inline_depth = 2;
+                }
+                let q = jitter_hashed(h, const { hash_label("lto-quality") }, 0.72, 1.02);
+                d.backend_quality *= q;
+                d.code_bytes *= 1.12;
+                overrides.push(LtoOverride {
+                    module: module.id,
+                    width: (before_w, d.width),
+                    unroll: (before_u, d.unroll),
+                    quality_factor: q,
+                });
+            }
+        }
+
+        // --- Layout / aliasing conflicts -----------------------------------
+        let mut conflict_factor = vec![1.0f64; n];
+        for sp in &self.sharing {
+            let di = &out[sp.i].decisions;
+            let dj = &out[sp.j].decisions;
+            let layout_clash = di.layout_version != dj.layout_version;
+            let alias_clash = di.alias_optimistic != dj.alias_optimistic;
+            if !(layout_clash || alias_clash) {
+                continue;
+            }
+            let mut pen = 0.0;
+            if layout_clash {
+                pen += sp.layout_pen;
+            }
+            if alias_clash {
+                pen += sp.alias_pen;
+            }
+            conflict_factor[sp.i] *= 1.0 + pen;
+            conflict_factor[sp.j] *= 1.0 + pen;
+        }
+        // Disagreeing with many partners is not much worse than with one:
+        // cap the per-module conflict tax.
+        for f in conflict_factor.iter_mut() {
+            *f = f.min(1.03);
+        }
+
+        // --- Whole-program IPO compatibility -------------------------------
+        // Beyond pairwise clashes, the link-time optimizer's global
+        // decisions (code layout, cross-module scheduling) depend
+        // chaotically on the exact combination of heterogeneous objects.
+        // The damage distribution is centred well above zero — combining
+        // modules compiled differently is *usually* somewhat harmful, and
+        // the more tightly the modules share data (coupling), the worse —
+        // but its tail is wide: a few combinations compose almost freely.
+        // Greedy assembly draws once and eats the expectation; CFR's 1000
+        // end-to-end measurements find the benign tail. This is the
+        // quantitative heart of the paper's G.realized ≪ G.Independent gap.
+        if heterogeneity > 0.0 {
+            // Approximate normal from three uniforms (Irwin-Hall).
+            let z = (unit_hashed(combo, const { hash_label("ipo-z1") })
+                + unit_hashed(combo, const { hash_label("ipo-z2") })
+                + unit_hashed(combo, const { hash_label("ipo-z3") })
+                - 1.5)
+                * 2.0;
+            let damage = (self.ipo_median + self.ipo_sd * z).max(0.0) * heterogeneity;
+            for &i in &self.hot {
+                conflict_factor[i] *= 1.0 + damage;
+            }
+        }
+
+        // --- I-cache pressure ----------------------------------------------
+        let hot_code: f64 = out
+            .iter()
+            .filter(|m| m.module.features().is_some())
+            .map(|m| m.decisions.code_bytes)
+            .sum();
+        let ratio = hot_code / self.icache_budget;
+        let icache_factor = 1.0 + 0.03 * (ratio - 1.0).clamp(0.0, 2.5);
+
+        // --- Vector-ABI transitions on cross-module calls -------------------
+        let mut call_cost_s = 0.0;
+        for e in &self.call_edges {
+            let wf = out[e.from].decisions.width;
+            let wt = out[e.to].decisions.width;
+            let base = 25e-9; // call + spill/restore
+            let abi = if wf != wt && (wf == VecWidth::W256 || wt == VecWidth::W256) {
+                // SSE<->AVX transition stalls.
+                3.0
+            } else if wf != wt {
+                1.5
+            } else {
+                1.0
+            };
+            let inline_discount =
+                1.0 - 0.3 * f64::from(out[e.from].decisions.inline_depth.min(2)) / 2.0;
+            call_cost_s += e.calls_per_step * base * abi * inline_discount;
+        }
+
+        LinkedProgram {
+            modules: out,
+            conflict_factor,
+            icache_factor,
+            call_cost_s,
+            overrides,
+            heterogeneity,
+            combo_seed: combo,
+        }
     }
+}
+
+/// Links compiled modules into an executable against `ir`'s structure:
+/// `LinkPlan::new(ir, arch).link(modules)`. Callers that link the same
+/// program many times keep the plan instead.
+pub fn link<M: Into<Arc<CompiledModule>>>(
+    modules: Vec<M>,
+    ir: &ProgramIr,
+    arch: &Architecture,
+) -> LinkedProgram {
+    LinkPlan::new(ir, arch).link(modules)
 }
 
 #[cfg(test)]
@@ -543,6 +633,40 @@ mod tests {
         let mut objs = c.compile_program(&ir, &c.space().baseline());
         objs.swap(0, 1);
         let _ = link(objs, &ir, &Architecture::broadwell());
+    }
+
+    #[test]
+    fn plan_links_like_the_free_function() {
+        let ir = program(10);
+        let c = compiler();
+        let arch = Architecture::broadwell();
+        let plan = LinkPlan::new(&ir, &arch);
+        for s in 0..20u64 {
+            let mut rng = rng_for(s, "plan");
+            let assignment: Vec<_> = (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect();
+            let objects = c.compile_mixed(&ir, &assignment);
+            assert_eq!(plan.link(objects.clone()), link(objects, &ir, &arch));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one object per module")]
+    fn plan_rejects_another_programs_objects() {
+        let plan = LinkPlan::new(&program(4), &Architecture::broadwell());
+        let other = program(6);
+        let c = compiler();
+        let _ = plan.link(c.compile_program(&other, &c.space().baseline()));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not a module of the planned program")]
+    fn plan_rejects_same_sized_foreign_objects() {
+        let plan = LinkPlan::new(&program(4), &Architecture::broadwell());
+        let mut other = program(4);
+        other.modules[2].name = "elsewhere".to_string();
+        let c = compiler();
+        let _ = plan.link(c.compile_program(&other, &c.space().baseline()));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! Every lane of [`execute_batch_total`] must reproduce the scalar
 //! path's `execute_total` bit-for-bit — same program, same
-//! architecture, same run shape, same noise seed. The grid here sweeps
+//! architecture, same run shape, same noise seed — and every module
+//! time [`execute_batch`] keeps must reproduce the scalar
+//! `execute(..).per_module_s` entry. The grid here sweeps
 //! programs × architectures (including the AVX-512 future platform) ×
 //! noise seeds × shapes (noisy, noise-free, instrumented); the
 //! cross-crate proptest in the workspace root fuzzes the same
@@ -12,8 +14,8 @@ use ft_compiler::{Compiler, LoopFeatures, Module, ProgramIr};
 use ft_flags::rng::rng_for;
 use ft_flags::Cv;
 use ft_machine::{
-    execute_batch_total, execute_total, link, Architecture, BatchPlan, ExecOptions, ExecShape,
-    LinkedProgram,
+    execute, execute_batch, execute_batch_total, execute_total, link, Architecture, BatchPlan,
+    ExecOptions, ExecShape, LinkedProgram,
 };
 
 fn program(n_loops: usize, seed: u64) -> ProgramIr {
@@ -51,14 +53,28 @@ fn candidates(ir: &ProgramIr, arch: &Architecture, w: usize, seed: u64) -> Vec<L
 
 fn assert_lanes_bit_equal(plan: &BatchPlan, lanes: &[(&LinkedProgram, u64)], arch: &Architecture) {
     let batch = execute_batch_total(plan, lanes);
+    let times = execute_batch(plan, lanes);
+    assert_eq!(times.per_module.len(), plan.module_count());
     for (k, ((linked, seed), b)) in lanes.iter().zip(&batch).enumerate() {
-        let scalar = execute_total(linked, arch, &plan.shape().options(*seed));
+        let opts = plan.shape().options(*seed);
+        let scalar = execute_total(linked, arch, &opts);
         assert_eq!(
             scalar.to_bits(),
             b.to_bits(),
             "lane {k}: scalar {scalar} != batch {b} (shape {:?})",
             plan.shape()
         );
+        assert_eq!(times.totals[k].to_bits(), b.to_bits(), "lane {k}: totals");
+        let per_module = execute(linked, arch, &opts).per_module_s;
+        for (i, t) in per_module.iter().enumerate() {
+            assert_eq!(
+                t.to_bits(),
+                times.per_module[i][k].to_bits(),
+                "lane {k} module {i}: scalar {t} != batch {} (shape {:?})",
+                times.per_module[i][k],
+                plan.shape()
+            );
+        }
     }
 }
 
@@ -121,6 +137,12 @@ fn empty_batch_is_empty() {
     let ir = program(2, 1);
     let plan = BatchPlan::new(&ir, &arch, ExecShape::of(&ExecOptions::new(3, 0)));
     assert!(execute_batch_total(&plan, &[]).is_empty());
+    let times = execute_batch(&plan, &[]);
+    assert!(times.totals.is_empty());
+    assert_eq!(
+        times.per_module,
+        vec![Vec::<f64>::new(); plan.module_count()]
+    );
 }
 
 #[test]

@@ -11,8 +11,8 @@ use funcytuner::compiler::{Compiler, LoopFeatures, Module, ProgramIr};
 use funcytuner::flags::rng::rng_for;
 use funcytuner::flags::Cv;
 use funcytuner::machine::{
-    execute, execute_batch_total, execute_total, link, Architecture, BatchPlan, ExecOptions,
-    ExecShape, LinkedProgram,
+    execute, execute_batch, execute_batch_total, execute_total, link, Architecture, BatchPlan,
+    ExecOptions, ExecShape, LinkedProgram,
 };
 use funcytuner::outline::outline_with_defaults;
 use funcytuner::workloads::workload_by_name;
@@ -51,8 +51,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Per-lane `to_bits` equality between `execute_batch_total` and W
-    /// scalar `execute_total` runs, and between `execute(..).total_s`
-    /// and `execute_total` instrumented and plain, over random tuples.
+    /// scalar `execute_total` runs, between every module time
+    /// `execute_batch` keeps and `execute(..).per_module_s`, and
+    /// between `execute(..).total_s` and `execute_total`, instrumented
+    /// and plain, over random tuples.
     #[test]
     fn batch_path_is_bit_identical_to_scalar(
         seed in any::<u64>(),
@@ -113,15 +115,29 @@ proptest! {
 
         // `execute` sums its per-module vector; `execute_total` keeps a
         // running sum in the same order, so the totals share every bit.
-        for (l, s) in &lanes {
-            for instrumented in [false, true] {
-                let opts = ExecShape { instrumented, ..shape }.options(*s);
+        // The batch kernel's per-module output is `execute`'s vector.
+        for instrumented in [false, true] {
+            let plan = BatchPlan::new(&ir, &arch, ExecShape { instrumented, ..shape });
+            let times = execute_batch(&plan, &lanes);
+            for (k, (l, s)) in lanes.iter().enumerate() {
+                let opts = plan.shape().options(*s);
+                let meas = execute(l, &arch, &opts);
+                let total = execute_total(l, &arch, &opts);
                 prop_assert_eq!(
-                    execute(l, &arch, &opts).total_s.to_bits(),
-                    execute_total(l, &arch, &opts).to_bits(),
+                    meas.total_s.to_bits(),
+                    total.to_bits(),
                     "lane seed {}: execute vs execute_total (instrumented {})",
                     s, instrumented
                 );
+                prop_assert_eq!(times.totals[k].to_bits(), total.to_bits());
+                for (i, t) in meas.per_module_s.iter().enumerate() {
+                    prop_assert_eq!(
+                        t.to_bits(),
+                        times.per_module[i][k].to_bits(),
+                        "lane {} module {}: execute vs execute_batch (instrumented {})",
+                        k, i, instrumented
+                    );
+                }
             }
         }
     }

@@ -89,11 +89,16 @@ fn tune_file_refuses_malformed_program_models() {
         to: 999,
         calls_per_step: 1.0,
     });
-    let mut sparse_ids = exported;
+    let mut sparse_ids = exported.clone();
     sparse_ids.modules[0].id = 999;
+    // Two hot loops under one name: per-loop profiles key times by
+    // name, so each would silently read the sum of both.
+    let mut duplicate_names = exported;
+    duplicate_names.modules[1].name = duplicate_names.modules[0].name.clone();
     for (name, ir, problem) in [
         ("dangling-edge", dangling_edge, "call edge out of range"),
         ("sparse-ids", sparse_ids, "module ids must be dense"),
+        ("duplicate-names", duplicate_names, "duplicate module name"),
     ] {
         let json = serde_json::to_string(&ir).unwrap();
         assert_refuses("tune-file", name, json.as_bytes(), problem);
