@@ -6,7 +6,9 @@
 //! fresh context: the batched route to `measure(..).total_s` per
 //! proposal, the funnel to evaluating every proposal on its own. Both
 //! must agree bit for bit on every candidate time, on the winner, on
-//! the ledger's run count. The strategy-pinning
+//! the ledger's run count. The batched route is also pinned to the bare
+//! toolchain, `compile_mixed → link → execute_total`, which never
+//! touches the context's object store or link plan. The strategy-pinning
 //! goldens hold the routes to the pre-batch constants on top of this.
 
 use ft_compiler::{Compiler, FaultModel};
@@ -15,7 +17,7 @@ use ft_core::{
 };
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvPool};
-use ft_machine::Architecture;
+use ft_machine::{execute_total, link, Architecture, ExecOptions};
 use ft_outline::outline_with_defaults;
 use ft_workloads::workload_by_name;
 
@@ -172,6 +174,27 @@ fn batched_route_matches_measure_per_proposal() {
         c.measure(&r.assignment, r.seed).total_s
     });
     assert_same(&got, &want, "zero-fault");
+
+    // The bare toolchain charges no ledger, so it pins times and the
+    // winner only.
+    let bare = ctx(None);
+    let times: Vec<f64> = recorded
+        .iter()
+        .map(|r| {
+            let objects = bare.compiler.compile_mixed(&bare.ir, &r.assignment);
+            let linked = link(objects, &bare.ir, &bare.arch);
+            execute_total(&linked, &bare.arch, &ExecOptions::new(bare.steps, r.seed))
+        })
+        .collect();
+    for (k, (d, r)) in got.times.iter().zip(&times).enumerate() {
+        assert_eq!(
+            d.to_bits(),
+            r.to_bits(),
+            "candidate {k}: driven {d} != storeless {r}"
+        );
+    }
+    let (i, t) = argmin_finite(&times);
+    assert_eq!(got.winner, (i, t.to_bits()), "storeless winner");
 }
 
 #[test]

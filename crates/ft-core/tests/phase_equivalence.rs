@@ -18,6 +18,9 @@
 //! 4. **Ledger balance** — `runs == ok_runs + crashes + timeouts`
 //!    survives concurrent counter increments; only fault *attribution*
 //!    (first-discovery vs quarantine-skip) may shift, never a value.
+//! 5. **Paper scale** — at K = 1000 on CloverLeaf the schedules still
+//!    agree byte for byte, and the DAG's critical path models the
+//!    overlapped campaign at least 1.3x shorter than the serial one.
 
 use ft_compiler::FaultModel;
 use ft_core::supervisor::CampaignRecord;
@@ -93,6 +96,44 @@ fn serial_and_overlapped_campaigns_are_byte_identical() {
             assert!(t.is_finite() && t > 0.0, "faults={name} {alg}: {t}");
         }
     }
+}
+
+#[test]
+fn paper_scale_overlap_is_byte_identical_and_shortens_the_modeled_campaign() {
+    // The paper's sample budget and CFR focus width (K = 1000, X = 32)
+    // on CloverLeaf, steps capped so the campaign stays test-sized.
+    // Serial and overlapped runs agree on every byte, and the serial
+    // run's per-phase machine time, re-priced on the DAG's critical
+    // path, is at least 1.3x shorter than the sum of its phases.
+    let arch = Architecture::broadwell();
+    let w = workload_by_name("CloverLeaf").expect("CloverLeaf in suite");
+    let campaign = |mode| {
+        Tuner::new(&w, &arch)
+            .budget(1000)
+            .focus(32)
+            .seed(42)
+            .cap_steps(4)
+            .schedule(mode)
+            .run()
+    };
+    let serial = campaign(ScheduleMode::Serial);
+    let overlapped = campaign(ScheduleMode::Overlapped);
+    assert_bytes_equal(&serial, &overlapped, "CloverLeaf K=1000");
+
+    let serial_s = serial
+        .schedule
+        .machine_serial_s()
+        .expect("serial campaign attributes every phase");
+    let critical_s = serial
+        .schedule
+        .machine_critical_path_s()
+        .expect("serial campaign attributes every phase");
+    let modeled = serial_s / critical_s;
+    assert!(
+        modeled >= 1.3,
+        "overlap must shorten the modeled campaign: {serial_s:.1} s serial, \
+         {critical_s:.1} s critical path ({modeled:.2}x)"
+    );
 }
 
 #[test]

@@ -19,7 +19,7 @@ pub struct BenchMeta {
 }
 
 /// A benchmark: its program model plus every input the paper uses.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Table 1 metadata.
     pub meta: BenchMeta,
@@ -80,125 +80,164 @@ fn meta(name: &'static str, language: &'static str, loc_k: f64, domain: &'static
     }
 }
 
+/// Builds one benchmark's [`Workload`].
+type Build = fn() -> Workload;
+
+/// The seven benchmarks in Table 1's order, each with the
+/// constructor of its [`Workload`].
+const SUITE: [(&str, Build); 7] = [
+    ("LULESH", lulesh),
+    ("CloverLeaf", cloverleaf),
+    ("AMG", amg),
+    ("Optewe", optewe),
+    ("bwaves", bwaves),
+    ("fma3d", fma3d),
+    ("swim", swim),
+];
+
+fn lulesh() -> Workload {
+    Workload {
+        meta: meta("LULESH", "C++", 7.2, "Hydrodynamics"),
+        ir: programs::lulesh_ir(),
+        tune: vec![
+            (
+                "Opteron",
+                InputConfig::from_mesh("tune", 120.0, 200.0, 3, 10),
+            ),
+            (
+                "Sandy Bridge",
+                InputConfig::from_mesh("tune", 150.0, 200.0, 3, 10),
+            ),
+            (
+                "Broadwell",
+                InputConfig::from_mesh("tune", 200.0, 200.0, 3, 10),
+            ),
+        ],
+        small: InputConfig::from_mesh("small", 180.0, 200.0, 3, 10),
+        large: InputConfig::from_mesh("large", 250.0, 200.0, 3, 10),
+    }
+}
+
+fn cloverleaf() -> Workload {
+    Workload {
+        meta: meta("CloverLeaf", "C, Fortran", 14.5, "Hydrodynamics"),
+        ir: programs::cloverleaf_ir(),
+        tune: vec![
+            (
+                "Opteron",
+                InputConfig::from_mesh("tune", 2000.0, 2000.0, 2, 30),
+            ),
+            (
+                "Sandy Bridge",
+                InputConfig::from_mesh("tune", 2000.0, 2000.0, 2, 30),
+            ),
+            (
+                "Broadwell",
+                InputConfig::from_mesh("tune", 2000.0, 2000.0, 2, 60),
+            ),
+        ],
+        small: InputConfig::from_mesh("small", 1000.0, 2000.0, 2, 60),
+        large: InputConfig::from_mesh("large", 4000.0, 2000.0, 2, 30),
+    }
+}
+
+fn amg() -> Workload {
+    Workload {
+        meta: meta("AMG", "C", 113.0, "Math: linear solver"),
+        ir: programs::amg_ir(),
+        tune: vec![
+            ("Opteron", InputConfig::from_mesh("tune", 18.0, 25.0, 3, 10)),
+            (
+                "Sandy Bridge",
+                InputConfig::from_mesh("tune", 20.0, 25.0, 3, 10),
+            ),
+            (
+                "Broadwell",
+                InputConfig::from_mesh("tune", 25.0, 25.0, 3, 10),
+            ),
+        ],
+        small: InputConfig::from_mesh("small", 20.0, 25.0, 3, 10),
+        large: InputConfig::from_mesh("large", 30.0, 25.0, 3, 10),
+    }
+}
+
+fn optewe() -> Workload {
+    Workload {
+        meta: meta("Optewe", "C++", 2.7, "Seismic wave simulation"),
+        ir: programs::optewe_ir(),
+        tune: vec![
+            (
+                "Opteron",
+                InputConfig::from_mesh("tune", 320.0, 512.0, 3, 5),
+            ),
+            (
+                "Sandy Bridge",
+                InputConfig::from_mesh("tune", 384.0, 512.0, 3, 5),
+            ),
+            (
+                "Broadwell",
+                InputConfig::from_mesh("tune", 512.0, 512.0, 3, 5),
+            ),
+        ],
+        small: InputConfig::from_mesh("small", 384.0, 512.0, 3, 5),
+        large: InputConfig::from_mesh("large", 768.0, 512.0, 3, 5),
+    }
+}
+
+fn bwaves() -> Workload {
+    Workload {
+        meta: meta("bwaves", "Fortran", 1.2, "Computational fluid dynamics"),
+        ir: programs::bwaves_ir(),
+        tune: vec![
+            ("Opteron", InputConfig::new("train", 1.0, 10, "train")),
+            ("Sandy Bridge", InputConfig::new("train", 1.0, 15, "train")),
+            ("Broadwell", InputConfig::new("train", 1.0, 50, "train")),
+        ],
+        small: InputConfig::new("test", 0.05, 50, "test"),
+        large: InputConfig::new("ref", 2.5, 50, "ref"),
+    }
+}
+
+fn fma3d() -> Workload {
+    Workload {
+        meta: meta("fma3d", "Fortran", 62.0, "Mechanical simulation"),
+        ir: programs::fma3d_ir(),
+        tune: vec![
+            ("Opteron", InputConfig::new("train", 1.0, 8, "train")),
+            ("Sandy Bridge", InputConfig::new("train", 1.0, 10, "train")),
+            ("Broadwell", InputConfig::new("train", 1.0, 20, "train")),
+        ],
+        small: InputConfig::new("test", 0.05, 20, "test"),
+        large: InputConfig::new("ref", 2.0, 20, "ref"),
+    }
+}
+
+fn swim() -> Workload {
+    Workload {
+        meta: meta("swim", "Fortran", 0.5, "Weather prediction"),
+        ir: programs::swim_ir(),
+        tune: vec![
+            ("Opteron", InputConfig::new("train", 1.0, 20, "train")),
+            ("Sandy Bridge", InputConfig::new("train", 1.0, 25, "train")),
+            ("Broadwell", InputConfig::new("train", 1.0, 50, "train")),
+        ],
+        small: InputConfig::new("test", 0.04, 50, "test"),
+        large: InputConfig::new("ref", 2.5, 50, "ref"),
+    }
+}
+
 /// Builds the full seven-benchmark suite with Table 2 inputs.
 pub fn suite() -> Vec<Workload> {
-    vec![
-        Workload {
-            meta: meta("LULESH", "C++", 7.2, "Hydrodynamics"),
-            ir: programs::lulesh_ir(),
-            tune: vec![
-                (
-                    "Opteron",
-                    InputConfig::from_mesh("tune", 120.0, 200.0, 3, 10),
-                ),
-                (
-                    "Sandy Bridge",
-                    InputConfig::from_mesh("tune", 150.0, 200.0, 3, 10),
-                ),
-                (
-                    "Broadwell",
-                    InputConfig::from_mesh("tune", 200.0, 200.0, 3, 10),
-                ),
-            ],
-            small: InputConfig::from_mesh("small", 180.0, 200.0, 3, 10),
-            large: InputConfig::from_mesh("large", 250.0, 200.0, 3, 10),
-        },
-        Workload {
-            meta: meta("CloverLeaf", "C, Fortran", 14.5, "Hydrodynamics"),
-            ir: programs::cloverleaf_ir(),
-            tune: vec![
-                (
-                    "Opteron",
-                    InputConfig::from_mesh("tune", 2000.0, 2000.0, 2, 30),
-                ),
-                (
-                    "Sandy Bridge",
-                    InputConfig::from_mesh("tune", 2000.0, 2000.0, 2, 30),
-                ),
-                (
-                    "Broadwell",
-                    InputConfig::from_mesh("tune", 2000.0, 2000.0, 2, 60),
-                ),
-            ],
-            small: InputConfig::from_mesh("small", 1000.0, 2000.0, 2, 60),
-            large: InputConfig::from_mesh("large", 4000.0, 2000.0, 2, 30),
-        },
-        Workload {
-            meta: meta("AMG", "C", 113.0, "Math: linear solver"),
-            ir: programs::amg_ir(),
-            tune: vec![
-                ("Opteron", InputConfig::from_mesh("tune", 18.0, 25.0, 3, 10)),
-                (
-                    "Sandy Bridge",
-                    InputConfig::from_mesh("tune", 20.0, 25.0, 3, 10),
-                ),
-                (
-                    "Broadwell",
-                    InputConfig::from_mesh("tune", 25.0, 25.0, 3, 10),
-                ),
-            ],
-            small: InputConfig::from_mesh("small", 20.0, 25.0, 3, 10),
-            large: InputConfig::from_mesh("large", 30.0, 25.0, 3, 10),
-        },
-        Workload {
-            meta: meta("Optewe", "C++", 2.7, "Seismic wave simulation"),
-            ir: programs::optewe_ir(),
-            tune: vec![
-                (
-                    "Opteron",
-                    InputConfig::from_mesh("tune", 320.0, 512.0, 3, 5),
-                ),
-                (
-                    "Sandy Bridge",
-                    InputConfig::from_mesh("tune", 384.0, 512.0, 3, 5),
-                ),
-                (
-                    "Broadwell",
-                    InputConfig::from_mesh("tune", 512.0, 512.0, 3, 5),
-                ),
-            ],
-            small: InputConfig::from_mesh("small", 384.0, 512.0, 3, 5),
-            large: InputConfig::from_mesh("large", 768.0, 512.0, 3, 5),
-        },
-        Workload {
-            meta: meta("bwaves", "Fortran", 1.2, "Computational fluid dynamics"),
-            ir: programs::bwaves_ir(),
-            tune: vec![
-                ("Opteron", InputConfig::new("train", 1.0, 10, "train")),
-                ("Sandy Bridge", InputConfig::new("train", 1.0, 15, "train")),
-                ("Broadwell", InputConfig::new("train", 1.0, 50, "train")),
-            ],
-            small: InputConfig::new("test", 0.05, 50, "test"),
-            large: InputConfig::new("ref", 2.5, 50, "ref"),
-        },
-        Workload {
-            meta: meta("fma3d", "Fortran", 62.0, "Mechanical simulation"),
-            ir: programs::fma3d_ir(),
-            tune: vec![
-                ("Opteron", InputConfig::new("train", 1.0, 8, "train")),
-                ("Sandy Bridge", InputConfig::new("train", 1.0, 10, "train")),
-                ("Broadwell", InputConfig::new("train", 1.0, 20, "train")),
-            ],
-            small: InputConfig::new("test", 0.05, 20, "test"),
-            large: InputConfig::new("ref", 2.0, 20, "ref"),
-        },
-        Workload {
-            meta: meta("swim", "Fortran", 0.5, "Weather prediction"),
-            ir: programs::swim_ir(),
-            tune: vec![
-                ("Opteron", InputConfig::new("train", 1.0, 20, "train")),
-                ("Sandy Bridge", InputConfig::new("train", 1.0, 25, "train")),
-                ("Broadwell", InputConfig::new("train", 1.0, 50, "train")),
-            ],
-            small: InputConfig::new("test", 0.04, 50, "test"),
-            large: InputConfig::new("ref", 2.5, 50, "ref"),
-        },
-    ]
+    SUITE.iter().map(|(_, build)| build()).collect()
 }
 
 /// Looks a workload up by benchmark name (case-sensitive, paper names).
+/// Builds only the workload it returns.
 pub fn workload_by_name(name: &str) -> Option<Workload> {
-    suite().into_iter().find(|w| w.meta.name == name)
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -215,6 +254,15 @@ mod tests {
         let swim = &s[6];
         assert_eq!(swim.meta.domain, "Weather prediction");
         assert_eq!(swim.meta.loc_k, 0.5);
+    }
+
+    #[test]
+    fn workload_by_name_builds_the_suite_entry() {
+        for w in suite() {
+            assert_eq!(workload_by_name(w.meta.name), Some(w));
+        }
+        assert_eq!(workload_by_name("no-such-benchmark"), None);
+        assert_eq!(workload_by_name("cloverleaf"), None);
     }
 
     #[test]
