@@ -7,22 +7,19 @@
 //! loops from the end-to-end time (§3.3) — it is never measured
 //! directly.
 //!
-//! Like candidate evaluation, the collection takes one of two routes,
-//! picked by the fault model alone. On a zero-fault context the K
-//! probes are linked in one parallel pass and run as instrumented
-//! 64-lane batches whose kernel keeps every module's time (the per-loop
-//! view a Caliper session would record). Under a fault model each probe
-//! goes through the resilient funnel and records into its own Caliper
-//! session, since retries and quarantine are per-probe control flow.
-//! Both routes produce the same bits.
+//! The K probes take the one evaluation route of candidate evaluation
+//! (`EvalContext::evaluate`), on the instrumented plan: a fault gate in
+//! probe order, one parallel link pass, instrumented 64-lane batches
+//! whose kernel keeps every module's time (the per-loop view a Caliper
+//! session would record), and a per-lane fault outcome. A probe that
+//! produces no measurement (ICE, quarantine skip, hang, or a crash on
+//! every attempt) is an all-`+inf` column.
 
 use crate::canonical::Reader;
 use crate::ctx::EvalContext;
 use crate::search::Candidate;
-use ft_caliper::Caliper;
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvPool};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Per-loop collection data: `K` CVs, the matrix of per-module times,
@@ -197,14 +194,12 @@ impl MixedCollection {
 /// strategy-drivable collection service behind
 /// [`crate::search::SearchStrategy::collect_request`].
 ///
-/// The fault model alone picks the route, as in
-/// [`EvalContext::evaluate`]. A zero-fault context links every probe,
-/// then runs them as instrumented lanes that keep each module's time
-/// (`EvalContext::profile_lanes`); a faulted one sends each probe
-/// through the resilient funnel with its own Caliper session. A flat
-/// Caliper record of one run reads back exactly the time the lane
-/// kernel computes for that module, so the two routes agree bit for
-/// bit (the `collection_equiv` suite).
+/// The probes run on the one route of [`EvalContext::evaluate`], as
+/// instrumented lanes that keep each module's time
+/// (`EvalContext::profile_lanes`). A flat Caliper record of one run
+/// reads back exactly the time the lane kernel computes for that
+/// module, so the collection agrees bit for bit with a sequential loop
+/// of Caliper-recorded probes (the `collection_equiv` suite).
 pub fn collect_candidates(
     ctx: &EvalContext,
     pool: &CvPool,
@@ -212,14 +207,11 @@ pub fn collect_candidates(
     seed: u64,
 ) -> MixedCollection {
     let hot: Vec<usize> = ctx.ir.hot_loop_ids();
-    let noise = |kk: usize| derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
-    let (per_module, end_to_end) = if ctx.faults().is_zero() {
-        let seeds: Vec<u64> = (0..candidates.len()).map(noise).collect();
-        let times = ctx.profile_lanes(pool, candidates, &seeds);
-        derive_non_loop(times.per_module, times.totals, &hot)
-    } else {
-        funnel_rows(ctx, pool, candidates, &hot, noise)
-    };
+    let seeds: Vec<u64> = (0..candidates.len())
+        .map(|kk| derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64))
+        .collect();
+    let times = ctx.profile_lanes(pool, candidates, &seeds);
+    let (per_module, end_to_end) = derive_non_loop(times.per_module, times.totals, &hot);
     MixedCollection {
         candidates: candidates.to_vec(),
         per_module,
@@ -229,7 +221,9 @@ pub fn collect_candidates(
 
 /// Keeps the measured hot-loop rows of `measured` (`[module][probe]`)
 /// and derives the last, non-loop row by subtraction from each probe's
-/// end-to-end time, summing the hot loops in `hot` order.
+/// end-to-end time, summing the hot loops in `hot` order. A faulted
+/// probe's non-loop cell is `+inf` like the rest of its column, not
+/// derived: `(inf - inf).max(0.0)` would read `0.0`.
 fn derive_non_loop(
     mut measured: Vec<Vec<f64>>,
     end_to_end: Vec<f64>,
@@ -241,57 +235,15 @@ fn derive_non_loop(
         per_module[j] = std::mem::take(&mut measured[j]);
     }
     for (kk, total) in end_to_end.iter().enumerate() {
+        if !total.is_finite() {
+            per_module[j_total - 1][kk] = f64::INFINITY;
+            continue;
+        }
         let mut hot_sum = 0.0;
         for &j in hot {
             hot_sum += per_module[j][kk];
         }
         per_module[j_total - 1][kk] = (total - hot_sum).max(0.0);
-    }
-    (per_module, end_to_end)
-}
-
-/// The faulted collection: one resilient, Caliper-instrumented probe
-/// per candidate, in parallel. A candidate that ICEs, keeps crashing,
-/// or hangs yields `+inf` — an all-`+inf` column that no per-loop
-/// ranking can ever select.
-fn funnel_rows(
-    ctx: &EvalContext,
-    pool: &CvPool,
-    candidates: &[Candidate],
-    hot: &[usize],
-    noise: impl Fn(usize) -> u64 + Sync,
-) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let j_total = ctx.modules();
-    let rows: Vec<(Vec<f64>, f64)> = candidates
-        .par_iter()
-        .enumerate()
-        .map(|(kk, cand)| {
-            let caliper = Caliper::real_time();
-            let total = ctx.profile(pool, cand, noise(kk), &caliper);
-            if !total.is_finite() {
-                return (vec![f64::INFINITY; j_total], f64::INFINITY);
-            }
-            let snap = caliper.snapshot();
-            // Measured hot-loop times; non-loop derived by subtraction.
-            let mut per_module = vec![0.0; j_total];
-            let mut hot_sum = 0.0;
-            for &j in hot {
-                let t = snap.inclusive(&ctx.ir.modules[j].name);
-                per_module[j] = t;
-                hot_sum += t;
-            }
-            per_module[j_total - 1] = (total - hot_sum).max(0.0);
-            (per_module, total)
-        })
-        .collect();
-
-    let mut per_module = vec![vec![0.0; candidates.len()]; j_total];
-    let mut end_to_end = Vec::with_capacity(candidates.len());
-    for (kk, (row, total)) in rows.into_iter().enumerate() {
-        for (j, t) in row.into_iter().enumerate() {
-            per_module[j][kk] = t;
-        }
-        end_to_end.push(total);
     }
     (per_module, end_to_end)
 }

@@ -1,18 +1,22 @@
 //! Evaluation context: the compile → link → execute pipeline every
 //! search algorithm measures through.
+//!
+//! Search batches and Figure-4 collection probes take one route under
+//! any fault model ([`EvalContext::evaluate`]): a fault gate in batch
+//! order, the lane-batched executor, and a per-lane outcome that
+//! applies the fault model's rolls, retries and ledger charges.
 
 use crate::objective::{Objective, Score};
 use crate::search::{Candidate, Proposal};
 use crate::store::{self, ObjectStore};
-use ft_caliper::Caliper;
 use ft_compiler::lru::CacheCapacity;
 use ft_compiler::{CompiledModule, Compiler, FaultModel, Module, ProgramIr};
 use ft_flags::rng::derive_seed_idx;
 use ft_flags::{Cv, CvId, CvPool, FlagSpace};
 use ft_machine::{
-    execute, execute_batch, execute_batch_total, try_execute, try_execute_profiled, Architecture,
-    BatchPlan, BatchTimes, ExecOptions, ExecShape, FaultQuarantine, LinkPlan, LinkedProgram,
-    RunMeasurement, RunOutcome,
+    execute, execute_batch, execute_batch_total, roll_run_fault, Architecture, BatchPlan,
+    BatchTimes, ExecOptions, ExecShape, FaultQuarantine, LinkPlan, LinkedProgram, RunFault,
+    RunMeasurement,
 };
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -24,6 +28,27 @@ use std::sync::{Arc, OnceLock};
 /// retried measurement re-rolls both the machine noise and the
 /// transient fault streams.
 const SALT_RETRY: u64 = 0x08E7_81E5;
+
+/// The noise seed of attempt `attempt` of a run first seeded
+/// `noise_seed`: the seed itself, then a fresh derived seed per crash
+/// retry.
+fn attempt_seed(noise_seed: u64, attempt: u32) -> u64 {
+    if attempt == 0 {
+        noise_seed
+    } else {
+        derive_seed_idx(noise_seed ^ SALT_RETRY, u64::from(attempt))
+    }
+}
+
+/// The gate's verdict on one candidate (stage 1 of
+/// [`EvalContext::run_route`]).
+enum Gate {
+    /// An ICE or a quarantine skip, already counted: never linked.
+    Blocked,
+    /// Linked and run. `Some(fp)`: the fault model rolls each run of
+    /// the program with fingerprint `fp`; `None`: no fault can touch it.
+    Run(Option<u64>),
+}
 
 /// Lanes per `execute_batch_total` call: wide enough to amortize the
 /// gather and keep the arithmetic pass vectorized, small enough that
@@ -227,11 +252,11 @@ pub struct EvalContext {
     /// 10-repeat baseline; measuring it once changes no value.
     baseline_memo: OnceLock<(u32, f64)>,
     /// Memoized [`BatchPlan`] for this context's `(program, arch,
-    /// run-shape)` triple: every candidate of the zero-fault batched
-    /// evaluation path shares it.
+    /// run-shape)` triple: every candidate [`EvalContext::evaluate`]
+    /// runs shares it.
     batch_plan: OnceLock<BatchPlan>,
-    /// The instrumented twin of `batch_plan`: every zero-fault
-    /// collection probe shares it.
+    /// The instrumented twin of `batch_plan`: every collection probe
+    /// shares it.
     profile_plan: OnceLock<BatchPlan>,
     /// Memoized [`LinkPlan`] for this context's `(program, arch)` pair:
     /// every link this context performs goes through it.
@@ -243,7 +268,7 @@ pub struct EvalContext {
     /// Injected-fault model (all-zero by default: the infallible
     /// toolchain every golden value was locked against).
     faults: FaultModel,
-    /// Retry/timeout policy of the resilient evaluation paths.
+    /// Retry/timeout policy of the evaluation route.
     resilience: ResilienceConfig,
     /// Reference time (f64 bits; 0 = unset) from which timeout budgets
     /// are derived. Set once from the `-O3` baseline so budgets do not
@@ -581,7 +606,7 @@ impl EvalContext {
     /// The lane-oriented execution plan for this context's `(program,
     /// architecture, run-shape)` triple, built once on first use. The
     /// shape matches `ExecOptions::new(self.steps, _)` — exactly what
-    /// the batched route of [`EvalContext::evaluate`] runs under.
+    /// [`EvalContext::evaluate`] runs under.
     pub fn batch_plan(&self) -> &BatchPlan {
         self.batch_plan.get_or_init(|| {
             let shape = ExecShape::of(&ExecOptions::new(self.steps, 0));
@@ -591,7 +616,7 @@ impl EvalContext {
 
     /// The instrumented twin of [`EvalContext::batch_plan`], built once
     /// on first use: shape `ExecOptions::instrumented(self.steps, _)`,
-    /// what zero-fault collection probes run under.
+    /// what collection probes run under.
     fn profile_plan(&self) -> &BatchPlan {
         self.profile_plan.get_or_init(|| {
             let shape = ExecShape::of(&ExecOptions::instrumented(self.steps, 0));
@@ -748,103 +773,43 @@ impl EvalContext {
         times.iter().sum::<f64>() / f64::from(repeats.max(1))
     }
 
-    /// The resilient compile → link → execute funnel of one candidate:
-    /// the per-candidate route of [`EvalContext::evaluate`] and the
-    /// faulted collection probe. A successful run pairs its end-to-end time
-    /// with the linked executable's modeled size
-    /// ([`LinkedProgram::code_bytes`], a pure function of the digest
-    /// assignment); an unusable candidate (ICE, persistent crash, hang)
-    /// is [`Score::faulted`] (both coordinates `+inf`), so it loses
-    /// under every objective.
-    ///
-    /// * Compile gate: a `(module, CV)` pair that ICEs produces no
-    ///   object — nothing links, nothing runs, nothing is charged, and
-    ///   the pair is quarantined so no later phase re-rolls it.
-    /// * Hang gate: a program fingerprint that previously timed out is
-    ///   skipped outright.
-    /// * Execution: the first attempt uses exactly the caller's noise
-    ///   seed (so the all-zero model reproduces today's measurements
-    ///   bit-for-bit); a transient crash is charged its partial time
-    ///   and retried up to `max_retries` times under fresh derived
-    ///   seeds; a hang is charged its full timeout budget and
-    ///   quarantines the fingerprint.
-    ///
-    /// With a caliper, successful attempts run instrumented and record
-    /// per-module times into it (the Figure-4 collection path).
-    fn eval_candidate(
-        &self,
-        pool: &CvPool,
-        candidate: &Candidate,
-        noise_seed: u64,
-        caliper: Option<&Caliper>,
-    ) -> Score {
-        let ids = self.module_ids(candidate);
-        let digests = pool.digests(&ids);
-        for (module, digest) in digests.iter().enumerate() {
-            if self.quarantine.compile_is_bad(module, *digest) {
+    /// Stage 1 of the evaluation route: the fault gate of one
+    /// candidate. Per module, a quarantined `(module, CV)` pair is
+    /// skipped and a compile that ICEs is counted and quarantined; then
+    /// a quarantined program fingerprint is skipped. A blocked
+    /// candidate is never linked and charges nothing. A program that
+    /// will hang is quarantined here, before it runs, so a duplicate
+    /// later in the batch is skipped, as in a sequential loop. A
+    /// zero-fault context passes every candidate with no fingerprint,
+    /// no roll and no quarantine read.
+    fn gate(&self, pool: &CvPool, candidate: &Candidate) -> Gate {
+        if self.faults.is_zero() {
+            return Gate::Run(None);
+        }
+        let digests = pool.digests(&self.module_ids(candidate));
+        for (module, &digest) in digests.iter().enumerate() {
+            if self.quarantine.compile_is_bad(module, digest) {
                 self.quarantine_skips.fetch_add(1, Ordering::Relaxed);
-                return Score::faulted();
+                return Gate::Blocked;
             }
-            if self.faults.compile_fails(module, *digest) {
+            if self.faults.compile_fails(module, digest) {
                 self.compile_failures.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.ban_compile(module, *digest);
-                return Score::faulted();
+                self.quarantine.ban_compile(module, digest);
+                return Gate::Blocked;
             }
         }
         let fp = FaultModel::program_fingerprint(&digests);
         if self.quarantine.program_is_bad(fp) {
             self.quarantine_skips.fetch_add(1, Ordering::Relaxed);
-            return Score::faulted();
+            return Gate::Blocked;
         }
-        let linked = self.link_ids(pool, &ids, &digests);
-        let budget = self.timeout_budget();
-        for attempt in 0..=self.resilience.max_retries {
-            let seed = if attempt == 0 {
-                noise_seed
-            } else {
-                derive_seed_idx(noise_seed ^ SALT_RETRY, u64::from(attempt))
-            };
-            let outcome = match caliper {
-                Some(c) => try_execute_profiled(
-                    &linked,
-                    &self.arch,
-                    &ExecOptions::instrumented(self.steps, seed),
-                    &self.faults,
-                    budget,
-                    c,
-                ),
-                None => try_execute(
-                    &linked,
-                    &self.arch,
-                    &ExecOptions::new(self.steps, seed),
-                    &self.faults,
-                    budget,
-                ),
-            };
-            match outcome {
-                RunOutcome::Ok(meas) => {
-                    self.charge_run(meas.total_s);
-                    return Score::new(meas.total_s, linked.code_bytes());
-                }
-                RunOutcome::Crash { elapsed_s } => {
-                    self.crashes.fetch_add(1, Ordering::Relaxed);
-                    self.charge_failed(elapsed_s);
-                    if attempt < self.resilience.max_retries {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                RunOutcome::Timeout { budget_s } => {
-                    self.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.charge_failed(budget_s);
-                    self.quarantine.ban_program(fp);
-                    return Score::faulted();
-                }
-                RunOutcome::CompileError { .. } => {
-                    unreachable!("compile faults are gated before linking")
-                }
-            }
+        if self.faults.all_exempt(&digests) {
+            return Gate::Run(None);
         }
-        Score::faulted()
+        if self.faults.hangs(fp) {
+            self.quarantine.ban_program(fp);
+        }
+        Gate::Run(Some(fp))
     }
 
     /// Evaluates a proposal batch: the one search entry point, shared
@@ -852,142 +817,151 @@ impl EvalContext {
     /// plane's workers (which is what makes a worker's bits identical
     /// to a serial run by construction). Scores align with `proposals`.
     ///
-    /// The fault model alone picks the route. An infallible context
-    /// links every proposal, then runs W-wide lane chunks through the
-    /// memoized [`BatchPlan`]. A faulted one sends each proposal
-    /// through the per-candidate resilient funnel: compile gates,
-    /// retries and quarantine are per-candidate control flow the lane
-    /// kernel deliberately excludes. The routes are bit-identical (the
-    /// `eval_equivalence` suite), so the choice only moves throughput.
-    /// Candidates are pure functions of their (digests, noise seed)
-    /// inputs and the ledger counters are atomic, so both routes are
-    /// observationally identical to a sequential loop.
+    /// A successful run pairs its end-to-end time with the linked
+    /// executable's modeled size ([`LinkedProgram::code_bytes`], a pure
+    /// function of the digest assignment). An unusable candidate (ICE,
+    /// quarantine skip, hang, or a crash on every attempt) is
+    /// [`Score::faulted`], `+inf` in both coordinates, so it loses
+    /// under every objective. Every batch takes the one route of
+    /// [`EvalContext::run_route`], under any fault model.
     pub fn evaluate(&self, pool: &CvPool, proposals: &[Proposal]) -> Vec<Score> {
-        if !self.faults.is_zero() {
-            return proposals
-                .par_iter()
-                .map(|p| self.eval_candidate(pool, &p.candidate, p.noise_seed, None))
-                .collect();
-        }
-        let linked = self.link_all(pool, proposals, |p| &p.candidate);
-        let seeds = proposals.iter().map(|p| p.noise_seed);
-        self.run_lanes(self.batch_plan(), &linked, seeds, false)
+        let seeds: Vec<u64> = proposals.iter().map(|p| p.noise_seed).collect();
+        let plan = self.batch_plan();
+        let (times, code_bytes) =
+            self.run_route(pool, proposals, |p| &p.candidate, &seeds, plan, false);
+        times
             .totals
             .into_iter()
-            .zip(&linked)
-            .map(|(t, l)| Score::new(t, l.code_bytes()))
+            .zip(code_bytes)
+            .map(|(t, b)| Score::new(t, b))
             .collect()
     }
 
-    /// The link pass of the zero-fault lane route: compiles and links
-    /// every candidate through the store (deduplicated, single-flight),
-    /// in parallel, returned in candidate order.
-    fn link_all<T: Sync>(
+    /// The one evaluation route behind [`EvalContext::evaluate`] and
+    /// the Figure-4 collection: item `k`'s candidate runs under
+    /// `seeds[k]` through `plan`. Returns the times, with per-module
+    /// rows when `per_module` is set, and each candidate's
+    /// [`LinkedProgram::code_bytes`]. Three stages:
+    ///
+    /// 1. *Gate* ([`EvalContext::gate`]), one candidate after another
+    ///    in batch order.
+    /// 2. *Lanes*: the survivors are linked in one parallel pass and
+    ///    run as W-wide chunks ([`run_lanes`]). A lane
+    ///    total has the bits of `execute(..).total_s`, a per-module row
+    ///    those of `per_module_s`.
+    /// 3. *Outcome*, per lane: [`roll_run_fault`] on the lane total,
+    ///    with the rolls and arithmetic of [`ft_machine::try_execute`].
+    ///    A clean run is charged one run, an outlier its inflated time
+    ///    (every per-module time inflated with it), a hang its timeout
+    ///    budget and a crash its partial time. A crash with retries
+    ///    left runs again in a later lane round, under a fresh derived
+    ///    seed.
+    ///
+    /// The fault rolls are pure in (digests, fingerprint, noise seed)
+    /// and only stage 1 touches the quarantine, in order. So the
+    /// result and every [`FaultStats`] and
+    /// [`crate::cost::TuningCost`] counter equal a sequential loop of
+    /// gate → link → `try_execute` with retries, run in batch order
+    /// (the `eval_equivalence` and `collection_equiv` suites). A
+    /// candidate that produced no measurement is `+inf` everywhere, its
+    /// code bytes included ([`Score::faulted`]).
+    fn run_route<T: Sync>(
         &self,
         pool: &CvPool,
         items: &[T],
         candidate: impl Fn(&T) -> &Candidate + Sync,
-    ) -> Vec<Arc<LinkedProgram>> {
-        items
-            .par_iter()
-            .map(|item| {
-                let ids = self.module_ids(candidate(item));
-                self.link_ids(pool, &ids, &pool.digests(&ids))
-            })
-            .collect()
-    }
-
-    /// The lane runner of the zero-fault route: runs `linked[k]` under
-    /// `seeds[k]` through `plan`, in W-wide chunks spread over the
-    /// rayon pool, and charges each lane one run. Per lane the times
-    /// are bit-identical to `execute` under the same options; the
-    /// per-module rows are kept only when `per_module` is set (else
-    /// `per_module` is empty).
-    fn run_lanes(
-        &self,
+        seeds: &[u64],
         plan: &BatchPlan,
-        linked: &[Arc<LinkedProgram>],
-        seeds: impl Iterator<Item = u64>,
         per_module: bool,
-    ) -> BatchTimes {
-        let lanes: Vec<(&LinkedProgram, u64)> =
-            linked.iter().map(|l| l.as_ref()).zip(seeds).collect();
-        assert_eq!(lanes.len(), linked.len(), "one noise seed per lane");
-        let n_chunks = lanes.len().div_ceil(BATCH_CHUNK);
-        let chunks: Vec<BatchTimes> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * BATCH_CHUNK;
-                let chunk = &lanes[lo..(lo + BATCH_CHUNK).min(lanes.len())];
-                let times = if per_module {
-                    execute_batch(plan, chunk)
-                } else {
-                    BatchTimes {
-                        totals: execute_batch_total(plan, chunk),
-                        per_module: Vec::new(),
-                    }
-                };
-                for t in &times.totals {
-                    self.charge_run(*t);
-                }
-                times
+    ) -> (BatchTimes, Vec<f64>) {
+        assert_eq!(seeds.len(), items.len(), "one noise seed per candidate");
+        let lanes: Vec<(usize, Option<u64>)> = items
+            .iter()
+            .enumerate()
+            .filter_map(|(k, item)| match self.gate(pool, candidate(item)) {
+                Gate::Run(fp) => Some((k, fp)),
+                Gate::Blocked => None,
             })
             .collect();
+        let linked: Vec<Arc<LinkedProgram>> = lanes
+            .par_iter()
+            .map(|&(k, _)| {
+                let ids = self.module_ids(candidate(&items[k]));
+                self.link_ids(pool, &ids, &pool.digests(&ids))
+            })
+            .collect();
+        let n = items.len();
         let rows = if per_module { plan.module_count() } else { 0 };
-        let mut all = BatchTimes {
-            totals: Vec::with_capacity(lanes.len()),
-            per_module: vec![Vec::with_capacity(lanes.len()); rows],
+        let mut out = BatchTimes {
+            totals: vec![f64::INFINITY; n],
+            per_module: vec![vec![f64::INFINITY; n]; rows],
         };
-        for chunk in chunks {
-            all.totals.extend(chunk.totals);
-            for (row, part) in all.per_module.iter_mut().zip(chunk.per_module) {
-                row.extend(part);
+        let mut code_bytes = vec![f64::INFINITY; n];
+        let budget = self.timeout_budget();
+        // `(lane, attempt)`: every survivor once, then crash retries.
+        let mut round: Vec<(usize, u32)> = (0..lanes.len()).map(|i| (i, 0)).collect();
+        while !round.is_empty() {
+            let batch: Vec<(&LinkedProgram, u64)> = round
+                .iter()
+                .map(|&(i, attempt)| {
+                    let seed = attempt_seed(seeds[lanes[i].0], attempt);
+                    (linked[i].as_ref(), seed)
+                })
+                .collect();
+            let times = run_lanes(plan, &batch, per_module);
+            let mut retries = Vec::new();
+            for (r, &(i, attempt)) in round.iter().enumerate() {
+                let (k, fp) = lanes[i];
+                let fault = fp.and_then(|fp| {
+                    roll_run_fault(&self.faults, fp, batch[r].1, times.totals[r], budget)
+                });
+                let factor = match fault {
+                    None => None,
+                    Some(RunFault::Outlier { factor }) => Some(factor),
+                    Some(RunFault::Crash { elapsed_s }) => {
+                        self.crashes.fetch_add(1, Ordering::Relaxed);
+                        self.charge_failed(elapsed_s);
+                        if attempt < self.resilience.max_retries {
+                            self.retries.fetch_add(1, Ordering::Relaxed);
+                            retries.push((i, attempt + 1));
+                        }
+                        continue;
+                    }
+                    Some(RunFault::Hang { budget_s }) => {
+                        self.timeouts.fetch_add(1, Ordering::Relaxed);
+                        self.charge_failed(budget_s);
+                        continue;
+                    }
+                };
+                let scale = |t: f64| factor.map_or(t, |f| t * f);
+                let total = scale(times.totals[r]);
+                self.charge_run(total);
+                out.totals[k] = total;
+                for (row, lane_row) in out.per_module.iter_mut().zip(&times.per_module) {
+                    row[k] = scale(lane_row[r]);
+                }
+                code_bytes[k] = linked[i].code_bytes();
             }
+            round = retries;
         }
-        all
+        (out, code_bytes)
     }
 
-    /// The zero-fault collection probes: every candidate linked as in
-    /// [`EvalContext::evaluate`], then run instrumented on the lanes of
-    /// the memoized instrumented plan, candidate `k` under
-    /// `noise_seeds[k]`. Per candidate, `totals` and the `per_module`
-    /// rows have the bits of the instrumented `execute` (and so of what
-    /// a Caliper session records for it); each probe is charged one run.
+    /// The Figure-4 collection probes: the evaluation route on the
+    /// memoized instrumented plan with the per-module output on,
+    /// candidate `k` under `noise_seeds[k]`. Per candidate, `totals`
+    /// and the `per_module` rows have the bits of the instrumented
+    /// `execute` (and so of what a Caliper session records for it); a
+    /// probe that produced no measurement is an all-`+inf` column.
     pub(crate) fn profile_lanes(
         &self,
         pool: &CvPool,
         candidates: &[Candidate],
         noise_seeds: &[u64],
     ) -> BatchTimes {
-        let linked = self.link_all(pool, candidates, |c| c);
-        self.run_lanes(
-            self.profile_plan(),
-            &linked,
-            noise_seeds.iter().copied(),
-            true,
-        )
-    }
-
-    /// The faulted Figure-4 collection probe: the resilient funnel
-    /// with `caliper` attached, so an attempt that succeeds runs
-    /// instrumented and records its per-module times into it (a failed
-    /// one records nothing). Keyed through the same digest space as
-    /// [`EvalContext::evaluate`], so a probe that shares `J - 1`
-    /// modules with an already-evaluated assignment reuses those
-    /// objects (and its link, when identical) from the caches. Returns
-    /// the end-to-end time (`+inf` for an unusable candidate). A
-    /// zero-fault context probes on the lanes instead
-    /// ([`EvalContext::profile_lanes`]).
-    pub(crate) fn profile(
-        &self,
-        pool: &CvPool,
-        candidate: &Candidate,
-        noise_seed: u64,
-        caliper: &Caliper,
-    ) -> f64 {
-        debug_assert!(!self.faults.is_zero(), "zero-fault probes run on the lanes");
-        self.eval_candidate(pool, candidate, noise_seed, Some(caliper))
-            .time
+        let plan = self.profile_plan();
+        self.run_route(pool, candidates, |c| c, noise_seeds, plan, true)
+            .0
     }
 
     /// Modeled executable size of an owned assignment, linked through
@@ -995,6 +969,43 @@ impl EvalContext {
     pub(crate) fn code_bytes(&self, assignment: &[Cv]) -> f64 {
         self.link_assignment(assignment).code_bytes()
     }
+}
+
+/// Stage 2's runner of [`EvalContext::run_route`]: runs each
+/// `(program, noise seed)` lane through `plan`, in W-wide chunks spread
+/// over the rayon pool. Per lane the times are bit-identical to
+/// `execute` under the same options; the per-module rows are kept only
+/// when `per_module` is set (else `per_module` is empty). Charges
+/// nothing: stage 3 does.
+fn run_lanes(plan: &BatchPlan, lanes: &[(&LinkedProgram, u64)], per_module: bool) -> BatchTimes {
+    let n_chunks = lanes.len().div_ceil(BATCH_CHUNK);
+    let chunks: Vec<BatchTimes> = (0..n_chunks)
+        .into_par_iter()
+        .map(|c| {
+            let lo = c * BATCH_CHUNK;
+            let chunk = &lanes[lo..(lo + BATCH_CHUNK).min(lanes.len())];
+            if per_module {
+                execute_batch(plan, chunk)
+            } else {
+                BatchTimes {
+                    totals: execute_batch_total(plan, chunk),
+                    per_module: Vec::new(),
+                }
+            }
+        })
+        .collect();
+    let rows = if per_module { plan.module_count() } else { 0 };
+    let mut all = BatchTimes {
+        totals: Vec::with_capacity(lanes.len()),
+        per_module: vec![Vec::with_capacity(lanes.len()); rows],
+    };
+    for chunk in chunks {
+        all.totals.extend(chunk.totals);
+        for (row, part) in all.per_module.iter_mut().zip(chunk.per_module) {
+            row.extend(part);
+        }
+    }
+    all
 }
 
 /// Test fixture shared by this crate's unit tests.

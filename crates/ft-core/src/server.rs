@@ -512,14 +512,6 @@ pub struct TenantReport {
     pub faults: FaultStats,
     /// Runs billed to the tenant: `min(cost.runs, run_cap)`.
     pub charged_runs: u64,
-    /// Object-store hits attributed to this tenant's lookups.
-    pub object_hits: u64,
-    /// Object-store misses (computes) attributed to this tenant.
-    pub object_misses: u64,
-    /// Link-store hits attributed to this tenant.
-    pub link_hits: u64,
-    /// Link-store misses attributed to this tenant.
-    pub link_misses: u64,
     /// Segments this life ran (not counting restored ones).
     pub segments_run: usize,
     /// Everything that happened, in order.
@@ -842,10 +834,6 @@ impl TuningServer {
                     cost: t.cost,
                     faults: t.faults,
                     charged_runs,
-                    object_hits: t.cost.object_reuses,
-                    object_misses: t.cost.object_compiles,
-                    link_hits: t.cost.link_reuses,
-                    link_misses: t.cost.links,
                     segments_run: t.segments_run,
                     events: t.events,
                 }

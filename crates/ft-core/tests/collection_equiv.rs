@@ -1,23 +1,29 @@
 //! Mixed-assignment collection equivalence and ledger invariants.
 //!
-//! The Figure-4 collection now runs through `collect_candidates` on
-//! interned handles, and on a zero-fault context as instrumented lanes.
-//! This suite proves (1) the uniform and mixed per-loop paths are
-//! byte-for-byte the bare compile → link → Caliper-profiled run, probe
-//! by probe and across lane-chunk boundaries, with the same ledger; (2) a
-//! uniform probe and its degenerate per-loop probe are the same
-//! measurement; and (3) under compile-failure, crash, and hang fault
-//! models the `+inf` column discipline and the cost-ledger counters
-//! behave, and the whole collection stays deterministic.
+//! The Figure-4 collection runs through `collect_candidates` on
+//! interned handles, on the one evaluation route: a fault gate, then
+//! instrumented lanes, then a per-lane fault outcome. This suite holds
+//! it to the sequential funnel in `funnel/`, which probes one candidate
+//! after another through a bare compile → link → `try_execute` and
+//! records each successful run into its own Caliper session. It proves
+//! (1) the uniform and mixed per-loop collections are byte-for-byte the
+//! reference, probe by probe and across lane-chunk boundaries, with the
+//! same ledger; (2) a uniform probe and its degenerate per-loop probe
+//! are the same measurement; and (3) under compile-failure, crash, and
+//! hang fault models the collection is the reference's canonical bytes
+//! and ledger, every faulted probe is an all-`+inf` column, and the
+//! whole collection stays deterministic.
 
-use ft_caliper::Caliper;
+mod funnel;
+
 use ft_compiler::{Compiler, FaultModel};
-use ft_core::{collect, collect_candidates, Candidate, EvalContext, MixedCollection, TuningCost};
+use ft_core::{collect, collect_candidates, Candidate, EvalContext, MixedCollection};
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvPool};
-use ft_machine::{execute_profiled, link, Architecture, ExecOptions};
+use ft_machine::Architecture;
 use ft_outline::outline_with_defaults;
 use ft_workloads::workload_by_name;
+use funnel::{Funnel, Ledger};
 use rand::Rng;
 
 fn mk_ctx() -> EvalContext {
@@ -60,53 +66,38 @@ fn assert_column_discipline(data: &MixedCollection) {
     }
 }
 
-/// The bare reference collection: compile every module with its
-/// assigned CV, link, and run one instrumented, Caliper-recorded probe
-/// per assignment, sequentially, on the collection's seed schedule — no
-/// caches, no pool, no lanes. Returns `per_module`, the end-to-end
-/// times, and the machine nanoseconds the ledger must charge.
+/// The reference collection: one instrumented probe per assignment
+/// through the sequential funnel on a fresh context, on the
+/// collection's seed schedule. Returns `per_module`, the end-to-end
+/// times, and the ledger the probes charged.
 fn reference_collection(
     ctx: &EvalContext,
     assignments: &[Vec<Cv>],
     seed: u64,
-) -> (Vec<Vec<f64>>, Vec<f64>, u64) {
-    let k = assignments.len();
-    let j_total = ctx.modules();
-    let hot: Vec<usize> = ctx.ir.hot_loop_ids();
-    let mut per_module = vec![vec![0.0; k]; j_total];
-    let mut e2e = Vec::with_capacity(k);
-    let mut nanos = 0u64;
+) -> (Vec<Vec<f64>>, Vec<f64>, Ledger) {
+    let mut funnel = Funnel::new(ctx, true);
+    let mut per_module = vec![vec![0.0; assignments.len()]; ctx.modules()];
+    let mut e2e = Vec::with_capacity(assignments.len());
     for (kk, assignment) in assignments.iter().enumerate() {
-        let caliper = Caliper::real_time();
         let noise = derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
-        let objects = ctx.compiler.compile_mixed(&ctx.ir, assignment);
-        let linked = link(objects, &ctx.ir, &ctx.arch);
-        let opts = ExecOptions::instrumented(ctx.steps, noise);
-        let total = execute_profiled(&linked, &ctx.arch, &opts, &caliper).total_s;
-        let snap = caliper.snapshot();
-        let mut hot_sum = 0.0;
-        for &j in &hot {
-            let t = snap.inclusive(&ctx.ir.modules[j].name);
-            per_module[j][kk] = t;
-            hot_sum += t;
+        let (column, total) = funnel.probe(assignment, noise);
+        for (row, t) in per_module.iter_mut().zip(column) {
+            row[kk] = t;
         }
-        per_module[j_total - 1][kk] = (total - hot_sum).max(0.0);
         e2e.push(total);
-        nanos += (total * 1e9) as u64;
     }
-    (per_module, e2e, nanos)
+    (per_module, e2e, funnel.ledger)
 }
 
-/// Holds a shipped collection to the bare reference bit for bit, and
-/// its ledger delta to one charged run per probe with the reference's
-/// machine time.
+/// Holds a shipped collection to the reference bit for bit, and its
+/// ledger delta to the reference's.
 fn assert_matches_reference(
-    spent: &TuningCost,
+    spent: &Ledger,
     per_module: &[Vec<f64>],
     end_to_end: &[f64],
-    reference: &(Vec<Vec<f64>>, Vec<f64>, u64),
+    reference: &(Vec<Vec<f64>>, Vec<f64>, Ledger),
 ) {
-    let (ref_per_module, ref_e2e, ref_nanos) = reference;
+    let (ref_per_module, ref_e2e, ref_ledger) = reference;
     assert_eq!(end_to_end.len(), ref_e2e.len());
     for (kk, (got, want)) in end_to_end.iter().zip(ref_e2e).enumerate() {
         assert_eq!(
@@ -125,16 +116,7 @@ fn assert_matches_reference(
             );
         }
     }
-    assert_eq!(
-        spent.runs,
-        ref_e2e.len() as u64,
-        "one charged run per probe"
-    );
-    assert_eq!(
-        spent.machine_seconds.to_bits(),
-        (*ref_nanos as f64 * 1e-9).to_bits(),
-        "machine time charged"
-    );
+    assert_eq!(spent, ref_ledger, "ledger");
 }
 
 /// Collects `k` uniform probes through `collect` and holds them to the
@@ -155,11 +137,12 @@ fn assert_uniform_collection_matches(k: usize, seed: u64) {
     // Shipped: `collect` samples the same CVs and probes them through
     // `collect_candidates` on interned handles, in parallel.
     let ctx = mk_ctx();
-    let before = ctx.cost();
+    let before = Ledger::of(&ctx);
     let data = collect(&ctx, k, seed);
     assert_eq!(data.cvs, cvs);
+    assert_eq!(reference.2.cost.runs, k as u64, "one charged run per probe");
     assert_matches_reference(
-        &ctx.cost().since(&before),
+        &Ledger::of(&ctx).since(&before),
         &data.per_module,
         &data.end_to_end,
         &reference,
@@ -207,10 +190,10 @@ fn mixed_perloop_probes_match_the_bare_path() {
         }
     }
     let reference = reference_collection(&mk_ctx(), &assignments, seed);
-    let before = ctx.cost();
+    let before = Ledger::of(&ctx);
     let data = collect_candidates(&ctx, &pool, &candidates, seed);
     assert_matches_reference(
-        &ctx.cost().since(&before),
+        &Ledger::of(&ctx).since(&before),
         &data.per_module,
         &data.end_to_end,
         &reference,
@@ -246,8 +229,10 @@ fn a_uniform_probe_equals_its_degenerate_perloop_probe() {
 }
 
 /// Probes a mixed batch (10 uniform + 10 per-loop candidates) under
-/// `model` and returns the ledger delta it charged plus the data.
-fn faulted_collection(model: FaultModel) -> (TuningCost, MixedCollection) {
+/// `model`, holds it to the reference on a fresh context by canonical
+/// bytes and ledger, and returns the ledger delta it charged plus the
+/// data.
+fn faulted_collection(model: FaultModel) -> (Ledger, MixedCollection) {
     let ctx = mk_ctx().with_faults(model);
     let pool = CvPool::new();
     let cvs = ctx
@@ -263,9 +248,27 @@ fn faulted_collection(model: FaultModel) -> (TuningCost, MixedCollection) {
                 .collect(),
         ));
     }
-    let before = ctx.cost();
+    let before = Ledger::of(&ctx);
     let data = collect_candidates(&ctx, &pool, &candidates, 77);
-    (ctx.cost().since(&before), data)
+    let spent = Ledger::of(&ctx).since(&before);
+
+    let assignments: Vec<Vec<Cv>> = candidates
+        .iter()
+        .map(|c| match c {
+            Candidate::Uniform(id) => pool.materialize(&vec![*id; ctx.modules()]),
+            Candidate::PerLoop(ids) => pool.materialize(ids),
+        })
+        .collect();
+    let (per_module, end_to_end, ledger) =
+        reference_collection(&mk_ctx().with_faults(model), &assignments, 77);
+    let reference = MixedCollection {
+        candidates,
+        per_module,
+        end_to_end,
+    };
+    assert_eq!(canonical(&data), canonical(&reference), "canonical bytes");
+    assert_eq!(spent, ledger, "ledger");
+    (spent, data)
 }
 
 #[test]
@@ -275,9 +278,9 @@ fn compile_fault_model_quarantines_columns_without_runtime_faults() {
     assert_column_discipline(&data);
     // An ICE never reaches the machine: no crashes, no hangs, and the
     // faulted columns come from quarantined (module, CV) pairs.
-    assert_eq!(spent.crashes, 0);
-    assert_eq!(spent.timeouts, 0);
-    assert!(spent.compile_failures > 0, "0.15 ICE rate never fired");
+    assert_eq!(spent.cost.crashes, 0);
+    assert_eq!(spent.cost.timeouts, 0);
+    assert!(spent.cost.compile_failures > 0, "0.15 ICE rate never fired");
     assert!(
         data.end_to_end.iter().any(|t| t.is_infinite()),
         "no probe faulted under a 0.15 ICE rate"
@@ -296,14 +299,20 @@ fn crash_fault_model_retries_then_gives_up() {
     let model = FaultModel::with_rates(9, 0.0, 0.6, 0.0, 0.0);
     let (spent, data) = faulted_collection(model);
     assert_column_discipline(&data);
-    assert_eq!(spent.compile_failures, 0);
-    assert_eq!(spent.timeouts, 0);
-    assert!(spent.crashes > 0, "0.6 crash rate never fired");
+    assert_eq!(spent.cost.compile_failures, 0);
+    assert_eq!(spent.cost.timeouts, 0);
+    assert!(spent.cost.crashes > 0, "0.6 crash rate never fired");
     // Transient crashes are retried under fresh derived seeds, and
     // every crashed attempt is still a charged run.
-    assert!(spent.retries > 0, "a transient crash was never retried");
-    assert!(spent.runs > data.k() as u64, "retries did not charge runs");
-    assert!(spent.crashes + spent.timeouts <= spent.runs);
+    assert!(
+        spent.cost.retries > 0,
+        "a transient crash was never retried"
+    );
+    assert!(
+        spent.cost.runs > data.k() as u64,
+        "retries did not charge runs"
+    );
+    assert!(spent.cost.crashes + spent.cost.timeouts <= spent.cost.runs);
     let (_, again) = faulted_collection(model);
     assert_eq!(canonical(&data), canonical(&again));
 }
@@ -313,13 +322,13 @@ fn hang_fault_model_charges_timeouts_deterministically() {
     let model = FaultModel::with_rates(9, 0.0, 0.0, 0.3, 0.0);
     let (spent, data) = faulted_collection(model);
     assert_column_discipline(&data);
-    assert_eq!(spent.compile_failures, 0);
-    assert_eq!(spent.crashes, 0);
-    assert!(spent.timeouts > 0, "0.3 hang rate never fired");
-    assert!(spent.crashes + spent.timeouts <= spent.runs);
+    assert_eq!(spent.cost.compile_failures, 0);
+    assert_eq!(spent.cost.crashes, 0);
+    assert!(spent.cost.timeouts > 0, "0.3 hang rate never fired");
+    assert!(spent.cost.crashes + spent.cost.timeouts <= spent.cost.runs);
     // Hangs are deterministic per fingerprint: the faulted columns are
     // exactly reproduced on a fresh context.
     let (spent_again, again) = faulted_collection(model);
     assert_eq!(canonical(&data), canonical(&again));
-    assert_eq!(spent.timeouts, spent_again.timeouts);
+    assert_eq!(spent.cost.timeouts, spent_again.cost.timeouts);
 }

@@ -130,13 +130,27 @@ fn faulted_campaign_replays_bit_identically() {
     let a = tuner(&w, &arch, FaultModel::testbed(0xFA17)).run();
     let b = tuner(&w, &arch, FaultModel::testbed(0xFA17)).run();
     assert_same_run(&a, &b, "same (seed, fault model) twice");
-    // Times are deterministic; so is the *total* injected-fault work
-    // (individual counter attribution may shift between quarantine
-    // and fresh-roll under parallel schedules, the sum may not).
-    let (sa, sb) = (a.ctx.fault_stats(), b.ctx.fault_stats());
-    assert_eq!(sa.ok_runs, sb.ok_runs);
-    assert_eq!(sa.crashes, sb.crashes);
-    assert_eq!(sa.timeouts, sb.timeouts);
+    // Under the serial schedule every counter replays too: each batch
+    // gates its candidates in proposal order.
+    assert_eq!(a.ctx.fault_stats(), b.ctx.fault_stats());
+    assert_eq!(a.ctx.cost(), b.ctx.cost());
+
+    // Under the overlapped schedule times are deterministic; so is the
+    // *total* injected-fault work (individual counter attribution may
+    // shift between quarantine and fresh-roll when concurrent phases
+    // share the quarantine, the sum may not).
+    let c = tuner(&w, &arch, FaultModel::testbed(0xFA17))
+        .overlap_phases()
+        .run();
+    assert_same_run(&a, &c, "serial vs overlapped");
+    let (sa, sc) = (a.ctx.fault_stats(), c.ctx.fault_stats());
+    assert_eq!(sa.ok_runs, sc.ok_runs);
+    assert_eq!(sa.crashes, sc.crashes);
+    assert_eq!(sa.retries, sc.retries);
+    assert_eq!(
+        sa.compile_failures + sa.timeouts + sa.quarantined,
+        sc.compile_failures + sc.timeouts + sc.quarantined
+    );
 }
 
 #[test]

@@ -157,10 +157,10 @@ fn every_tenant_is_byte_identical_to_its_solo_run_at_any_concurrency() {
                     t.segments_run,
                     "{tlabel}: one SegmentCommitted event per segment"
                 );
-                hits_sum += t.object_hits;
-                misses_sum += t.object_misses;
-                link_hits_sum += t.link_hits;
-                link_misses_sum += t.link_misses;
+                hits_sum += t.cost.object_reuses;
+                misses_sum += t.cost.object_compiles;
+                link_hits_sum += t.cost.link_reuses;
+                link_misses_sum += t.cost.links;
             }
 
             // Attribution sums exactly to the store-wide ledger: the

@@ -309,31 +309,71 @@ pub fn execute_profiled(
 /// watchdog without an incumbent reference would use.
 pub const DEFAULT_HANG_CHARGE_FACTOR: f64 = 20.0;
 
-/// Fingerprint of a linked executable for program-level fault rolls:
-/// the order-sensitive fold of its per-module CV digests (the same
-/// value [`FaultModel::program_fingerprint`] computes from a digest
-/// vector, so pre-link quarantine checks and the execution model
-/// agree).
-pub fn program_fingerprint(linked: &LinkedProgram) -> u64 {
-    let digests: Vec<u64> = linked.modules.iter().map(|m| m.cv_digest).collect();
-    FaultModel::program_fingerprint(&digests)
+/// A fault the model injects into one run of an executable.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RunFault {
+    /// The run hung and was killed; `budget_s` is charged.
+    Hang {
+        /// The budget that was charged, seconds.
+        budget_s: f64,
+    },
+    /// The run crashed after `elapsed_s` (transient; retryable).
+    Crash {
+        /// Wall-clock spent before the crash, seconds — still charged.
+        elapsed_s: f64,
+    },
+    /// The run completed, but every time it measured is inflated by
+    /// `factor`.
+    Outlier {
+        /// Multiplier on the end-to-end and every per-module time.
+        factor: f64,
+    },
 }
 
-/// Fallible variant of [`execute`]: rolls the seeded fault model for
-/// this executable and this run before (and after) measuring.
+/// The seeded fault rolls of one run of the program fingerprinted
+/// `fp` under `noise_seed`, whose healthy end-to-end time is `total_s`
+/// (the bits of [`execute`]'s `total_s`, [`execute_total`] or a batch
+/// lane alike). `None` means the run measures cleanly.
 ///
-/// With `faults.is_zero()` this is exactly `RunOutcome::Ok(execute(…))`
-/// — no rolls, no perturbation, bit-identical measurements. Otherwise:
+/// The rolls, in order:
 ///
 /// 1. a **hang** (deterministic per executable) is killed at
-///    `timeout_s` (or [`DEFAULT_HANG_CHARGE_FACTOR`] × the healthy
-///    time when no budget is supplied) and charged that budget;
+///    `timeout_s` (or [`DEFAULT_HANG_CHARGE_FACTOR`] × `total_s` when
+///    no budget is supplied) and charged that budget;
 /// 2. a **crash** (transient per noise seed) costs the partial time
 ///    spent before the fault;
 /// 3. an **outlier** completes but reports an inflated measurement.
 ///
-/// Compile failures are decided before an executable exists, so the
-/// `CompileError` variant is produced by the compile layer, not here.
+/// The caller skips the rolls for a zero model and for a program whose
+/// every module carries the exempt digest, as [`try_execute`] does.
+pub fn roll_run_fault(
+    faults: &FaultModel,
+    fp: u64,
+    noise_seed: u64,
+    total_s: f64,
+    timeout_s: Option<f64>,
+) -> Option<RunFault> {
+    if faults.hangs(fp) {
+        let budget_s = timeout_s.unwrap_or(total_s * DEFAULT_HANG_CHARGE_FACTOR);
+        return Some(RunFault::Hang { budget_s });
+    }
+    if faults.crashes(fp, noise_seed) {
+        let elapsed_s = total_s * faults.crash_fraction(fp, noise_seed);
+        return Some(RunFault::Crash { elapsed_s });
+    }
+    faults
+        .outlier_factor(fp, noise_seed)
+        .map(|factor| RunFault::Outlier { factor })
+}
+
+/// Fallible variant of [`execute`]: measures the run, then applies
+/// [`roll_run_fault`] to it.
+///
+/// With `faults.is_zero()`, or a program built wholly from the exempt
+/// CV, this is exactly `RunOutcome::Ok(execute(…))` — no rolls, no
+/// perturbation, bit-identical measurements. Compile failures are
+/// decided before an executable exists, so the `CompileError` variant
+/// is produced by the compile layer, not here.
 pub fn try_execute(
     linked: &LinkedProgram,
     arch: &Architecture,
@@ -341,50 +381,44 @@ pub fn try_execute(
     faults: &FaultModel,
     timeout_s: Option<f64>,
 ) -> RunOutcome {
+    let mut meas = execute(linked, arch, opts);
     if faults.is_zero() {
-        return RunOutcome::Ok(execute(linked, arch, opts));
+        return RunOutcome::Ok(meas);
     }
     let digests: Vec<u64> = linked.modules.iter().map(|m| m.cv_digest).collect();
     if faults.all_exempt(&digests) {
-        return RunOutcome::Ok(execute(linked, arch, opts));
+        return RunOutcome::Ok(meas);
     }
     let fp = FaultModel::program_fingerprint(&digests);
-    if faults.hangs(fp) {
-        // Only the end-to-end time is needed for the budget; skip the
-        // per-module vector (`execute_total` is bit-identical).
-        let budget_s = timeout_s
-            .unwrap_or_else(|| execute_total(linked, arch, opts) * DEFAULT_HANG_CHARGE_FACTOR);
-        return RunOutcome::Timeout { budget_s };
-    }
-    let meas = execute(linked, arch, opts);
-    if faults.crashes(fp, opts.noise_seed) {
-        return RunOutcome::Crash {
-            elapsed_s: meas.total_s * faults.crash_fraction(fp, opts.noise_seed),
-        };
-    }
-    if let Some(factor) = faults.outlier_factor(fp, opts.noise_seed) {
-        let mut m = meas;
-        m.total_s *= factor;
-        for t in &mut m.per_module_s {
-            *t *= factor;
+    match roll_run_fault(faults, fp, opts.noise_seed, meas.total_s, timeout_s) {
+        None => RunOutcome::Ok(meas),
+        Some(RunFault::Hang { budget_s }) => RunOutcome::Timeout { budget_s },
+        Some(RunFault::Crash { elapsed_s }) => RunOutcome::Crash { elapsed_s },
+        Some(RunFault::Outlier { factor }) => {
+            meas.total_s *= factor;
+            for t in &mut meas.per_module_s {
+                *t *= factor;
+            }
+            RunOutcome::Ok(meas)
         }
-        return RunOutcome::Ok(m);
     }
-    RunOutcome::Ok(meas)
 }
 
 /// Shared fault-quarantine lists: `(module, CV digest)` pairs whose
 /// compilation is known to ICE and program fingerprints known to hang.
 ///
-/// Built for many concurrent readers and rare writers — a campaign
-/// running its search phases in parallel gates every candidate through
-/// these lists, but only newly discovered faults take the write lock.
-/// Whether a concurrent phase observes an entry before or after it is
-/// inserted never changes an evaluation's *value* (a quarantined
-/// candidate scores `+inf` either by skip or by re-deriving the same
-/// deterministic fault); only which counter the `+inf` is attributed
-/// to can shift, which is why equivalence checks compare results, not
-/// attribution.
+/// Built for many concurrent readers and rare writers: only newly
+/// discovered faults take the write lock. Evaluation gates each batch
+/// through these lists in proposal order, one candidate after another,
+/// so a context whose batches run one at a time attributes every
+/// `+inf` to a deterministic counter. Two cases still interleave. Phases
+/// that share one quarantine under the overlapped schedule gate their
+/// batches concurrently: whether one phase observes an entry before or
+/// after another inserts it never changes an evaluation's *value* (a
+/// quarantined candidate scores `+inf` either by skip or by re-deriving
+/// the same deterministic fault); only which counter the `+inf` is
+/// attributed to can shift, which is why equivalence checks across
+/// schedules compare results, not attribution.
 ///
 /// The same caveat extends across *process* boundaries: each worker
 /// of a distributed evaluation plane owns its own quarantine, so a
@@ -458,36 +492,6 @@ impl FaultQuarantine {
     pub fn is_empty(&self) -> bool {
         self.len() == (0, 0)
     }
-}
-
-/// Fallible variant of [`execute_profiled`]: like [`try_execute`], but
-/// a successful run additionally records per-module times into the
-/// Caliper session. Failed runs record nothing (the paper's collection
-/// discards data from runs that did not finish).
-pub fn try_execute_profiled(
-    linked: &LinkedProgram,
-    arch: &Architecture,
-    opts: &ExecOptions,
-    faults: &FaultModel,
-    timeout_s: Option<f64>,
-    caliper: &Caliper,
-) -> RunOutcome {
-    if faults.is_zero() {
-        return RunOutcome::Ok(execute_profiled(linked, arch, opts, caliper));
-    }
-    let outcome = try_execute(linked, arch, opts, faults, timeout_s);
-    if let RunOutcome::Ok(meas) = &outcome {
-        for (m, t) in linked.modules.iter().zip(&meas.per_module_s) {
-            let count = match m.module.kind {
-                ModuleKind::HotLoop(ref f) => {
-                    (f.invocations_per_step * f64::from(opts.steps)).round() as u64
-                }
-                ModuleKind::NonLoop { .. } => u64::from(opts.steps),
-            };
-            caliper.record_flat(&m.module.name, *t, count.max(1));
-        }
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -958,26 +962,6 @@ mod tests {
         assert_eq!(ice.total_s(), f64::INFINITY);
         assert_eq!(ice.charged_s(), 0.0);
         assert!(!ice.is_ok());
-    }
-
-    #[test]
-    fn profiled_faulty_run_records_nothing() {
-        let arch = Architecture::broadwell();
-        let c = Compiler::icc(arch.target);
-        let faults = FaultModel::with_rates(3, 0.0, 0.0, 1.0, 0.0);
-        let cv = c.space().sample(&mut rng_for(1, "exec"));
-        let linked = link(c.compile_program(&ir(), &cv), &ir(), &arch);
-        let cali = Caliper::real_time();
-        let out = try_execute_profiled(
-            &linked,
-            &arch,
-            &ExecOptions::exact(5),
-            &faults,
-            Some(3.0),
-            &cali,
-        );
-        assert!(!out.is_ok());
-        assert_eq!(cali.snapshot().inclusive("compute"), 0.0);
     }
 
     #[test]

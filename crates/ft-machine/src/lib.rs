@@ -21,8 +21,11 @@
 //!    platforms — a roofline model with OpenMP thread scaling,
 //!    SIMD-width- and divergence-aware compute throughput, streaming
 //!    stores, prefetch, spill costs, and lognormal measurement noise;
-//! 3. optionally records per-loop times through `ft-caliper`, which is
-//!    how FuncyTuner's per-loop data collection observes the run.
+//! 3. optionally records per-loop times through `ft-caliper`
+//!    ([`exec::execute_profiled`]), as the outliner's `-O3` profiling
+//!    run does; the lane kernel's per-module output
+//!    ([`batch::execute_batch`]) carries the same bits for the
+//!    per-loop data collection.
 
 pub mod arch;
 pub mod batch;
@@ -34,9 +37,8 @@ pub mod roofline;
 pub use arch::Architecture;
 pub use batch::{execute_batch, execute_batch_total, BatchPlan, BatchTimes, ExecShape};
 pub use exec::{
-    breakdown, execute, execute_profiled, execute_total, program_fingerprint, try_execute,
-    try_execute_profiled, ExecOptions, FaultQuarantine, LoopCost, RunMeasurement, RunOutcome,
-    DEFAULT_HANG_CHARGE_FACTOR,
+    breakdown, execute, execute_profiled, execute_total, roll_run_fault, try_execute, ExecOptions,
+    FaultQuarantine, LoopCost, RunFault, RunMeasurement, RunOutcome, DEFAULT_HANG_CHARGE_FACTOR,
 };
 pub use link::{link, LinkPlan, LinkedProgram, LtoOverride};
 pub use roofline::{analyze as roofline_analyze, Bound, LoopRoofline};

@@ -910,8 +910,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 t.name,
                 run.cfr.speedup(),
                 t.charged_runs,
-                t.object_hits,
-                t.object_misses
+                t.cost.object_reuses,
+                t.cost.object_compiles
             ),
             TenantOutcome::BudgetExhausted { .. } => println!(
                 "  {:<16} budget exhausted after {} charged runs \
