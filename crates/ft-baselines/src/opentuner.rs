@@ -296,7 +296,7 @@ impl Technique for SimAnneal {
                 if time <= *cur_t {
                     true
                 } else {
-                    // Metropolis criterion on relative slowdown,
+                    // Metropolis acceptance on relative slowdown,
                     // deterministic via the slowdown itself (the rng is
                     // not available here; the threshold cools anyway).
                     (time / cur_t - 1.0) < self.temperature

@@ -119,41 +119,6 @@ impl FaultStats {
     }
 }
 
-/// Counters of the two layers of the [`ObjectStore`] a context
-/// evaluates through: per-module objects and whole-program links.
-///
-/// Hits and misses are always this context's own lookups. Ledger
-/// invariants (single-flight caching makes them exact):
-/// `object_hits + object_misses == object_lookups`,
-/// `object_computes == object_misses`, and likewise for links.
-/// Eviction counters are the store's, so they are per-context exactly
-/// when the store is the context's private one and store-global when
-/// it is shared ([`EvalContext::with_shared_store`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Object-cache hits (modules reused instead of recompiled).
-    pub object_hits: u64,
-    /// Object-cache misses (modules actually compiled).
-    pub object_misses: u64,
-    /// Object-cache lookups (`hits + misses`).
-    pub object_lookups: u64,
-    /// Compile closures actually executed (`== object_misses`).
-    pub object_computes: u64,
-    /// Objects evicted to stay within capacity.
-    pub object_evictions: u64,
-    /// Link-cache hits (duplicate assignments that reused a
-    /// `LinkedProgram`).
-    pub link_hits: u64,
-    /// Link-cache misses (links actually performed).
-    pub link_misses: u64,
-    /// Link-cache lookups (`hits + misses`).
-    pub link_lookups: u64,
-    /// Link closures actually executed (`== link_misses`).
-    pub link_computes: u64,
-    /// Linked programs evicted to stay within capacity.
-    pub link_evictions: u64,
-}
-
 /// A context's attachment to its [`ObjectStore`]: the fingerprints
 /// that scope this context's keys, plus per-context hit/miss
 /// attribution so each experiment row still balances its own
@@ -574,29 +539,6 @@ impl EvalContext {
         }
     }
 
-    /// Counters of the object and link layers (see [`CacheStats`]):
-    /// hits/misses are this context's own lookups, so per-row ledgers
-    /// balance even on a shared store; evictions are the store's.
-    pub fn cache_stats(&self) -> CacheStats {
-        let b = &self.store;
-        let object_hits = b.object_hits.load(Ordering::Relaxed);
-        let object_misses = b.object_misses.load(Ordering::Relaxed);
-        let link_hits = b.link_hits.load(Ordering::Relaxed);
-        let link_misses = b.link_misses.load(Ordering::Relaxed);
-        CacheStats {
-            object_hits,
-            object_misses,
-            object_lookups: object_hits + object_misses,
-            object_computes: object_misses,
-            object_evictions: b.store.object_stats().evictions,
-            link_hits,
-            link_misses,
-            link_lookups: link_hits + link_misses,
-            link_computes: link_misses,
-            link_evictions: b.store.link_stats().evictions,
-        }
-    }
-
     /// High-water marks `(objects, links)` of resident entries in the
     /// store this context evaluates through.
     pub fn cache_peaks(&self) -> (u64, u64) {
@@ -698,7 +640,7 @@ impl EvalContext {
     /// the single conversion to seconds — so the merged total is
     /// bit-identical to a serial run's.
     pub fn cost(&self) -> crate::cost::TuningCost {
-        let stats = self.cache_stats();
+        let b = &self.store;
         let faults = self.fault_stats();
         let plane = self
             .remote
@@ -707,12 +649,12 @@ impl EvalContext {
             .unwrap_or_default();
         let nanos = self.machine_nanos.load(Ordering::Relaxed) + plane.machine_nanos;
         crate::cost::TuningCost {
-            object_compiles: stats.object_misses + plane.object_compiles,
-            object_reuses: stats.object_hits + plane.object_reuses,
-            object_evictions: stats.object_evictions + plane.object_evictions,
-            links: stats.link_misses + plane.links,
-            link_reuses: stats.link_hits + plane.link_reuses,
-            link_evictions: stats.link_evictions + plane.link_evictions,
+            object_compiles: b.object_misses.load(Ordering::Relaxed) + plane.object_compiles,
+            object_reuses: b.object_hits.load(Ordering::Relaxed) + plane.object_reuses,
+            object_evictions: b.store.object_stats().evictions + plane.object_evictions,
+            links: b.link_misses.load(Ordering::Relaxed) + plane.links,
+            link_reuses: b.link_hits.load(Ordering::Relaxed) + plane.link_reuses,
+            link_evictions: b.store.link_stats().evictions + plane.link_evictions,
             runs: self.runs.load(Ordering::Relaxed) + plane.runs,
             machine_seconds: nanos as f64 * 1e-9,
             compile_failures: faults.compile_failures,
@@ -1111,15 +1053,24 @@ mod tests {
 
     #[test]
     fn cache_ledger_balances() {
-        let ctx = ctx_for("swim", Some(5));
+        // A store the test owns, with this context as its only user:
+        // the store counts lookups, hits, misses and computes on its
+        // own, so the context's ledger must match it exactly.
+        let store = Arc::new(ObjectStore::new());
+        let ctx = ctx_for("swim", Some(5)).with_shared_store(store.clone());
         let cvs = ctx.space().sample_many(12, &mut rng_for(3, "ledger"));
         let _ = uniform_batch(&ctx, &cvs);
-        let s = ctx.cache_stats();
-        assert_eq!(s.object_hits + s.object_misses, s.object_lookups);
-        assert_eq!(s.object_computes, s.object_misses);
-        assert_eq!(s.link_hits + s.link_misses, s.link_lookups);
-        assert_eq!(s.link_computes, s.link_misses);
-        assert_eq!(s.object_evictions, 0, "unbounded context never evicts");
+        let (o, l) = (store.object_stats(), store.link_stats());
+        assert_eq!(o.hits + o.misses, o.lookups, "{o:?}");
+        assert_eq!(o.computes, o.misses, "{o:?}");
+        assert_eq!(l.hits + l.misses, l.lookups, "{l:?}");
+        assert_eq!(l.computes, l.misses, "{l:?}");
+        let cost = ctx.cost();
+        assert_eq!(cost.object_compiles, o.computes, "{cost:?}");
+        assert_eq!(cost.object_reuses, o.hits, "{cost:?}");
+        assert_eq!(cost.links, l.computes, "{cost:?}");
+        assert_eq!(cost.link_reuses, l.hits, "{cost:?}");
+        assert_eq!(cost.object_evictions, 0, "unbounded context never evicts");
     }
 
     #[test]
@@ -1132,10 +1083,10 @@ mod tests {
             uniform_batch(&bounded, &cvs),
             "eviction must never change a measurement"
         );
-        let s = bounded.cache_stats();
+        let c = bounded.cost();
         assert!(
-            s.object_evictions > 0 || s.link_evictions > 0,
-            "capacity-1 caches must evict: {s:?}"
+            c.object_evictions > 0 || c.link_evictions > 0,
+            "capacity-1 caches must evict: {c:?}"
         );
     }
 
@@ -1154,12 +1105,12 @@ mod tests {
         // The second context compiled and linked nothing: every link
         // lookup hit the programs the first context installed, so the
         // object layer was never even consulted.
-        let sb = b.cache_stats();
-        assert_eq!(sb.link_misses, 0, "{sb:?}");
-        assert!(sb.link_hits > 0, "{sb:?}");
-        assert_eq!(sb.object_lookups, 0, "{sb:?}");
+        let cb = b.cost();
+        assert_eq!(cb.links, 0, "{cb:?}");
+        assert!(cb.link_reuses > 0, "{cb:?}");
+        assert_eq!(cb.object_compiles + cb.object_reuses, 0, "{cb:?}");
         // Store-wide, each (module, CV) pair compiled exactly once.
-        assert_eq!(store.object_stats().computes, a.cache_stats().object_misses);
+        assert_eq!(store.object_stats().computes, a.cost().object_compiles);
     }
 
     #[test]

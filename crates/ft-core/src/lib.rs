@@ -59,7 +59,7 @@ pub use collection::{collect, collect_candidates, CollectionData, MixedCollectio
 pub use convergence::Convergence;
 pub use cost::TuningCost;
 pub use critical::critical_flags;
-pub use ctx::{CacheStats, EvalContext, FaultStats, ResilienceConfig};
+pub use ctx::{EvalContext, FaultStats, ResilienceConfig};
 pub use extensions::{cfr_adaptive, cfr_iterative, cfr_iterative_recollect};
 pub use framing::{
     append_frame, crc32, decode_frame, decode_frames, encode_frame, FRAME_HEADER, MAX_FRAME_BYTES,

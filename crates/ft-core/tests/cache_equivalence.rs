@@ -132,32 +132,32 @@ fn eviction_and_sharing_are_result_invariant_across_the_matrix() {
 #[test]
 fn tiny_capacities_thrash_but_the_ledger_balances() {
     let faults = FaultModel::with_rates(7, 0.0, 0.0, 0.0, 0.0);
+    // A capacity-1 store the test owns; the campaign is its only user.
+    let store = Arc::new(ObjectStore::with_capacity(CacheCapacity::Entries(1)));
     let run = campaign(
         "swim",
         42,
         &faults,
         ScheduleMode::Serial,
         CacheCapacity::Entries(1),
-        None,
+        Some(store.clone()),
     );
-    let stats = run.ctx.cache_stats();
+    let (o, l) = (store.object_stats(), store.link_stats());
     assert!(
-        stats.object_evictions > 0 && stats.link_evictions > 0,
-        "capacity 1 must evict in both layers: {stats:?}"
+        o.evictions > 0 && l.evictions > 0,
+        "capacity 1 must evict in both layers: {o:?} {l:?}"
     );
-    // Single-flight accounting: every miss computes, every lookup is
-    // either a hit or a miss — even under eviction churn.
-    assert_eq!(stats.object_computes, stats.object_misses, "{stats:?}");
-    assert_eq!(
-        stats.object_hits + stats.object_misses,
-        stats.object_lookups,
-        "{stats:?}"
-    );
-    assert_eq!(
-        stats.link_hits + stats.link_misses,
-        stats.link_lookups,
-        "{stats:?}"
-    );
+    // Single-flight accounting on the store's own counters: every miss
+    // computes, every lookup is either a hit or a miss — even under
+    // eviction churn.
+    assert_eq!(o.computes, o.misses, "{o:?}");
+    assert_eq!(o.hits + o.misses, o.lookups, "{o:?}");
+    assert_eq!(l.computes, l.misses, "{l:?}");
+    assert_eq!(l.hits + l.misses, l.lookups, "{l:?}");
+    // The campaign's ledger is the store's.
+    let cost = run.ctx.cost();
+    assert_eq!(cost.object_compiles, o.computes, "{cost:?}");
+    assert_eq!(cost.links, l.computes, "{cost:?}");
 }
 
 /// One store shared by *different* campaigns: each must still match

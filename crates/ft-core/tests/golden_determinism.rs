@@ -202,10 +202,10 @@ fn bounded_caches_pin_the_same_canonical_digest() {
             GOLDEN_CANONICAL_DIGEST,
             "digest drifted under {capacity:?}"
         );
-        let stats = run.ctx.cache_stats();
+        let cost = run.ctx.cost();
         assert!(
-            stats.object_evictions > 0,
-            "{capacity:?} should evict under a 60-sample campaign: {stats:?}"
+            cost.object_evictions > 0,
+            "{capacity:?} should evict under a 60-sample campaign: {cost:?}"
         );
     }
 }

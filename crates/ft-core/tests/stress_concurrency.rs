@@ -102,24 +102,18 @@ fn sixteen_threads_agree_with_the_uncached_path() {
         }
     });
 
-    let stats = ctx.cache_stats();
-    let total_links = stats.link_hits + stats.link_misses;
+    let cost = ctx.cost();
     assert_eq!(
-        total_links,
+        cost.links + cost.link_reuses,
         (THREADS * assignments.len()) as u64,
-        "one lookup per eval"
+        "one lookup per eval: {cost:?}"
     );
     // 24 distinct assignments; the link cache is single-flight, so
-    // racing threads coalesce on one compute per key and the miss
+    // racing threads coalesce on one compute per key and the link
     // count is *exactly* the distinct-key count — no matter how the
     // 16 threads interleave.
-    assert_eq!(stats.link_misses, 24, "{stats:?}");
-    assert_eq!(
-        stats.link_hits,
-        total_links - 24,
-        "every non-creating lookup is a hit: {stats:?}"
-    );
-    assert!(stats.object_hits > 0, "{stats:?}");
+    assert_eq!(cost.links, 24, "{cost:?}");
+    assert!(cost.object_reuses > 0, "{cost:?}");
 }
 
 #[test]
@@ -169,32 +163,33 @@ fn sixteen_threads_share_one_tiny_store_without_deadlock_or_drift() {
                             (k, eval_one(&ctx, pool, &assignments[k], seed_of(k)))
                         })
                         .collect();
-                    // Per-thread ledgers stay balanced even though the
-                    // eviction traffic is store-global.
-                    let stats = ctx.cache_stats();
-                    assert_eq!(
-                        stats.link_hits + stats.link_misses,
-                        stats.link_lookups,
-                        "{stats:?}"
-                    );
-                    assert_eq!(
-                        stats.object_hits + stats.object_misses,
-                        stats.object_lookups,
-                        "{stats:?}"
-                    );
-                    times
+                    (times, ctx.cost())
                 })
             })
             .collect();
+        let (mut compiles, mut links) = (0, 0);
         for h in handles {
-            for (k, t) in h.join().expect("store-stress thread panicked") {
+            let (times, cost) = h.join().expect("store-stress thread panicked");
+            for (k, t) in times {
                 assert_eq!(
                     t.to_bits(),
                     reference[k].to_bits(),
                     "shared tiny store diverged from the private path at {k}"
                 );
             }
+            compiles += cost.object_compiles;
+            links += cost.links;
         }
+        // Single-flight accounting under eviction churn, on the store's
+        // own counters. The sixteen contexts are the store's only
+        // users, so their per-thread ledgers sum to its computes.
+        let (o, l) = (store.object_stats(), store.link_stats());
+        assert_eq!(o.hits + o.misses, o.lookups, "{o:?}");
+        assert_eq!(o.computes, o.misses, "{o:?}");
+        assert_eq!(l.hits + l.misses, l.lookups, "{l:?}");
+        assert_eq!(l.computes, l.misses, "{l:?}");
+        assert_eq!(compiles, o.computes, "per-thread compiles vs the store");
+        assert_eq!(links, l.computes, "per-thread links vs the store");
     });
 
     // The store really was under pressure: it evicted, and it never

@@ -8,6 +8,7 @@
 //! repro fig6 --seed 7 --k 400  # override parameters
 //! ```
 
+use ft_core::MAX_BUDGET;
 use ft_report::render;
 use ft_report::{all_ids, run_experiment, ReproConfig};
 use std::io::Write;
@@ -77,6 +78,15 @@ fn main() {
     }
     if ids.is_empty() {
         die("no experiments selected; try `repro all` or --list");
+    }
+    if !(2..=MAX_BUDGET).contains(&cfg.k) {
+        die(&format!(
+            "--k needs a sample budget in [2, {MAX_BUDGET}], got {}",
+            cfg.k
+        ));
+    }
+    if cfg.x == 0 {
+        die("--x needs a focus width of at least 1");
     }
     ids.dedup();
     if shared_store {
@@ -165,7 +175,9 @@ fn print_help() {
                 repro [ids...] [--cache-capacity N] [--no-shared-store]\n\
                 repro --list\n\n\
          Default is quick mode (reduced budget, minutes). --full runs the\n\
-         paper's K=1000 protocol. The --fault-* probabilities inject\n\
+         paper's K=1000 protocol. --k takes a sample budget in\n\
+         [2, {MAX_BUDGET}] and --x a focus width of at least 1; anything\n\
+         else exits 2. The --fault-* probabilities inject\n\
          deterministic toolchain faults (seeded off --seed); the harness\n\
          retries, quarantines, and reports them in the overhead table.\n\
          --cfr-iterative adds the iterative-CFR extension rows to the\n\

@@ -594,16 +594,18 @@ fn ablation_x(cfg: &ReproConfig) -> Artifact {
 }
 
 /// Ablation (beyond the paper's figures, motivated by §4.3): CFR
-/// speedup and convergence point vs the sample budget K.
+/// speedup and convergence point vs the sample budget K. The ladder
+/// ends at the configured K, so a budget below its first rung still
+/// yields one point.
 fn ablation_k(cfg: &ReproConfig) -> Artifact {
     let arch = Architecture::broadwell();
     let w = workload_by_name("CloverLeaf").expect("CloverLeaf in suite");
     let run = tune_workload(&w, &arch, cfg);
     let ctx = &run.ctx;
     let budgets: Vec<usize> = [25usize, 50, 100, 200, 400, 1000]
-        .iter()
-        .cloned()
-        .filter(|k| *k <= cfg.k)
+        .into_iter()
+        .filter(|k| *k < cfg.k)
+        .chain([cfg.k])
         .collect();
     let seed = derive_seed(cfg.seed, "ablation-k");
     let mut speedups = Vec::new();
@@ -1138,6 +1140,28 @@ mod tests {
         assert!(ids.contains(&"ablation-x"));
         assert!(ids.contains(&"ablation-faults"));
         assert!(ids.contains(&"pareto"));
+    }
+
+    #[test]
+    fn every_registry_artifact_runs_and_renders() {
+        let mut cfg = ReproConfig::quick();
+        cfg.k = 20;
+        cfg.x = 4;
+        for &id in all_ids() {
+            let a = run_experiment(id, &cfg);
+            assert_eq!(a.id(), id);
+            let populated = match &a {
+                Artifact::Figure(f) => {
+                    !f.series.is_empty() && f.series.iter().all(|s| !s.points.is_empty())
+                }
+                Artifact::Table(t) => !t.rows.is_empty(),
+            };
+            assert!(populated, "{id} produced no data");
+            assert!(
+                !crate::render::render(&a).is_empty(),
+                "{id} rendered nothing"
+            );
+        }
     }
 
     #[test]

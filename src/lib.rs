@@ -74,10 +74,10 @@ pub mod prelude {
         cfr, cfr_adaptive, cfr_iterative, collect, fr_search, greedy, random_search,
     };
     pub use ft_core::{AdmissionError, CampaignSpec, ServerConfig, TenantOutcome, TuningServer};
-    pub use ft_core::{CacheStats, Convergence, MeasurementStats, ObjectStore, TuningCost};
     pub use ft_core::{
         ChaosPolicy, Journal, Supervisor, SupervisorConfig, SupervisorError, SupervisorReport,
     };
+    pub use ft_core::{Convergence, MeasurementStats, ObjectStore, TuningCost};
     pub use ft_core::{EvalContext, ScheduleMode, Tuner, TuningResult, TuningRun};
     pub use ft_flags::{Cv, FlagSpace};
     pub use ft_machine::{execute, link, Architecture, ExecOptions};

@@ -181,6 +181,9 @@ proptest! {
             n => CacheCapacity::Entries(n as usize),
         };
         let mode = if overlap { ScheduleMode::Overlapped } else { ScheduleMode::Serial };
+        // A store the test owns, so its independently counted lookups,
+        // hits, misses and computes can be held against the ledger.
+        let store = std::sync::Arc::new(ObjectStore::with_capacity(cap));
         let run = Tuner::new(&w, &arch)
             .budget(budget)
             .focus(6)
@@ -188,21 +191,23 @@ proptest! {
             .cap_steps(3)
             .faults(faults)
             .schedule(mode)
-            .cache_capacity(cap)
+            .shared_store(store.clone())
             .run();
-        let s: CacheStats = run.ctx.cache_stats();
-        // compiles == cache misses, in both the stats and the cost
+        let (o, l) = (store.object_stats(), store.link_stats());
+        // compiles == cache misses, in both the store and the cost
         // ledger the overhead table prints.
-        prop_assert_eq!(s.object_computes, s.object_misses);
+        prop_assert_eq!(o.computes, o.misses);
+        prop_assert_eq!(l.computes, l.misses);
         let cost = run.ctx.cost();
-        prop_assert_eq!(cost.object_compiles, s.object_misses);
+        prop_assert_eq!(cost.object_compiles, o.computes);
+        prop_assert_eq!(cost.links, l.computes);
         // hits + misses == lookups, at both layers.
-        prop_assert_eq!(s.object_hits + s.object_misses, s.object_lookups);
-        prop_assert_eq!(s.link_hits + s.link_misses, s.link_lookups);
+        prop_assert_eq!(o.hits + o.misses, o.lookups);
+        prop_assert_eq!(l.hits + l.misses, l.lookups);
         // Only bounded runs may evict.
         if capacity == 0 {
-            prop_assert_eq!(s.object_evictions, 0);
-            prop_assert_eq!(s.link_evictions, 0);
+            prop_assert_eq!(cost.object_evictions, 0);
+            prop_assert_eq!(cost.link_evictions, 0);
         }
     }
 
