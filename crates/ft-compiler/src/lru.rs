@@ -98,8 +98,6 @@ pub struct ShardedLru<K, V> {
     misses: AtomicU64,
     computes: AtomicU64,
     evictions: AtomicU64,
-    resident: AtomicU64,
-    peak_resident: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
@@ -122,8 +120,6 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             misses: AtomicU64::new(0),
             computes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-            peak_resident: AtomicU64::new(0),
         }
     }
 
@@ -196,9 +192,6 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
                     let (_, oldest) = shard.order.pop_first().expect("order tracks map");
                     shard.map.remove(&oldest).expect("map tracks order");
                     self.evictions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let resident = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.peak_resident.fetch_max(resident, Ordering::Relaxed);
                 }
                 (cell, false)
             }
@@ -219,11 +212,6 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     /// Current resident entries.
     pub fn resident(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// High-water mark of resident entries over the cache's lifetime.
-    pub fn peak_resident(&self) -> u64 {
-        self.peak_resident.load(Ordering::Relaxed)
     }
 }
 
@@ -249,7 +237,6 @@ mod tests {
             lru.get_or_compute(k, || value_of(k));
         }
         assert_eq!(lru.resident(), 200);
-        assert_eq!(lru.peak_resident(), 200);
         let s = lru.stats();
         assert_eq!(s.evictions, 0);
         assert_eq!(s.misses, 200);
@@ -266,10 +253,10 @@ mod tests {
         let lru: ShardedLru<u64, Obj> = ShardedLru::new(CacheCapacity::Entries(32));
         for k in 0..500 {
             lru.get_or_compute(k, || value_of(k));
+            let resident = lru.resident();
+            assert!(resident <= 32, "resident {resident} over budget after {k}");
         }
         let resident = lru.resident();
-        assert!(resident <= 32, "resident {resident} over budget");
-        assert!(lru.peak_resident() <= 32);
         assert_eq!(lru.stats().evictions as usize, 500 - resident);
     }
 

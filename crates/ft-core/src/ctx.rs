@@ -123,7 +123,7 @@ impl FaultStats {
 /// that scope this context's keys, plus per-context hit/miss
 /// attribution so each experiment row still balances its own
 /// `links + link_reuses == runs` ledger even when the resident objects
-/// are shared process-wide.
+/// are shared with other contexts.
 ///
 /// A private store (the default) is keyed positionally — module `i`'s
 /// object scope is `i`, the link fingerprint 0 — because one context
@@ -206,7 +206,8 @@ pub struct EvalContext {
     /// per-module CV digests) is linked once; `link` is deterministic,
     /// so only the noise-seeded execution differs between duplicates.
     /// Private to this context unless [`EvalContext::with_shared_store`]
-    /// binds a process-wide one (fault quarantine stays per-context).
+    /// binds one shared with other contexts (fault quarantine stays
+    /// per-context).
     store: StoreBinding,
     /// `ir.modules`, each behind one `Arc` that every object this
     /// context compiles points at, so an object carries no copy of its
@@ -537,12 +538,6 @@ impl EvalContext {
                 Cow::Borrowed(ids)
             }
         }
-    }
-
-    /// High-water marks `(objects, links)` of resident entries in the
-    /// store this context evaluates through.
-    pub fn cache_peaks(&self) -> (u64, u64) {
-        self.store.store.peak_resident()
     }
 
     /// The lane-oriented execution plan for this context's `(program,

@@ -416,8 +416,9 @@ impl<'a> Tuner<'a> {
         self
     }
 
-    /// Evaluates through a process-wide [`ObjectStore`] shared with
-    /// other campaigns/contexts instead of a campaign-private one.
+    /// Evaluates through an [`ObjectStore`] shared with other
+    /// campaigns/contexts (the daemon's tenants) instead of a
+    /// campaign-private one.
     /// Sharing is result-invariant (content-fingerprint keys; pure
     /// compile/link functions); the fault quarantine stays private.
     pub fn shared_store(mut self, store: Arc<ObjectStore>) -> Self {

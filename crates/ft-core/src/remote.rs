@@ -995,11 +995,6 @@ impl RemotePlane {
         *self.ledger.lock().expect("plane ledger poisoned")
     }
 
-    /// The deterministic candidate-index → shard assignment.
-    pub fn shard_of(&self, index: usize) -> usize {
-        index % self.slots.len()
-    }
-
     /// Evaluates one proposal batch across the workers and returns
     /// scores in proposal order. Candidates are sharded by index,
     /// dispatched concurrently (one thread per non-empty shard), and

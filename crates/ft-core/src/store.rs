@@ -4,10 +4,9 @@
 //! [`ObjectStore`], the analogue of the build-system object reuse the
 //! paper's prototype gets from `xiar`/`xild`. By default the store is
 //! private to the context and keyed positionally (one context fixes
-//! the compiler, program and architecture). But `repro` builds a fresh
-//! context per experiment row, so fig5a, fig5b, fig5c, and the
-//! ablations would recompile identical `(module, CV)` pairs several
-//! times over; there, contexts share one process-wide store, keyed by
+//! the compiler, program and architecture). Contexts that evaluate the
+//! same work side by side — the daemon's tenants, which run one suite
+//! workload under several seeds — share one store instead, keyed by
 //! content fingerprints so distinct programs, inputs, compilers, or
 //! architectures can never collide:
 //!
@@ -33,7 +32,7 @@
 //! value bit-identical to what the borrowing context would have
 //! computed itself. Only the *fault quarantine* stays per-context —
 //! fault models are context configuration and must not leak between
-//! experiments. Sharing is proved result-invariant by the
+//! tenants. Sharing is proved result-invariant by the
 //! `cache_equivalence` suite against the golden canonical digests.
 
 use ft_compiler::lru::{CacheCapacity, LruStats, ShardedLru};
@@ -421,11 +420,6 @@ impl ObjectStore {
     /// Resident entries `(objects, links)`.
     pub fn len(&self) -> (usize, usize) {
         (self.objects.resident(), self.links.resident())
-    }
-
-    /// High-water marks `(objects, links)` of resident entries.
-    pub fn peak_resident(&self) -> (u64, u64) {
-        (self.objects.peak_resident(), self.links.peak_resident())
     }
 }
 

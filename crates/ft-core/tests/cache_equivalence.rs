@@ -8,9 +8,10 @@
 //! shared cross-context object store must all produce byte-identical
 //! `TuningRun::canonical_bytes()`.
 //!
-//! The CI `cache` suite row re-runs this suite with
-//! `FT_CACHE_CAPACITY` set to `1`, `7`, and `unbounded` to pin each
-//! pressure point individually; unset, the matrix sweeps all of them.
+//! CI's `capacity-and-faults` row re-runs this suite with
+//! `FT_CACHE_CAPACITY` set to `1` and `7` to pin each pressure point
+//! individually (`unbounded` is also accepted); unset, as in tier-1,
+//! the matrix sweeps all of them.
 
 use ft_compiler::{CacheCapacity, FaultModel};
 use ft_core::{ObjectStore, Phase, ScheduleMode, Tuner, TuningRun};
@@ -39,7 +40,7 @@ fn fault_models(seed: u64) -> Vec<(&'static str, FaultModel)> {
 }
 
 /// The cache-pressure points under test. `FT_CACHE_CAPACITY` (CI's
-/// `cache` suite row) narrows the sweep to one of them.
+/// `capacity-and-faults` row) narrows the sweep to one of them.
 fn capacities_under_test() -> Vec<(String, CacheCapacity)> {
     let all = vec![
         ("entries-1".to_string(), CacheCapacity::Entries(1)),

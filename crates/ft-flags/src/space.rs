@@ -198,16 +198,6 @@ impl FlagSpace {
         self.flags.iter().position(|f| f.name == name)
     }
 
-    /// All flag ids belonging to a semantic domain.
-    pub fn ids_in_domain(&self, domain: FlagDomain) -> Vec<FlagId> {
-        self.flags
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.domain == domain)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// `|COS|` — the product of all flag arities, as `f64` (the exact
     /// integer overflows `u64` readability-wise but not numerically; we
     /// keep `f64` for reporting).

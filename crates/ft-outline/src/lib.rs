@@ -44,16 +44,6 @@ pub struct HotLoopReport {
     pub steps: u32,
 }
 
-impl HotLoopReport {
-    /// Share of a module by name (0 when absent).
-    pub fn fraction_of(&self, name: &str) -> f64 {
-        self.shares
-            .iter()
-            .find(|(_, n, _, _)| n == name)
-            .map_or(0.0, |(_, _, _, f)| *f)
-    }
-}
-
 /// Profiles `ir` at `-O3` on `arch` through Caliper and classifies
 /// loops against `threshold`.
 pub fn detect_hot_loops(

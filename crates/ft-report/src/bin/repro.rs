@@ -34,7 +34,6 @@ fn main() {
     let mut json_dir: Option<String> = None;
     let mut md_dir: Option<String> = None;
     let mut compare_paper = false;
-    let mut shared_store = true;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -63,9 +62,7 @@ fn main() {
             "--fault-hang" => cfg.fault_hang = parse_rate(it.next(), "--fault-hang"),
             "--fault-outlier" => cfg.fault_outlier = parse_rate(it.next(), "--fault-outlier"),
             "--cfr-iterative" => cfg.cfr_iterative = true,
-            "--phase-parallel" => cfg.phase_parallel = true,
             "--cache-capacity" => cfg.cache_capacity = Some(parse(it.next(), "--cache-capacity")),
-            "--no-shared-store" => shared_store = false,
             "all" => ids.extend(all_ids().iter().map(|s| s.to_string())),
             other if other.starts_with("--") => die(&format!("unknown option {other}")),
             other => {
@@ -89,14 +86,6 @@ fn main() {
         die("--x needs a focus width of at least 1");
     }
     ids.dedup();
-    if shared_store {
-        // One process-wide object store: fig5a/b/c and the ablations
-        // re-compile the same (module, CV) pairs, so later experiments
-        // borrow the earlier ones' objects. Result-invariant (the
-        // cache_equivalence suite proves it), so it is on by default.
-        cfg = cfg.with_shared_store();
-    }
-
     for dir in [&json_dir, &md_dir].into_iter().flatten() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir}: {e}")));
     }
@@ -127,23 +116,6 @@ fn main() {
             eprintln!("[repro] wrote {path}");
         }
     }
-    if let Some(store) = &cfg.store {
-        let o = store.object_stats();
-        let l = store.link_stats();
-        let (obj_len, link_len) = store.len();
-        let (obj_peak, link_peak) = store.peak_resident();
-        eprintln!(
-            "[repro] shared store: {obj_len} objects + {link_len} links resident \
-             (peak {obj_peak}/{link_peak}), \
-             {}/{} object lookups hit, {}/{} link lookups hit, \
-             {} evictions",
-            o.hits,
-            o.lookups,
-            l.hits,
-            l.lookups,
-            o.evictions + l.evictions,
-        );
-    }
 }
 
 fn parse<T: std::str::FromStr>(v: Option<&String>, opt: &str) -> T {
@@ -171,8 +143,7 @@ fn print_help() {
         "repro — regenerate the FuncyTuner paper's tables and figures\n\n\
          usage: repro [ids...|all] [--full] [--compare] [--json DIR] [--md DIR] [--seed N] [--k N] [--x N]\n\
                 repro [ids...] [--fault-compile P] [--fault-crash P] [--fault-hang P] [--fault-outlier P]\n\
-                repro [ids...] [--cfr-iterative] [--phase-parallel]\n\
-                repro [ids...] [--cache-capacity N] [--no-shared-store]\n\
+                repro [ids...] [--cfr-iterative] [--cache-capacity N]\n\
                 repro --list\n\n\
          Default is quick mode (reduced budget, minutes). --full runs the\n\
          paper's K=1000 protocol. --k takes a sample budget in\n\
@@ -183,12 +154,8 @@ fn print_help() {
          --cfr-iterative adds the iterative-CFR extension rows to the\n\
          overhead table, including the variant that re-collects\n\
          per-loop timers under its non-uniform incumbent.\n\
-         --phase-parallel overlaps each campaign's phases on the DAG\n\
-         scheduler; results are bit-identical to the serial schedule.\n\
-         --cache-capacity bounds every object/link cache to N entries\n\
-         (LRU eviction); --no-shared-store disables the process-wide\n\
-         object store that de-duplicates compiles across experiments.\n\
-         Both knobs only move the cost counters — results are\n\
-         bit-identical (see the cache_equivalence suite)."
+         --cache-capacity bounds every context's object/link store to N\n\
+         entries (LRU eviction). It only moves the cost counters —\n\
+         results are bit-identical (see the cache_equivalence suite)."
     );
 }

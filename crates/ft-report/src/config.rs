@@ -1,13 +1,10 @@
 //! Reproduction presets.
 
 use ft_compiler::{CacheCapacity, FaultModel};
-use ft_core::ObjectStore;
 use ft_flags::rng::derive_seed;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Parameters controlling the scale of a reproduction run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReproConfig {
     /// Root seed; all experiments derive independent sub-seeds.
     pub seed: u64,
@@ -22,37 +19,20 @@ pub struct ReproConfig {
     /// OpenTuner test-iteration budget (paper: 1000).
     pub opentuner_budget: usize,
     /// Injected compile-failure probability per `(module, CV)` pair.
-    #[serde(default)]
     pub fault_compile: f64,
     /// Injected transient-crash probability per run.
-    #[serde(default)]
     pub fault_crash: f64,
     /// Injected hang probability per executable.
-    #[serde(default)]
     pub fault_hang: f64,
     /// Injected outlier-measurement probability per run.
-    #[serde(default)]
     pub fault_outlier: f64,
     /// Add the iterative-CFR extension rows (`CFR-iterative` and the
     /// re-collecting `CFR-iter-recollect`) to the overhead table.
-    #[serde(default)]
     pub cfr_iterative: bool,
-    /// Run each campaign's phases overlapped on the DAG scheduler
-    /// (results are bit-identical either way; only wall time differs).
-    #[serde(default)]
-    pub phase_parallel: bool,
     /// Bound every context's object/link caches to this many entries
     /// (LRU eviction; `None` = unbounded). Result-invariant: eviction
     /// only moves the cost counters.
-    #[serde(default)]
     pub cache_capacity: Option<u64>,
-    /// Process-wide object store the run's contexts borrow, so
-    /// fig5a/b/c and the ablations de-duplicate identical compiles.
-    /// Not serialized — the `repro` binary installs one per invocation
-    /// via [`ReproConfig::with_shared_store`]; a deserialized config
-    /// starts without one.
-    #[serde(skip)]
-    pub store: Option<Arc<ObjectStore>>,
 }
 
 impl ReproConfig {
@@ -70,9 +50,7 @@ impl ReproConfig {
             fault_hang: 0.0,
             fault_outlier: 0.0,
             cfr_iterative: false,
-            phase_parallel: false,
             cache_capacity: None,
-            store: None,
         }
     }
 
@@ -90,18 +68,8 @@ impl ReproConfig {
             fault_hang: 0.0,
             fault_outlier: 0.0,
             cfr_iterative: false,
-            phase_parallel: false,
             cache_capacity: None,
-            store: None,
         }
-    }
-
-    /// Installs a process-wide object store (and, when a capacity is
-    /// configured, bounds it) that every experiment context of this
-    /// config will borrow. Call once per `repro` invocation.
-    pub fn with_shared_store(mut self) -> Self {
-        self.store = Some(Arc::new(ObjectStore::with_capacity(self.capacity())));
-        self
     }
 
     /// The cache capacity as the engine's enum.
@@ -131,11 +99,6 @@ impl ReproConfig {
             self.fault_outlier,
         )
     }
-
-    /// True when any injected-fault rate is nonzero.
-    pub fn has_faults(&self) -> bool {
-        !self.fault_model().is_zero()
-    }
 }
 
 #[cfg(test)]
@@ -160,29 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_survives_config_clone_but_not_serde() {
-        let cfg = ReproConfig::quick().with_shared_store();
-        assert!(cfg.store.is_some());
-        let clone = cfg.clone();
-        assert!(Arc::ptr_eq(
-            cfg.store.as_ref().unwrap(),
-            clone.store.as_ref().unwrap()
-        ));
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ReproConfig = serde_json::from_str(&json).unwrap();
-        assert!(back.store.is_none(), "the store is process-local state");
-    }
-
-    #[test]
     fn capacity_maps_to_engine_enum() {
         let mut cfg = ReproConfig::quick();
         assert_eq!(cfg.capacity(), CacheCapacity::Unbounded);
         cfg.cache_capacity = Some(64);
         assert_eq!(cfg.capacity(), CacheCapacity::Entries(64));
-        let bounded_store = cfg.with_shared_store();
-        assert_eq!(
-            bounded_store.store.as_ref().unwrap().capacity(),
-            CacheCapacity::Entries(64)
-        );
     }
 }

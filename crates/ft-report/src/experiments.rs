@@ -709,7 +709,7 @@ fn overhead(cfg: &ReproConfig) -> Artifact {
     let fresh_ctx = || {
         let compiler = Compiler::icc(arch.target);
         let (outlined, _) = outline_with_defaults(&ir, &compiler, &arch, steps, compiler_seed);
-        let mut ctx = EvalContext::new(
+        EvalContext::new(
             outlined.ir,
             Compiler::icc(arch.target),
             arch.clone(),
@@ -717,11 +717,7 @@ fn overhead(cfg: &ReproConfig) -> Artifact {
             compiler_seed,
         )
         .with_faults(cfg.fault_model())
-        .with_cache_capacity(cfg.capacity());
-        if let Some(store) = &cfg.store {
-            ctx = ctx.with_shared_store(store.clone());
-        }
-        ctx
+        .with_cache_capacity(cfg.capacity())
     };
     // `sched_s`: modeled machine-seconds the approach occupies the
     // testbed under its schedule. Single-algorithm rows have no phase
@@ -906,9 +902,6 @@ fn overhead(cfg: &ReproConfig) -> Artifact {
             .seed(derive_seed(cfg.seed, "oh-campaign"))
             .faults(cfg.fault_model())
             .cache_capacity(cfg.capacity());
-        if let Some(store) = &cfg.store {
-            tuner = tuner.shared_store(store.clone());
-        }
         if let Some(cap) = cfg.steps_cap {
             tuner = tuner.cap_steps(cap);
         }

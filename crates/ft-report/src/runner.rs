@@ -24,12 +24,6 @@ pub fn tune_workload(w: &Workload, arch: &Architecture, cfg: &ReproConfig) -> Tu
     if let Some(cap) = cfg.steps_cap {
         tuner = tuner.cap_steps(cap);
     }
-    if cfg.phase_parallel {
-        tuner = tuner.overlap_phases();
-    }
-    if let Some(store) = &cfg.store {
-        tuner = tuner.shared_store(store.clone());
-    }
     tuner.run()
 }
 
@@ -55,7 +49,7 @@ pub fn ctx_on_input(
         input.steps,
         derive_seed(cfg.seed, &format!("xin-{}-{}", w.meta.name, input.name)),
     );
-    let mut ctx = EvalContext::new(
+    EvalContext::new(
         outlined.ir,
         compiler,
         run.ctx.arch.clone(),
@@ -65,11 +59,7 @@ pub fn ctx_on_input(
             &format!("xin-noise-{}-{}", w.meta.name, input.name),
         ),
     )
-    .with_cache_capacity(cfg.capacity());
-    if let Some(store) = &cfg.store {
-        ctx = ctx.with_shared_store(store.clone());
-    }
-    ctx
+    .with_cache_capacity(cfg.capacity())
 }
 
 /// Speedup of an assignment over `-O3` in a context (mean of repeats).
@@ -154,29 +144,6 @@ mod tests {
         assert_eq!(ctx.modules(), run.outlined.j + 1);
         let s = speedup_in_ctx(&ctx, &run.cfr.assignment, 3);
         assert!(s > 0.9, "large-input speedup collapsed: {s}");
-    }
-
-    #[test]
-    fn shared_store_dedups_across_campaigns_without_changing_results() {
-        let plain = tune_workload(
-            &workload_by_name("swim").unwrap(),
-            &Architecture::broadwell(),
-            &ReproConfig::quick(),
-        );
-        let cfg = ReproConfig::quick().with_shared_store();
-        let arch = Architecture::broadwell();
-        let w = workload_by_name("swim").unwrap();
-        let first = tune_workload(&w, &arch, &cfg);
-        let second = tune_workload(&w, &arch, &cfg);
-        // Borrowing the store is result-invariant...
-        assert_eq!(first.canonical_bytes(), plain.canonical_bytes());
-        assert_eq!(second.canonical_bytes(), plain.canonical_bytes());
-        // ...and the repeat campaign reuses every compile and link the
-        // first one installed (same seeds => same key stream).
-        let cost = second.ctx.cost();
-        assert_eq!(cost.object_compiles, 0, "{cost:?}");
-        assert_eq!(cost.links, 0, "{cost:?}");
-        assert!(cost.link_reuses > 0);
     }
 
     #[test]

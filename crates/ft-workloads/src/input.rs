@@ -52,8 +52,14 @@ impl InputConfig {
     }
 
     /// Scale derived from a linear mesh dimension: `(n/n_ref)^dim`.
+    ///
+    /// `powf`, not `powi`: `powi`'s rounding depends on the
+    /// optimization level (a release build folds a constant `powi`
+    /// through a correctly rounded `pow`, a debug build multiplies and
+    /// rounds twice: `0.6^3` is `0.21599999999999997` against `0.216`),
+    /// so the two builds would tune different inputs.
     pub fn from_mesh(name: &str, n: f64, n_ref: f64, dim: i32, steps: u32) -> Self {
-        let scale = (n / n_ref).powi(dim);
+        let scale = (n / n_ref).powf(f64::from(dim));
         InputConfig::new(name, scale, steps, &format!("{n}"))
     }
 }
